@@ -79,15 +79,6 @@ class ExperimentConfig:
     latency_breakdown: bool = False
     #: capture the K slowest requests' full flight-mark lists
     trace_requests: int = 0
-    #: hybrid fluid/event mode: "off" (default, byte-identical to the
-    #: historical engine) or "on" (analytic fast-forward where eligible,
-    #: with a stderr notice + exact fallback otherwise — see
-    #: docs/SIMULATION.md for the approximation contract)
-    fluid: str = "off"
-    #: discrete-event queue: "heap" (the stock binary heap) or
-    #: "calendar" (bucketed calendar queue, identical fire order —
-    #: results are byte-identical either way)
-    engine: str = "heap"
 
     @property
     def observability(self) -> bool:
@@ -184,28 +175,7 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     randomness while staying reproducible.  ``None`` — the default —
     is byte-identical to the historical behaviour.
     """
-    if cfg.fluid != "off":
-        from repro.experiments.fluid_run import fluid_eligibility, \
-            run_fluid_colocation
-        reasons = fluid_eligibility(
-            system_name, cfg, l_specs, b_specs=b_specs,
-            bus_sensitivity=bus_sensitivity,
-            caladan_bw_cap=caladan_bw_cap, vessel_bw_cap=vessel_bw_cap,
-            setup_hook=setup_hook, admission=admission, trace=trace,
-            churn=churn, fault_plan=fault_plan,
-            track_queues=track_queues, rng_namespace=rng_namespace)
-        if not reasons:
-            return run_fluid_colocation(system_name, cfg, l_specs,
-                                        b_specs=b_specs,
-                                        rng_namespace=rng_namespace)
-        import sys
-        print(f"[fluid] {system_name}: exact-engine fallback: "
-              f"{'; '.join(reasons)}", file=sys.stderr)
-    if cfg.engine == "calendar":
-        from repro.sim.calendar import CalendarSimulator
-        sim = CalendarSimulator()
-    else:
-        sim = Simulator()
+    sim = Simulator()
     # Observability must be wired before the system is built: layers
     # capture the machine's ledger at construction time.
     ledger = None
@@ -617,24 +587,13 @@ def parse_profile(argv: Optional[List[str]] = None) -> ExperimentConfig:
                         metavar="K",
                         help="capture and print the K slowest requests' "
                              "full stage-span lists")
-    parser.add_argument("--fluid", choices=["off", "on"], default="off",
-                        help="hybrid fluid/event mode: 'on' fast-forwards "
-                             "eligible runs analytically (exact fallback "
-                             "with a stderr notice otherwise); 'off' is "
-                             "byte-identical to the classic engine")
-    parser.add_argument("--engine", choices=["heap", "calendar"],
-                        default="heap",
-                        help="discrete-event queue implementation "
-                             "(identical fire order; results are "
-                             "byte-identical either way)")
     args = parser.parse_args(argv)
     cfg = ExperimentConfig(seed=args.seed, op_breakdown=args.op_breakdown,
                            trace_out=args.trace_out,
                            net=NetConfig() if args.net else None,
                            jobs=max(1, args.jobs), policy=args.policy,
                            latency_breakdown=args.latency_breakdown,
-                           trace_requests=max(0, args.trace_requests),
-                           fluid=args.fluid, engine=args.engine)
+                           trace_requests=max(0, args.trace_requests))
     if args.scale == "paper":
         cfg = cfg.scaled(**PAPER_PROFILE)
     return cfg

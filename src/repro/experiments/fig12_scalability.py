@@ -14,11 +14,7 @@ declines beyond.
 
 This is by far the heaviest experiment; the default (smoke) profile uses
 short windows and a coarse load grid, so goodput values are quantized to
-the grid.  It is also the headline beneficiary of ``--fluid on``: every
-grid cell here is fluid-eligible (single memcached L-app, linpack batch,
-no fabric), so the whole sweep runs through the analytic fast-forward —
-several times faster at the cost of approximate tails (the tolerance is
-pinned by ``python -m repro fluidcheck``; see docs/SIMULATION.md).
+the grid.
 """
 
 from __future__ import annotations

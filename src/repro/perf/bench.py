@@ -201,36 +201,6 @@ def _kernel_churn_cycle(seed: int) -> Tuple[int, str]:
     return cycles, "cycles"
 
 
-def _fig12_cells(seed: int, fluid: str) -> Tuple[int, str]:
-    """The fig12 scalability inner cells at their heaviest core counts
-    (VESSEL at 42 workers, Caladan at 34, load 0.45, bursty)."""
-    from repro.experiments.common import ExperimentConfig, run_colocation
-
-    events = 0
-    for system, workers, rate in (("vessel", 42, 18.9),
-                                  ("caladan", 34, 15.3)):
-        cfg = ExperimentConfig(seed=seed, num_workers=workers, sim_ms=6,
-                               warmup_ms=2, bursty=True, fluid=fluid)
-        report = run_colocation(
-            system, cfg,
-            l_specs=[("memcached", "memcached", rate)],
-            b_specs=("linpack",))
-        events += report.events_fired + sum(report.completed.values())
-    return events, "events"
-
-
-def _kernel_fig12_exact(seed: int) -> Tuple[int, str]:
-    """fig12's heaviest cells through the exact discrete engine."""
-    return _fig12_cells(seed, "off")
-
-
-def _kernel_fig12_fluid(seed: int) -> Tuple[int, str]:
-    """The same cells with --fluid on: vectorized arrival pre-draws plus
-    analytic core/queue fast-forward.  The wall-clock ratio against
-    fig12-exact is the headline hybrid-engine speedup."""
-    return _fig12_cells(seed, "on")
-
-
 def _kernel_cluster_lb(seed: int) -> Tuple[int, str]:
     """The fleet control plane alone: place, rebalance, harvest.
 
@@ -264,15 +234,13 @@ KERNELS: Dict[str, Callable[[int], Tuple[int, str]]] = {
     "colo-net": _kernel_colo_net,
     "flight-overhead": _kernel_flight_overhead,
     "churn-cycle": _kernel_churn_cycle,
-    "fig12-exact": _kernel_fig12_exact,
-    "fig12-fluid": _kernel_fig12_fluid,
     "cluster-lb": _kernel_cluster_lb,
 }
 
 #: the cheap subset the CI bench job runs (fails on >25 % regression)
 SMOKE_KERNELS = ("engine-churn", "switch-pingpong", "colo-vessel",
                  "policy-dispatch", "flight-overhead", "churn-cycle",
-                 "fig12-fluid", "cluster-lb")
+                 "cluster-lb")
 
 
 def _calibrate() -> float:

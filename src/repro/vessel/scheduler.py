@@ -1092,11 +1092,14 @@ class VesselSystem(ColocationSystem):
                 # a RUN_THREAD for a *surviving* app must be re-routed to
                 # the core's FIFO — dropping it would strand a thread
                 # that was already claimed out of its app's parked list.
+                # The departing app's own threads are dropped: its uProcess
+                # still reads alive until the reap below.
                 for command in self.domain.process_commands(cs.core.id):
                     if command.kind is not CommandKind.RUN_THREAD:
                         continue
                     other = command.payload
-                    if other.state is UThreadState.DEAD \
+                    if other.payload is app \
+                            or other.state is UThreadState.DEAD \
                             or not other.uproc.alive:
                         continue
                     cs.fifo.append(other)

@@ -24,6 +24,20 @@ def test_check_regressions_flags_only_beyond_tolerance():
     assert failures[0].startswith("b:")
 
 
+def test_smoke_kernels_exist_and_retired_kernels_are_ignored():
+    assert set(bench.SMOKE_KERNELS) <= set(bench.KERNELS)
+    # A recorded snapshot may hold kernels that no longer exist (this one
+    # holds fig12-fluid); it must stay a usable --check reference.
+    path = os.path.join(bench.RESULTS_DIR, "BENCH_2026-08-08e.json")
+    with open(path) as handle:
+        reference = json.load(handle)
+    assert "fig12-fluid" in reference["kernels"]
+    assert "fig12-fluid" not in bench.KERNELS
+    current = {"kernels": {name: dict(reference["kernels"][name])
+                           for name in bench.SMOKE_KERNELS}}
+    assert bench.check_regressions(current, reference, tolerance=0.25) == []
+
+
 def test_latest_record_prefers_dated_and_respects_exclude(tmp_path):
     baseline = tmp_path / bench.BASELINE_NAME
     dated_old = tmp_path / "BENCH_2026-01-01.json"

@@ -24,7 +24,7 @@ DOCS = [
 ]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)[^)]*\)")
-#: backtick-quoted repo paths like ``src/repro/sim/fluid.py`` — the doc
+#: backtick-quoted repo paths like ``src/repro/sim/engine.py`` — the doc
 #: suite leans on these heavily, so stale ones rot just like links
 _PATH = re.compile(
     r"`((?:src|tests|docs|benchmarks)/[A-Za-z0-9_./-]+"

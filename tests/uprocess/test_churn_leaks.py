@@ -6,6 +6,10 @@ under rapid recycling each per-cycle residue compounds into an audit
 failure (and, for slots, a hard ``SmasError``) long before 1k cycles.
 """
 
+import pytest
+
+from repro.experiments.common import ExperimentConfig, run_colocation
+from repro.overload.churn import ChurnConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import US
@@ -79,3 +83,21 @@ def test_rapid_recreate_reuses_first_free_slot():
     b = memcached_app("b")
     system.add_app(b)
     assert system._apps["b"].uproc.slot.index == index
+
+
+@pytest.mark.parametrize("seed, churn", [
+    (42, ChurnConfig(tenants=3, lifetime_us=200, respawn_gap_us=50)),
+    (7, ChurnConfig(tenants=4, lifetime_us=150, respawn_gap_us=40,
+                    rate_mops=0.1)),
+])
+def test_churn_under_load_never_runs_a_destroyed_tenant(seed, churn):
+    """A departing tenant's RUN_THREAD commands, drained during its own
+    teardown, must be dropped rather than re-queued on a core FIFO: a
+    re-queued thread outlives its app and crashes the next run decision
+    with ``KeyError`` on the vanished app name."""
+    report = run_colocation(
+        "vessel", ExperimentConfig(seed=seed),
+        l_specs=[("memcached", "mc", 2.0)], b_specs=("linpack",),
+        churn=churn)
+    assert report.uncontained == []
+    assert report.completed["mc"] > 0
