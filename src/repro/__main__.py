@@ -6,7 +6,6 @@ Usage::
     python -m repro tab1 fig09           # selected experiments
     python -m repro --jobs 4             # fan experiments out over processes
     python -m repro fig09 --jobs 4       # fan one experiment's sweep out
-    python -m repro bench                # wall-clock benchmark harness
     python -m repro --list
     python -m repro --scale paper fig09
 
@@ -58,7 +57,7 @@ EXPERIMENTS = {
 }
 
 #: scenario entries with their own flag sets (--smoke etc.); a leading
-#: argv[0] match routes straight to the module's cli_main, like bench
+#: argv[0] match routes straight to the module's cli_main
 _CLI_EXPERIMENTS = {
     "policies": "repro.experiments.policy_zoo",
     "churn": "repro.experiments.churn",
@@ -127,9 +126,7 @@ def main(argv=None) -> int:
         description="Reproduce the uProcess/VESSEL evaluation "
                     "(SOSP 2024).")
     parser.add_argument("experiments", nargs="*",
-                        help=f"subset of: {', '.join(EXPERIMENTS)}; or "
-                             f"'bench' for the wall-clock benchmark "
-                             f"harness (see 'bench --help')")
+                        help=f"subset of: {', '.join(EXPERIMENTS)}")
     parser.add_argument("--list", action="store_true",
                         help="list experiments and exit")
     parser.add_argument("--scale", choices=["smoke", "paper"],
@@ -167,12 +164,9 @@ def main(argv=None) -> int:
 
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        from repro.perf.bench import main as bench_main
-        return bench_main(argv[1:])
     if argv and argv[0] in _CLI_EXPERIMENTS:
-        # A leading scenario name gets its own flag set (--smoke etc.),
-        # like bench; it still runs as a normal experiment when selected
+        # A leading scenario name gets its own flag set (--smoke etc.);
+        # it still runs as a normal experiment when selected
         # among others or via the run-everything default.
         module = importlib.import_module(_CLI_EXPERIMENTS[argv[0]])
         return module.cli_main(argv[1:])

@@ -486,27 +486,6 @@ def run_colocation_batch(tasks: Sequence[Tuple[str, "ExperimentConfig",
     return reports
 
 
-def merged_latency_summary(reports: Sequence[SystemReport], app_name: str,
-                           client: bool = True) -> Dict[str, float]:
-    """Latency summary for one app pooled *exactly* across many runs.
-
-    Folds the per-run log-histograms (client-observed when ``client``,
-    server-side otherwise) with the exact bucket merge — identical to
-    histogramming the concatenated sample streams, with none of the
-    percentile-of-percentiles bias that averaging per-run p99s would
-    introduce.  This is how batch sweeps and the cluster layer roll a
-    fleet of runs into one figure.
-    """
-    from repro.obs.hist import LogHistogram
-    hists = []
-    for report in reports:
-        source = report.client_hist if client else report.latency_hist
-        hist = source.get(app_name)
-        if hist is not None:
-            hists.append(hist)
-    return LogHistogram.merged(hists).summary()
-
-
 # ----------------------------------------------------------------------
 # Normalization helpers (the footnote-1 formula)
 # ----------------------------------------------------------------------
@@ -540,7 +519,7 @@ def normalized_total(report: SystemReport, cfg: ExperimentConfig,
 # Pretty printing
 # ----------------------------------------------------------------------
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Fixed-width text table (the bench harness prints these)."""
+    """Fixed-width text table (every experiment prints these)."""
     def fmt(value) -> str:
         if isinstance(value, float):
             return f"{value:.3f}"

@@ -35,8 +35,9 @@ together with mark monotonicity, transition legality
 Zero-overhead disablement mirrors ``NULL_LEDGER``: components default to
 the shared :data:`NULL_FLIGHT`, whose methods are empty and whose
 ``enabled`` flag lets hot paths skip even argument construction, so runs
-without ``--latency-breakdown``/``--trace-requests`` stay byte-identical
-and bench-neutral.
+without ``--latency-breakdown``/``--trace-requests`` stay byte-identical.
+What recording costs when on is measured by ``benchmarks/e2e``'s
+``overload-chaos`` workload (see ``benchmarks/e2e/README.md``).
 """
 
 from __future__ import annotations

@@ -157,23 +157,6 @@ class LogHistogram:
                 f"p99={self.percentile_us(99):.1f}us>")
 
 
-def merge_recorder_histograms(recorders) -> LogHistogram:
-    """Exact log-histogram merge over latency recorders or histograms.
-
-    Accepts any mix of :class:`LogHistogram` and objects with a
-    ``samples`` list (``LatencyRecorder``); the result is identical to
-    histogramming every underlying sample in one stream.
-    """
-    out = LogHistogram()
-    for item in recorders:
-        if isinstance(item, LogHistogram):
-            out.merge(item)
-        else:
-            for ns in item.samples:
-                out.record(ns)
-    return out
-
-
 def format_hist_summary(summary: Dict[str, float]) -> List[str]:
     """Fixed row for report tables: count, avg, p50/p99/p999 (µs)."""
     return [str(summary["count"]), f"{summary['avg_us']:.1f}",

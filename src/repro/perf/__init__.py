@@ -1,20 +1,14 @@
 """Simulator performance infrastructure.
 
-Two concerns live here, both in service of the ROADMAP's "runs as fast
-as the hardware allows" applied to the simulator itself:
+:mod:`repro.perf.parallel` is a deterministic multiprocessing fan-out
+used by ``python -m repro --jobs N`` (experiment-level) and by
+:func:`repro.experiments.common.run_colocation_batch` (sweep-level).
+Every simulation already owns its Simulator and seeded RNG streams, so
+runs are independent and results merge in task order: parallel output
+is byte-identical to the serial path under the same seed.
 
-* :mod:`repro.perf.parallel` — a deterministic multiprocessing fan-out
-  used by ``python -m repro --jobs N`` (experiment-level) and by
-  :func:`repro.experiments.common.run_colocation_batch` (sweep-level).
-  Every simulation already owns its Simulator and seeded RNG streams, so
-  runs are independent and results merge in task order: parallel output
-  is byte-identical to the serial path under the same seed.
-
-* :mod:`repro.perf.bench` — the wall-clock benchmark harness
-  (``python -m repro bench``).  It times a pinned set of experiment
-  kernels over fixed seeds, writes ``benchmarks/results/BENCH_<date>.json``
-  (events/sec, wall seconds, speedup vs. the recorded baseline), and can
-  gate CI with ``--check`` (>25 % regression fails).
+Simulator speed is measured by ``benchmarks/e2e`` (see
+``benchmarks/e2e/README.md``).
 """
 
 from repro.perf.parallel import available_jobs, parallel_map

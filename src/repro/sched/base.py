@@ -52,8 +52,8 @@ class SystemReport:
     #: per-app client reliability counters (offered/completed/retries/
     #: timeouts/losses/...), only when a fabric was attached
     net_ops: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: discrete events the run's Simulator fired (the bench harness
-    #: divides by wall time for an events/sec figure)
+    #: discrete events the run's Simulator fired (``benchmarks/e2e``
+    #: divides CPU time by it for its ns-per-event figure)
     events_fired: int = 0
     #: admission-control accounting (admitted / shed per app and stage),
     #: only when the run attached an AdmissionControl
@@ -73,9 +73,6 @@ class SystemReport:
     net_conservation: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: autoscaler controller state (SloAutoscalePolicy.scaling_snapshot)
     autoscale: Dict = field(default_factory=dict)
-    #: per L-app server-side queue-wait summaries (arrival to first
-    #: service start; summarize_ns output)
-    queue_wait: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: per-app per-stage latency decomposition
     #: (FlightRecorder.stage_summaries), when flight recording was on
     latency_stages: Dict[str, Dict] = field(default_factory=dict)
@@ -214,13 +211,9 @@ class ColocationSystem:
         """A core begins (or resumes, after preempt/IO) serving a request.
 
         The one chokepoint every system's dispatch path goes through:
-        stamps ``start_ns``, records server-side queue wait on the
-        *first* start only, and marks the flight's ``run_start``.
+        stamps ``start_ns`` and marks the flight's ``run_start``.
         """
-        now = self.sim.now
-        if request.start_ns is None:
-            request.app.queue_wait.record(now - request.arrival_ns)
-        request.start_ns = now
+        request.start_ns = self.sim.now
         if self.flight.enabled:
             self.flight.mark(request, "run_start", core=core_id)
 
@@ -269,8 +262,6 @@ class ColocationSystem:
         for app in self.apps:
             if app.is_latency:
                 rep.latency[app.name] = summarize_ns(app.latency.samples)
-                rep.queue_wait[app.name] = summarize_ns(
-                    app.queue_wait.samples)
                 rep.completed[app.name] = app.completed.value
             else:
                 rep.useful_ns[app.name] = app.useful_ns

@@ -17,7 +17,8 @@ a simulation with a fixed RNG seed replays identically.
 Performance: this module is the hottest code in the repository — every
 modeled request, switch, and timer passes through here, and experiment
 sweeps retire hundreds of millions of events.  Three choices keep the
-inner loop fast, measured by ``python -m repro bench``:
+inner loop fast; ``benchmarks/e2e`` measures them as its ``sim`` layer
+(see ``benchmarks/e2e/README.md``):
 
 * heap entries are ``(time, seq, event)`` tuples, not :class:`Event`
   objects — the heap's comparisons stay in C tuple code (``seq`` is

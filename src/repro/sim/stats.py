@@ -70,25 +70,6 @@ class LatencyRecorder:
     def summary(self) -> Dict[str, float]:
         return summarize_ns(self.samples)
 
-    def histogram(self):
-        """This recorder's samples as a mergeable log histogram."""
-        from repro.obs.hist import LogHistogram
-        return LogHistogram.from_samples(self.samples)
-
-    @staticmethod
-    def merge(recorders):
-        """Exact log-histogram merge of many recorders (or histograms).
-
-        Used wherever percentiles must aggregate across independent
-        simulations — per-server recorders in a cluster run, per-report
-        recorders in a ``run_colocation_batch`` sweep.  Because the
-        bucket boundaries are fixed, the merged histogram is *exactly*
-        what histogramming the concatenated sample streams would give,
-        in any merge order.
-        """
-        from repro.obs.hist import merge_recorder_histograms
-        return merge_recorder_histograms(recorders)
-
     def clear(self) -> None:
         self.samples.clear()
 

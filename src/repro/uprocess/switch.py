@@ -121,7 +121,7 @@ class UserspaceSwitch:
         The switch path charges the same eight ops for every one of the
         millions of switches a sweep executes; precomputed handles skip
         the ledger's per-charge key lookup (the ``OpLedger.charge``
-        fast path the bench harness measures).
+        fast path).
         """
         if self._handles is None or self._handles_ledger is not self.ledger:
             self._handles = {op: self.ledger.handle("uproc", op)

@@ -88,8 +88,6 @@ class App:
         self.offered = Counter(f"{name}/offered")
         self.completed = Counter(f"{name}/completed")
         self.latency = LatencyRecorder(f"{name}/latency")
-        #: server-side queueing delay (arrival to first service start)
-        self.queue_wait = LatencyRecorder(f"{name}/queue_wait")
         #: pending requests, oldest first (the dataplane/NIC queue)
         self.queue: Deque[Request] = deque()
         #: nanoseconds of useful batch work executed (B-apps)
@@ -126,7 +124,6 @@ class App:
         self.offered.clear()
         self.completed.clear()
         self.latency.clear()
-        self.queue_wait.clear()
         self.useful_ns = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

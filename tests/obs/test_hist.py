@@ -5,9 +5,7 @@ import random
 
 import pytest
 
-from repro.obs.hist import (
-    LogHistogram, SUBDIV, bucket_index, bucket_upper_ns,
-    merge_recorder_histograms)
+from repro.obs.hist import LogHistogram, SUBDIV, bucket_index, bucket_upper_ns
 
 
 def test_bucket_index_octave_layout():
@@ -76,12 +74,3 @@ def test_pickle_roundtrip_preserves_equality():
     assert clone == hist
     clone.record(7)
     assert clone != hist
-
-
-def test_merge_recorder_histograms_accepts_mixed_inputs():
-    class FakeRecorder:
-        samples = [100, 200, 300]
-
-    hist = LogHistogram.from_samples([400, 500])
-    merged = merge_recorder_histograms([FakeRecorder(), hist])
-    assert merged == LogHistogram.from_samples([100, 200, 300, 400, 500])

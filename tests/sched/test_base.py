@@ -92,3 +92,24 @@ def test_begin_measurement_resets(sim, machine, rngs):
     assert app.completed.value == 0
     report = system.report()
     assert report.buckets in ({}, {"idle": 0})
+
+
+def test_one_latency_record_per_completed_request(monkeypatch):
+    """A direct-submit run keeps exactly one latency sample per request."""
+    from repro.experiments.common import ExperimentConfig, run_colocation
+    from repro.sim.stats import LatencyRecorder
+
+    calls = []
+    record = LatencyRecorder.record
+
+    def counting_record(self, latency_ns):
+        calls.append(self.name)
+        record(self, latency_ns)
+
+    monkeypatch.setattr(LatencyRecorder, "record", counting_record)
+    cfg = ExperimentConfig(num_workers=4, sim_ms=4, warmup_ms=0, seed=3)
+    report = run_colocation("vessel", cfg,
+                            l_specs=[("memcached", "mc", 1.0)],
+                            b_specs=("linpack",))
+    assert report.completed["mc"] > 0
+    assert len(calls) == report.completed["mc"]
