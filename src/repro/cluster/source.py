@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.cluster.config import ClusterConfig
 from repro.sim.rng import RngStreams
@@ -96,11 +96,3 @@ def hottest_share(batches: List[ConnectionBatch],
     """Largest per-server share of the total load (1/N == perfect)."""
     rates = assignment_rates(batches, assignment, num_servers, 1.0)
     return max(rates) if rates else 0.0
-
-
-def describe_population(batches: List[ConnectionBatch]) -> Tuple[int, float]:
-    """(total modeled connections, weight share of the top 10% batches)."""
-    connections = sum(b.connections for b in batches)
-    top = sorted((b.weight for b in batches), reverse=True)
-    top_k = max(1, len(top) // 10)
-    return connections, sum(top[:top_k])

@@ -28,7 +28,7 @@ from repro.experiments.common import (
     parse_profile,
     run_colocation,
 )
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.net import NetConfig
 from repro.sim.units import MS, US
 from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
@@ -77,44 +77,35 @@ def main(cfg: Optional[ExperimentConfig] = None) -> None:
          "completed", "retries", "losses"], rows))
 
     # ---- lossy link: packet drops/delays must stay contained ----------
-    holder = {}
-
-    def attach_faults(sim, machine, system):
-        plan = (FaultPlan(seed=cfg.seed)
-                .drop_packets(DROP_P, at_ns=cfg.warmup_ms * MS)
-                .delay_packets(DELAY_NS, probability=DELAY_P,
-                               at_ns=cfg.warmup_ms * MS))
-        injector = FaultInjector(plan)
-        injector.attach(system)
-        holder["injector"] = injector
-
+    plan = (FaultPlan(seed=cfg.seed)
+            .drop_packets(DROP_P, at_ns=cfg.warmup_ms * MS)
+            .delay_packets(DELAY_NS, probability=DELAY_P,
+                           at_ns=cfg.warmup_ms * MS))
     report = run_colocation(
         "vessel", cfg,
         l_specs=[("memcached", "memcached", LOADS[-1] * capacity)],
-        b_specs=("linpack",), setup_hook=attach_faults)
-    injector = holder["injector"]
+        b_specs=("linpack",), fault_plan=plan)
     counters = report.net_ops["memcached"]
-    injected = {k.value: v for k, v in injector.injected.items() if v}
+    total_injected = sum(report.fault_injected.values())
     print(f"\nLossy link (drop {DROP_P:.0%}, "
           f"+{DELAY_NS / 1000:.0f} us delay on {DELAY_P:.0%}):")
-    print(f"  injected faults : {injected}")
+    print(f"  injected faults : {report.fault_injected}")
     print(f"  fault ops       : {report.fault_ops}")
     print(f"  client counters : {counters}")
     print(f"  client p99      : "
           f"{report.client_p99_us('memcached'):.1f} us")
-    if injector.total_injected == 0:
+    if total_injected == 0:
         violations.append("lossy-link run injected no packet faults")
     if counters["retries"] == 0:
         violations.append("clients never retried despite injected drops")
-    issues = injector.uncontained()
-    for issue in issues:
+    for issue in report.uncontained:
         violations.append(f"UNCONTAINED: {issue}")
     if violations:
         for violation in violations:
             print(f"  FAIL: {violation}")
         raise RuntimeError(
             f"{len(violations)} network smoke check(s) failed")
-    print(f"  containment     : all {injector.total_injected} injected "
+    print(f"  containment     : all {total_injected} injected "
           "packet faults contained; client-observed P99 >= server P99 "
           "at every load point")
 

@@ -97,9 +97,6 @@ class SyscallLayer:
             raise SyscallError(f"EINVAL: pkey {pkey} not allocated")
         aspace.set_pkey(region, pkey)
 
-    def allocated_pkeys(self, aspace: AddressSpaceMap) -> Set[int]:
-        return set(self._pkeys.get(id(aspace), set()))
-
     # ------------------------------------------------------------------
     # Processes
     # ------------------------------------------------------------------

@@ -29,10 +29,11 @@ from repro.net.config import NetConfig
 from repro.net.link import Link
 from repro.net.nic import Nic
 from repro.obs.flight import NULL_FLIGHT
+from repro.obs.hist import LogHistogram
 from repro.obs.ledger import NULL_LEDGER, OpLedger
-from repro.sim.engine import Simulator
+from repro.sim.engine import RunComponent, Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.stats import LatencyRecorder
+from repro.sim.stats import LatencyRecorder, summarize_ns
 from repro.workloads.base import App, Request
 
 #: per-app counters the fabric tracks (report rows are in this order)
@@ -41,7 +42,7 @@ COUNTER_KEYS = ("offered", "completed", "retries", "timeouts", "losses",
                 "retries_suppressed", "backoff_ns")
 
 
-class NetFabric:
+class NetFabric(RunComponent):
     """The simulated cluster around one server machine."""
 
     def __init__(self, sim: Simulator, cfg: NetConfig, rngs: RngStreams,
@@ -276,3 +277,12 @@ class NetFabric:
 
     def counters_snapshot(self) -> Dict[str, Dict[str, int]]:
         return {app: dict(stats) for app, stats in self.stats.items()}
+
+    def contribute(self, report) -> None:
+        """Client-observed latency, counters and the conservation check."""
+        for name, recorder in self.client_latency.items():
+            report.client_latency[name] = summarize_ns(recorder.samples)
+            report.client_hist[name] = \
+                LogHistogram.from_samples(recorder.samples)
+        report.net_ops = self.counters_snapshot()
+        report.net_conservation = self.conservation()

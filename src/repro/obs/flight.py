@@ -43,8 +43,10 @@ What recording costs when on is measured by ``benchmarks/e2e``'s
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Tuple)
 
+from repro.sim.engine import RunComponent
 from repro.sim.stats import summarize_ns
 
 if TYPE_CHECKING:  # pragma: no cover - circular at runtime via hardware
@@ -90,7 +92,7 @@ STAGE_ORDER = ("net_in", "nic_ring", "sched_queue", "service",
 _MAX_VIOLATIONS = 50
 
 
-class FlightRecorder:
+class FlightRecorder(RunComponent):
     """Collects per-request lifecycle marks and derives stage spans.
 
     One instance per simulation (attached to the
@@ -121,6 +123,12 @@ class FlightRecorder:
         self._seq = 0
         self._violations: List[str] = []
         self._violations_dropped = 0
+        #: what :meth:`contribute` reports against and prints (see
+        #: :meth:`bind_report`)
+        self._system_name = ""
+        self._samples: Callable[[], Dict[str, List[int]]] = dict
+        self._print_breakdown = False
+        self._print_slowest = 0
 
     # ------------------------------------------------------------------
     # Marking (hot path — callers guard with ``if flight.enabled:``)
@@ -262,6 +270,29 @@ class FlightRecorder:
                 f"not overlap-checked")
         return violations
 
+    def conservation(self, samples: Dict[str, List[int]]) -> List[str]:
+        """Cross-check flight aggregates against independent recorders.
+
+        ``samples`` maps each app to the latencies of the authoritative
+        recorder.  Every ``done`` flight must correspond one-to-one with
+        one of them, with *exactly* equal integer sums — the
+        span-conservation half of the trace-invariant audit (the other
+        half, NetFabric's offered/completed/in-flight identity, is
+        checked by ``report.net_conservation``).
+        """
+        violations: List[str] = []
+        for name, recorded in sorted(samples.items()):
+            totals = self.done_totals(name)
+            if len(totals) != len(recorded):
+                violations.append(
+                    f"{name}: {len(totals)} done flights but "
+                    f"{len(recorded)} recorded latencies")
+            elif sum(totals) != sum(recorded):
+                violations.append(
+                    f"{name}: flight latency sum {sum(totals)} != "
+                    f"recorded sum {sum(recorded)}")
+        return violations
+
     # ------------------------------------------------------------------
     # Queries / summaries
     # ------------------------------------------------------------------
@@ -325,6 +356,48 @@ class FlightRecorder:
         self._slowest.clear()
         self._violations.clear()
         self._violations_dropped = 0
+
+    def bind_report(self, system_name: str,
+                    samples: Callable[[], Dict[str, List[int]]],
+                    print_breakdown: bool = False,
+                    print_slowest: int = 0) -> None:
+        """Set what :meth:`contribute` audits against and prints.
+
+        ``samples`` returns, after the run, each app's latencies from
+        the authoritative recorder (client-side when a fabric ran).
+        ``print_breakdown`` prints the per-stage table and any audit
+        failure; ``print_slowest`` prints that many slowest flights.
+        """
+        self._system_name = system_name
+        self._samples = samples
+        self._print_breakdown = print_breakdown
+        self._print_slowest = print_slowest
+
+    def contribute(self, report) -> None:
+        """Stage summaries, outcome counts and the audit, plus the
+        printouts :meth:`bind_report` asked for."""
+        name = self._system_name
+        samples = self._samples()
+        report.latency_stages = self.stage_summaries()
+        report.flight_counts = self.outcome_counts()
+        report.flight_audit = self.audit() + self.conservation(samples)
+        if self._print_breakdown:
+            print(format_breakdown(name, report.latency_stages,
+                                   client_samples=samples))
+            if report.flight_audit:
+                print(f"[{name}] TRACE AUDIT FAILED:")
+                for violation in report.flight_audit:
+                    print(f"  {violation}")
+        if self._print_slowest > 0:
+            shown = self.slowest_traces()[:self._print_slowest]
+            print(f"[{name}] {len(shown)} slowest requests:")
+            for trace in shown:
+                path = " -> ".join(
+                    f"{label}@{ts}" + (f"/c{core}" if core is not None
+                                       else "")
+                    for label, ts, core in trace["marks"])
+                print(f"  {trace['app']} "
+                      f"{trace['total_ns'] / 1000.0:.1f}us: {path}")
 
     def chrome_events(self, pid: int = 2) -> List[Dict[str, Any]]:
         """Chrome ``trace_event`` rows for the slowest-flight reservoir.

@@ -18,7 +18,7 @@ order never matters for the totals).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 #: sub-buckets per power of two
 SUBDIV = 8
@@ -155,10 +155,3 @@ class LogHistogram:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<LogHistogram n={self.count} "
                 f"p99={self.percentile_us(99):.1f}us>")
-
-
-def format_hist_summary(summary: Dict[str, float]) -> List[str]:
-    """Fixed row for report tables: count, avg, p50/p99/p999 (µs)."""
-    return [str(summary["count"]), f"{summary['avg_us']:.1f}",
-            f"{summary['p50_us']:.1f}", f"{summary['p99_us']:.1f}",
-            f"{summary['p999_us']:.1f}"]

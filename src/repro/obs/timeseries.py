@@ -13,14 +13,19 @@ reads — sampling adds simulator events but never changes component
 state, so runs differ from unsampled ones only by the tick events
 themselves.  The series is only constructed when flight recording is on,
 keeping default runs byte-identical.
+
+:class:`QueueTracker` is the separate, report-side sampler behind
+``run_colocation(track_queues=True)``: peak and final L-app queue depth.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.sim.engine import RunComponent
 
-class GaugeSeries:
+
+class GaugeSeries(RunComponent):
     """Samples named gauges every ``tick_ns`` of simulated time."""
 
     def __init__(self, sim, tick_ns: int = 50_000,
@@ -69,24 +74,6 @@ class GaugeSeries:
     def names(self) -> List[str]:
         return [name for name, _ in self._probes]
 
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-gauge min/avg/max/last over the measurement window."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name, _ in self._probes:
-            series = self.samples[name]
-            if not series:
-                out[name] = {"count": 0}
-                continue
-            values = [v for _, v in series]
-            out[name] = {
-                "count": len(values),
-                "min": min(values),
-                "avg": sum(values) / len(values),
-                "max": max(values),
-                "last": values[-1],
-            }
-        return out
-
     def chrome_events(self, pid: int = 3) -> List[Dict[str, Any]]:
         """Chrome ``trace_event`` counter ("C") rows, one track per gauge."""
         events: List[Dict[str, Any]] = [
@@ -100,3 +87,36 @@ class GaugeSeries:
                     "ts": ts / 1000.0, "args": {"value": value},
                 })
         return events
+
+
+class QueueTracker(RunComponent):
+    """Peak and final L-app queue depth over the measured window.
+
+    The graceful-degradation signal of the overload experiments
+    (``SystemReport.queue_peak`` / ``queue_final``): queues sampled every
+    ``tick_ns`` from ``from_ns`` on, with no other effect on the run.
+    """
+
+    def __init__(self, sim, system, from_ns: int,
+                 tick_ns: int = 50_000) -> None:
+        self.sim = sim
+        self.system = system
+        self.from_ns = from_ns
+        self.tick_ns = tick_ns
+        self.peaks: Dict[str, int] = {}
+
+    def start(self) -> None:
+        self.sim.at(self.from_ns, self._sample)
+
+    def _sample(self) -> None:
+        for app in self.system.apps:
+            if app.is_latency and \
+                    len(app.queue) > self.peaks.get(app.name, 0):
+                self.peaks[app.name] = len(app.queue)
+        self.sim.post(self.tick_ns, self._sample)
+
+    def contribute(self, report) -> None:
+        report.queue_peak = dict(sorted(self.peaks.items()))
+        report.queue_final = {app.name: len(app.queue)
+                              for app in self.system.apps
+                              if app.is_latency}

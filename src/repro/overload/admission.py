@@ -31,7 +31,7 @@ from typing import Dict, Optional
 
 from repro.obs.flight import NULL_FLIGHT
 from repro.obs.ledger import NULL_LEDGER, OpLedger
-from repro.sim.engine import Simulator
+from repro.sim.engine import RunComponent, Simulator
 from repro.sim.units import US
 from repro.workloads.base import App, Request
 
@@ -55,7 +55,7 @@ class AdmissionConfig:
     max_oldest_wait_ns: int = 400 * US
 
 
-class AdmissionControl:
+class AdmissionControl(RunComponent):
     """Wraps a system's ``submit`` and sheds above the watermarks."""
 
     def __init__(self, sim: Simulator, cfg: AdmissionConfig,
@@ -162,3 +162,6 @@ class AdmissionControl:
                      for name, per in sorted(self.shed.items())},
             "by_stage": dict(self.shed_by_stage),
         }
+
+    def contribute(self, report) -> None:
+        report.admission = self.snapshot()

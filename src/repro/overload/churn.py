@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import RunComponent, Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import MS, US
 from repro.uprocess.smas import MAX_UPROCESSES
@@ -52,7 +52,7 @@ class ChurnConfig:
     start_ms: float = 0.0
 
 
-class ChurnDriver:
+class ChurnDriver(RunComponent):
     """Spawns and retires tenants against a running system."""
 
     def __init__(self, sim: Simulator, system, rngs: RngStreams,
@@ -138,3 +138,6 @@ class ChurnDriver:
             "kernel_fd_tables": sum(
                 1 for fds in system.runtime._kernel_fds.values() if fds),
         }
+
+    def contribute(self, report) -> None:
+        report.churn = self.snapshot()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import RunComponent, Simulator
 from repro.sim.units import MS
 
 
@@ -47,10 +47,6 @@ class LoadTrace:
             if phase.at_ms <= last:
                 raise ValueError("phases must have increasing at_ms")
             last = phase.at_ms
-
-    @property
-    def peak_multiplier(self) -> float:
-        return max(p.multiplier for p in self.phases)
 
     @classmethod
     def from_rates(cls, base_rate: float, epoch_ms: float,
@@ -101,7 +97,7 @@ def flash_crowd_trace(sim_ms: float, spike_factor: float = 10.0) -> LoadTrace:
     ))
 
 
-class LoadShaper:
+class LoadShaper(RunComponent):
     """Applies a :class:`LoadTrace` to attached load generators."""
 
     def __init__(self, sim: Simulator, trace: LoadTrace) -> None:

@@ -30,6 +30,9 @@ inner loop fast; ``benchmarks/e2e`` measures them as its ``sim`` layer
   are never cancelled (its heap entry is ``(time, seq, None, fn,
   args)``; mixed-width entries still compare correctly because ``(time,
   seq)`` always decides).
+
+:class:`RunComponent` lives here, beside the engine, so every opt-in run
+layer can implement it without an import cycle.
 """
 
 from __future__ import annotations
@@ -267,3 +270,23 @@ class Simulator:
                    if entry[2] is None or entry[2]._alive]
         heapq.heapify(heap)
         self._dead = 0
+
+
+class RunComponent:
+    """One opt-in layer of a simulated run (fabric, admission, faults...).
+
+    :func:`repro.experiments.common.run_colocation` builds its layers
+    into one ordered list, then calls :meth:`start` on each, schedules
+    each :meth:`begin_measurement` at the end of warm-up, and lets each
+    :meth:`contribute` its results to the run's ``SystemReport``.  All
+    three do nothing by default; a layer overrides what it needs.
+    """
+
+    def start(self) -> None:
+        """Begin acting on the simulation (after the system started)."""
+
+    def begin_measurement(self) -> None:
+        """Drop warm-up statistics at the start of the measured window."""
+
+    def contribute(self, report) -> None:
+        """Copy this layer's results into ``report`` after the run."""

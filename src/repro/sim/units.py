@@ -8,13 +8,3 @@ NS = 1
 US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
-
-
-def ns_to_us(value_ns: float) -> float:
-    """Convert nanoseconds to (possibly fractional) microseconds."""
-    return value_ns / US
-
-
-def us_to_ns(value_us: float) -> int:
-    """Convert microseconds to integer nanoseconds (rounded)."""
-    return int(round(value_us * US))

@@ -52,12 +52,6 @@ class SchedulingDomain:
         self.runtime = None
 
     # ------------------------------------------------------------------
-    def core_by_id(self, core_id: int) -> Core:
-        for core in self.cores:
-            if core.id == core_id:
-                return core
-        raise KeyError(f"core {core_id} is not in domain {self.name}")
-
     def cores_running(self, uproc: UProcess) -> List[int]:
         """Core ids whose current task belongs to ``uproc``."""
         running = []

@@ -87,9 +87,6 @@ class MultiDomainVessel:
         self._placement[app.name] = system
         return system
 
-    def system_of(self, app_name: str) -> VesselSystem:
-        return self._placement[app_name]
-
     def start(self) -> None:
         for system in self.systems:
             system.start()

@@ -12,14 +12,14 @@ throttling levels or cgroup CPU quotas at CFS-period granularity.
 from __future__ import annotations
 
 from repro.hardware.membus import MemoryBus
-from repro.sim.engine import Simulator
+from repro.sim.engine import RunComponent, Simulator
 from repro.vessel.scheduler import VesselSystem
 
 DEFAULT_WINDOW_NS = 50_000
 DEFAULT_CHECK_DIVISOR = 25
 
 
-class VesselBandwidthRegulator:
+class VesselBandwidthRegulator(RunComponent):
     """Duty-cycles one B-app to hit a target bandwidth fraction."""
 
     def __init__(self, sim: Simulator, system: VesselSystem, bus: MemoryBus,

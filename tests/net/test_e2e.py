@@ -10,7 +10,7 @@ from repro.experiments.common import (
     make_payload_sampler,
     run_colocation,
 )
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.net import NetConfig
 from repro.sim.rng import RngStreams
 from repro.sim.units import MS
@@ -63,36 +63,25 @@ def test_direct_submit_path_has_no_net_state():
 
 
 def test_packet_faults_are_observed_and_contained():
-    holder = {}
-
-    def attach(sim, machine, system):
-        plan = (FaultPlan(seed=99)
-                .drop_packets(0.05, at_ns=1 * MS)
-                .delay_packets(20_000, probability=0.05, at_ns=1 * MS))
-        injector = FaultInjector(plan)
-        injector.attach(system)
-        holder["injector"] = injector
-
-    report = _run(setup_hook=attach)
-    injector = holder["injector"]
-    assert injector.total_injected > 0
+    plan = (FaultPlan(seed=99)
+            .drop_packets(0.05, at_ns=1 * MS)
+            .delay_packets(20_000, probability=0.05, at_ns=1 * MS))
+    report = _run(fault_plan=plan)
+    assert sum(report.fault_injected.values()) > 0
     counters = report.net_ops["memcached"]
     # Dropped packets were observed by clients and retried, never
     # silently lost from the accounting.
     assert counters["drops_observed"] > 0
     assert counters["retries"] > 0
-    assert injector.uncontained() == []
+    assert report.uncontained == []
 
 
 def test_packet_faults_require_a_fabric():
-    def attach(sim, machine, system):
-        FaultInjector(FaultPlan(seed=1).drop_packets(0.1)).attach(system)
-
     cfg = ExperimentConfig(num_workers=2, sim_ms=2, warmup_ms=1)
     with pytest.raises(RuntimeError, match="network fabric"):
         run_colocation("vessel", cfg,
                        l_specs=[("memcached", "memcached", 0.3)],
-                       setup_hook=attach)
+                       fault_plan=FaultPlan(seed=1).drop_packets(0.1))
 
 
 @pytest.mark.parametrize("kind,name", [("memcached", "memcached"),

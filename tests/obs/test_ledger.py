@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.obs.ledger import (NULL_LEDGER, NullLedger, OpLedger,
-                              _bucket_index, _bucket_upper_ns)
+from repro.obs.hist import bucket_index, bucket_upper_ns
+from repro.obs.ledger import NULL_LEDGER, NullLedger, OpLedger
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
@@ -55,7 +55,7 @@ def test_op_counts_merges_across_domains():
 def test_bucket_roundtrip_error_is_bounded():
     # The bucket upper bound over-estimates by at most 1/8 (12.5 %).
     for ns in [1, 2, 3, 7, 8, 9, 100, 160, 1000, 12345, 10**6]:
-        upper = _bucket_upper_ns(_bucket_index(ns))
+        upper = bucket_upper_ns(bucket_index(ns))
         assert ns <= upper <= ns * 1.125 + 1
 
 

@@ -1,6 +1,6 @@
 """Tests for the pluggable-policy framework: registry, mechanism
-validation (containment of buggy policies), and backwards compatibility
-of the pre-framework ``VesselSystem`` surface."""
+validation (containment of buggy policies), and how ``VesselSystem``
+takes its policy."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.obs.ledger import OpLedger
 from repro.sched.policy import (
     DEFAULT_L_PREEMPT_QUANTUM_NS, DEFAULT_ROTATION_QUANTUM_NS,
     Rotate, SchedPolicy, available_policies, make_policy, register_policy)
-from repro.vessel import scheduler as vessel_scheduler
 from repro.vessel.scheduler import VesselSystem
 from repro.vessel.policy import VesselDefaultPolicy
 from repro.workloads.base import OpenLoopSource
@@ -70,37 +69,19 @@ def test_register_requires_concrete_name():
 
 
 # ----------------------------------------------------------------------
-# Backwards compatibility of the VesselSystem surface
+# How VesselSystem takes its policy
 # ----------------------------------------------------------------------
 def test_default_policy_is_the_vessel_policy(sim, machine, rngs):
     system = VesselSystem(sim, machine, rngs)
     assert isinstance(system.policy, VesselDefaultPolicy)
-    assert system.rotation_quantum_ns == DEFAULT_ROTATION_QUANTUM_NS
-    assert system.l_preempt_quantum_ns == DEFAULT_L_PREEMPT_QUANTUM_NS
+    assert system.policy.rotation_quantum_ns == DEFAULT_ROTATION_QUANTUM_NS
+    assert system.policy.l_preempt_quantum_ns == \
+        DEFAULT_L_PREEMPT_QUANTUM_NS
 
 
 def test_policy_accepts_registry_name(sim, machine, rngs):
     system = VesselSystem(sim, machine, rngs, policy="mlfq")
     assert system.policy.name == "mlfq"
-
-
-def test_quantum_ctor_params_override_policy(sim, machine, rngs):
-    system = VesselSystem(sim, machine, rngs,
-                          rotation_quantum_ns=5_000,
-                          l_preempt_quantum_ns=40_000)
-    assert system.policy.rotation_quantum_ns == 5_000
-    assert system.policy.l_preempt_quantum_ns == 40_000
-    # the old attribute surface still reads and writes through
-    system.rotation_quantum_ns = 9_000
-    assert system.policy.rotation_quantum_ns == 9_000
-
-
-def test_module_constant_aliases_unchanged():
-    assert vessel_scheduler.ROTATION_QUANTUM_NS == 20_000
-    assert vessel_scheduler.L_PREEMPT_QUANTUM_NS == 20_000
-    # pre-framework private names some tests/tools reach for
-    assert vessel_scheduler._CoreState is vessel_scheduler.CoreState
-    assert vessel_scheduler._AppState is vessel_scheduler.AppState
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.units import MS
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
+from repro.sched.policy import make_policy
 from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource
 from repro.workloads.memcached import memcached_app, UsrServiceSampler
@@ -25,7 +26,9 @@ def build(l_preempt_quantum_ns, sim_ms=40, seed=5):
     rngs = RngStreams(seed)
     system = VesselSystem(sim, machine, rngs,
                           worker_cores=machine.cores[1:],
-                          l_preempt_quantum_ns=l_preempt_quantum_ns)
+                          policy=make_policy(
+                              "default",
+                              l_preempt_quantum_ns=l_preempt_quantum_ns))
     mc = memcached_app()
     db = silo_app()
     system.add_app(mc)
