@@ -85,8 +85,8 @@ def run_chaos(cfg: ExperimentConfig, system_name: str,
     system.start()
     injector = None
     if plan is not None:
-        injector = FaultInjector(plan)
-        injector.attach(system)
+        injector = FaultInjector(plan, system)
+        injector.start()
     sim.at(cfg.warmup_ms * MS, system.begin_measurement)
     sim.run(until=cfg.sim_ms * MS)
     return system.report(), system, injector, ledger

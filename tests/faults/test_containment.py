@@ -3,6 +3,8 @@ on, and visibly breaking the run with it off (the ablation), proving the
 containment mechanisms are load-bearing.
 """
 
+import pytest
+
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import MS
@@ -38,9 +40,16 @@ def build(workers=4, rate=0.6, seed=7, containment=True):
 
 
 def inject(system, plan):
-    injector = FaultInjector(plan)
-    injector.attach(system)
+    injector = FaultInjector(plan, system)
+    injector.start()
     return injector
+
+
+def test_injector_starts_once():
+    _, _, system, _, _ = build()
+    injector = inject(system, FaultPlan(seed=1).drop_uintr(1.0))
+    with pytest.raises(RuntimeError, match="already attached"):
+        injector.start()
 
 
 # ----------------------------------------------------------------------

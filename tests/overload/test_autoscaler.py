@@ -5,6 +5,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.units import MS
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
+from repro.obs.timeseries import GaugeSeries
 from repro.overload.autoscaler import SloAutoscalePolicy
 from repro.sched.policy import available_policies, make_policy
 from repro.vessel.scheduler import VesselSystem
@@ -50,6 +51,21 @@ def test_harvests_under_tight_slo():
     assert snap["total_cores"] == 4
     # The system keeps serving throughout.
     assert app.completed.value > 0
+
+
+def test_be_core_cap_gauge_registered_through_the_system():
+    policy = SloAutoscalePolicy(slo_p99_us=2.0, min_samples=16,
+                                hysteresis_periods=1000)
+    sim, system, _ = build(policy, rate=1.5)
+    gauges = GaugeSeries(sim, tick_ns=MS)
+    system.add_probes(gauges)
+    assert gauges.names() == ["be_core_cap"]
+    gauges.start()
+    sim.run(until=6 * MS)
+    assert gauges.samples["be_core_cap"][-1][1] == policy.be_allowed
+    plain = GaugeSeries(sim)
+    build(make_policy("default"))[1].add_probes(plain)
+    assert plain.names() == []
 
 
 def test_returns_after_calm_period():
