@@ -159,13 +159,12 @@ class ArachneSystem(ColocationSystem):
     # ------------------------------------------------------------------
     def on_arrival(self, app: App, request: Request) -> None:
         # Wake an idle-held core of this app through the kernel.
-        state = queues.first_where(
-            self._cores.values(),
-            lambda s: s.owner is app and s.kind == "idle-held")
-        if state is not None:
-            state.kind = "transition"
-            state.core.run("kernel", self.costs.arachne_wake_ns,
-                           lambda s=state: self._serve(s))
+        for state in self._cores.values():
+            if state.owner is app and state.kind == "idle-held":
+                state.kind = "transition"
+                state.core.run("kernel", self.costs.arachne_wake_ns,
+                               lambda s=state: self._serve(s))
+                return
 
     def _serve(self, state: _CoreState) -> None:
         app = state.owner

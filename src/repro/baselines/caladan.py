@@ -114,14 +114,13 @@ class CaladanSystem(ColocationSystem):
     # Arrival path
     # ------------------------------------------------------------------
     def on_arrival(self, app: App, request: Request) -> None:
-        # A core spinning inside this app picks the request up directly.
-        spinner = queues.first_where(
-            self._cores.values(),
-            lambda s: s.owner is app and s.kind == "spin")
-        if spinner is not None:
-            spinner.core.preempt()  # end the spin early
-            self._serve(spinner)
-            return
+        # A core spinning inside this app picks the request up directly
+        # (the first one in worker-core order).
+        for state in self._cores.values():
+            if state.owner is app and state.kind == "spin":
+                state.core.preempt()  # end the spin early
+                self._serve(state)
+                return
         if self.fast_react and app.name not in self._react_pending:
             # Check once the queueing delay can have crossed the range's
             # upper bound (the Delay Range trigger condition).

@@ -62,6 +62,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, TYPE_CHECKING
 
 from repro.sched import queues
+from repro.uprocess.threads import UThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.base import App, Request
@@ -238,19 +239,27 @@ class SchedPolicy:
         each before the generator resumes, so later choices see the
         updated core states.
         """
-        app = app_state.app
-        # Fast-outs first: with nothing queued or nothing parked the
-        # deficit is <= 0 and no decision can come out, so skip the
-        # O(threads) active count (this is the steady-state path — the
-        # tick re-dispatch calls here for every backlogged app).
-        if not app.queue or not app_state.parked:
+        parked = app_state.parked
+        if not parked:
             return
-        from repro.uprocess.threads import UThreadState
-        active = sum(1 for t in app_state.threads
-                     if t.state is UThreadState.RUNNING)
-        deficit = min(len(app.queue) - active - app_state.queued_servers,
-                      len(app_state.parked), self.activation_burst)
-        for _ in range(max(0, deficit)):
+        # Requests not yet covered by a queued server thread; with none
+        # left no decision can come out.
+        need = len(app_state.app.queue) - app_state.queued_servers
+        if need <= 0:
+            return
+        # Running threads cover the rest.  Once they cover all of it the
+        # deficit is <= 0 whatever the full count, so the walk stops
+        # there (this runs on every arrival and, for each backlogged
+        # app, on every tick).
+        running = UThreadState.RUNNING
+        active = 0
+        for thread in app_state.threads:
+            if thread.state is running:
+                active += 1
+                if active >= need:
+                    return
+        deficit = min(need - active, len(parked), self.activation_burst)
+        for _ in range(deficit):
             decision = self.place_one(app_state)
             if decision is None:
                 break

@@ -7,7 +7,10 @@ find a preemption victim, find the shortest queue).  This module is the
 single home for both, so a new policy composes existing primitives
 instead of re-implementing its own deques — and so VESSEL and the
 baselines (Caladan, Arachne, Linux CFS) answer "which core?" questions
-through the same, identically-ordered helpers.
+through the same, identically-ordered helpers.  The exception is a
+per-request lookup (Caladan's spinning core and Arachne's idle-held
+core in ``on_arrival``): it stays an inline loop, because a helper
+that takes a predicate costs one call per core.
 
 Determinism contract: every helper iterates its input in the order
 given (core dicts preserve insertion order) and breaks ties toward the

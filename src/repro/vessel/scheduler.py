@@ -210,6 +210,13 @@ class VesselSystem(ColocationSystem):
         #: decisions the mechanism refused to execute (buggy policy)
         self.policy_rejects = 0
         self._started = False
+        #: delay from an arrival to the scheduler core acting on it: at
+        #: least half a scan, stretched by scheduler-core congestion.
+        #: Fixed by the worker count and cost model, so derived once
+        #: here (arrivals may be submitted before ``start``).
+        self._react_ns = int(max(self.costs.sched_react_ns,
+                                 self.effective_scan_ns // 2)
+                             * self.control_plane_factor)
         # --- containment state -------------------------------------------
         self._pending_preempts: Dict[int, _PendingPreempt] = {}
         self._sched_stalled = False
@@ -321,10 +328,7 @@ class VesselSystem(ColocationSystem):
             # The scheduler core is not polling; requests pile up in the
             # app queue until the liveness watchdog restarts the scan.
             return
-        react = int(max(self.costs.sched_react_ns,
-                        self.effective_scan_ns // 2)
-                    * self.control_plane_factor)
-        self.sim.post(react, self._dispatch_app, state)
+        self.sim.post(self._react_ns, self._dispatch_app, state)
 
     def _dispatch_app(self, state: AppState) -> None:
         """Ensure enough server threads are active for this app's queue."""

@@ -12,7 +12,7 @@ from repro.baselines.caladan import CaladanSystem, caladan_dr_l, caladan_dr_h
 from repro.baselines.ideal import IdealSystem
 from repro.baselines.linux_cfs import LinuxCfsSystem
 from repro.vessel.scheduler import VesselSystem
-from repro.workloads.base import OpenLoopSource
+from repro.workloads.base import OpenLoopSource, Request
 from repro.workloads.linpack import linpack_app
 from repro.workloads.memcached import memcached_app, UsrServiceSampler
 
@@ -124,6 +124,35 @@ def test_caladan_bw_cap_constructor():
                            worker_cores=machine.cores[1:],
                            bw_cap_app="membench", bw_cap_gbps=10.0)
     assert system.bw_cap_app == "membench"
+
+
+def test_caladan_arrival_goes_to_first_spinning_core():
+    """Two cores spin inside the app: an arrival ends the spin of the
+    first in worker-core order.  A core spinning inside another app is
+    left alone."""
+    sim = Simulator()
+    machine = Machine(sim, CostModel(), 5)
+    system = CaladanSystem(sim, machine, RngStreams(0),
+                           worker_cores=machine.cores[1:])
+    app, other = memcached_app("mc"), memcached_app("other")
+    system.add_app(app)
+    system.add_app(other)
+    states = list(system._cores.values())
+    for state, owner in zip(states, (other, app, app, app)):
+        state.owner = owner
+    # With empty queues, serving means spinning; the second core is
+    # owned by the app but not spinning.
+    for state in (states[0], states[2], states[3]):
+        system._serve(state)
+    assert [s.kind for s in states] == ["spin", None, "spin", "spin"]
+    request = Request(app, sim.now, 1_000, 0)
+    system.submit(request)
+    assert states[2].kind == "serve" and states[2].request is request
+    assert states[3].kind == "spin" and states[3].request is None
+    assert states[0].kind == "spin" and states[0].owner is other
+    assert states[1].kind is None
+    sim.run(until=10_000)
+    assert app.completed.value == 1
 
 
 def test_ideal_preempts_batch_for_latency_instantly():

@@ -2,6 +2,9 @@
 validation (containment of buggy policies), and how ``VesselSystem``
 takes its policy."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -13,9 +16,12 @@ from repro.obs.ledger import OpLedger
 from repro.sched.policy import (
     DEFAULT_L_PREEMPT_QUANTUM_NS, DEFAULT_ROTATION_QUANTUM_NS,
     Rotate, SchedPolicy, available_policies, make_policy, register_policy)
+from repro.uprocess.threads import UThreadState
 from repro.vessel.scheduler import VesselSystem
 from repro.vessel.policy import VesselDefaultPolicy
-from repro.workloads.base import OpenLoopSource
+from repro.workloads.base import OpenLoopSource, Request
+from repro.workloads.linpack import linpack_app
+from repro.workloads.memcached import memcached_app
 from repro.experiments.common import make_l_app
 
 
@@ -111,3 +117,90 @@ def test_default_policy_never_rejected():
     assert system.policy_rejects == 0
     assert "policy:rejected" not in ledger.op_counts()
     assert report.completed.get("memcached", 0) > 0
+
+
+# ----------------------------------------------------------------------
+# on_arrival: the bounded running-thread count decides like a full one
+# ----------------------------------------------------------------------
+#: every registered policy that keeps the base class's arrival path
+INHERITS_ON_ARRIVAL = sorted(
+    name for name, cls in available_policies().items()
+    if cls.on_arrival is SchedPolicy.on_arrival)
+
+
+def full_count_on_arrival(policy, app_state):
+    """Reference arrival path: counts every RUNNING thread."""
+    app = app_state.app
+    if not app.queue or not app_state.parked:
+        return
+    active = sum(1 for t in app_state.threads
+                 if t.state is UThreadState.RUNNING)
+    deficit = min(len(app.queue) - active - app_state.queued_servers,
+                  len(app_state.parked), policy.activation_burst)
+    for _ in range(max(0, deficit)):
+        decision = policy.place_one(app_state)
+        if decision is None:
+            break
+        yield decision
+
+
+def random_app_state(policy_name, seed):
+    """An unstarted VESSEL system whose L-app and cores are put in a
+    seeded random state; returns (policy, the L-app's state)."""
+    rng = random.Random(seed)
+    workers = rng.randint(2, 12)
+    sim = Simulator()
+    machine = Machine(sim, CostModel(), workers + 1)
+    policy = make_policy(policy_name,
+                         activation_burst=rng.choice((1, 2, 4, 8)))
+    system = VesselSystem(sim, machine, RngStreams(seed),
+                          worker_cores=machine.cores[1:], policy=policy)
+    app = memcached_app("mc")
+    system.add_app(app)
+    system.add_app(linpack_app("lp"))
+    state = policy.ctx.app_state("mc")
+    be_threads = policy.ctx.app_state("lp").threads
+    for thread in state.threads:
+        thread.state = rng.choice((UThreadState.RUNNING,
+                                   UThreadState.PARKED, UThreadState.DEAD))
+    state.parked = deque(t for t in state.threads
+                         if t.state is UThreadState.PARKED
+                         and rng.random() < 0.7)
+    state.queued_servers = rng.randint(0, workers)
+    for _ in range(rng.randint(0, 2 * workers)):
+        app.queue.append(Request(app, 0, 1_000, 0))
+    for index, core_state in enumerate(policy.ctx.core_states()):
+        core_state.kind = rng.choice((None, "L", "B"))
+        if core_state.kind == "B":
+            core_state.thread = be_threads[index]
+        elif core_state.kind == "L":
+            core_state.thread = state.threads[index]
+    return policy, state
+
+
+def decision_key(decision):
+    return (type(decision).__name__,) + tuple(
+        getattr(decision, slot) for slot in type(decision).__slots__)
+
+
+@pytest.mark.parametrize("policy_name", INHERITS_ON_ARRIVAL)
+def test_bounded_count_matches_full_count(policy_name):
+    outcomes = set()
+    for seed in range(120):
+        policy, state = random_app_state(policy_name, seed)
+        expected = [decision_key(d)
+                    for d in full_count_on_arrival(policy, state)]
+        got = [decision_key(d) for d in policy.on_arrival(state)]
+        assert got == expected, f"seed {seed}"
+        need = len(state.app.queue) - state.queued_servers
+        running = sum(1 for t in state.threads
+                      if t.state is UThreadState.RUNNING)
+        if not state.parked or need <= 0:
+            outcomes.add("nothing to cover")
+        elif running >= need:
+            outcomes.add("covered by running threads")
+        else:
+            outcomes.add("placed" if got else "nowhere to place")
+    # The seeds reach every branch of the bounded count.
+    assert {"nothing to cover", "covered by running threads",
+            "placed"} <= outcomes

@@ -8,7 +8,7 @@ from repro.sim.units import MS
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
 from repro.vessel.scheduler import VesselSystem
-from repro.workloads.base import OpenLoopSource
+from repro.workloads.base import OpenLoopSource, Request
 from repro.workloads.linpack import linpack_app
 from repro.workloads.memcached import memcached_app, UsrServiceSampler
 from repro.workloads.synthetic import ConstantService
@@ -144,6 +144,30 @@ def test_start_twice_rejected():
     system.start()
     with pytest.raises(RuntimeError):
         system.start()
+
+
+@pytest.mark.parametrize("workers", [8, 42, 44])
+def test_reaction_delay_fixed_at_construction(workers):
+    """The arrival-to-dispatch delay is derived once, when the system is
+    built; an arrival submitted before ``start`` already uses it."""
+    sim = Simulator()
+    machine = Machine(sim, CostModel(), workers + 1)
+    system = VesselSystem(sim, machine, RngStreams(0),
+                          worker_cores=machine.cores[1:])
+    react_ns = int(max(system.costs.sched_react_ns,
+                       system.effective_scan_ns // 2)
+                   * system.control_plane_factor)
+    assert system._react_ns == react_ns
+    app = memcached_app()
+    system.add_app(app)
+    parked = system.policy.ctx.app_state(app.name).parked
+    system.submit(Request(app, sim.now, 1_000, 0))
+    assert sim.pending() == 1
+    assert sim.peek() == react_ns
+    sim.run(until=react_ns - 1)
+    assert len(parked) == workers  # no server thread placed yet
+    sim.run(until=react_ns)
+    assert len(parked) == workers - 1
 
 
 def test_duplicate_app_name_rejected():
