@@ -326,24 +326,10 @@ class CaladanSystem(ColocationSystem):
 
     def _request_done(self, state: _CoreState, request: Request) -> None:
         state.request = None
-        if request.io_wait_ns > 0 and not request.io_done:
-            request.io_done = True
-            if self.flight.enabled:
-                self.flight.mark(request, "io_park")
-            self.sim.post(request.io_wait_ns, self._io_complete, request)
-            self._serve(state)
-            return
         request.app.complete(request, self.sim.now)
         if self.flight.enabled:
             self.flight.on_complete(request)
         self._serve(state)
-
-    def _io_complete(self, request: Request) -> None:
-        request.service_ns = max(1, request.post_io_service_ns)
-        if self.flight.enabled:
-            self.flight.mark(request, "io_done")
-        request.app.queue.appendleft(request)
-        self.on_arrival(request.app, request)
 
     def _spin_done(self, state: _CoreState) -> None:
         app = state.owner

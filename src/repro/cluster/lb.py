@@ -135,38 +135,19 @@ class ConsistentHashLB(LBPolicy):
 
     def __init__(self, cluster: ClusterConfig) -> None:
         super().__init__(cluster)
-        self.servers: List[int] = list(range(cluster.num_servers))
-        self._build_ring()
-
-    @staticmethod
-    def _point(label: str) -> int:
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
-
-    def _build_ring(self) -> None:
         points: List[Tuple[int, int]] = []
-        for server in self.servers:
-            for vnode in range(self.cluster.vnodes):
+        for server in range(cluster.num_servers):
+            for vnode in range(cluster.vnodes):
                 points.append((self._point(f"server{server}/vnode{vnode}"),
                                server))
         points.sort()
         self._ring_points = [p for p, _ in points]
         self._ring_servers = [s for _, s in points]
 
-    def add_server(self, server: int) -> None:
-        """Grow the fleet; only arcs now owned by ``server`` move."""
-        if server in self.servers:
-            raise ValueError(f"server {server} already on the ring")
-        self.servers.append(server)
-        self.servers.sort()
-        self._build_ring()
-
-    def remove_server(self, server: int) -> None:
-        """Shrink the fleet; only ``server``'s arcs are reassigned."""
-        if len(self.servers) == 1 and server in self.servers:
-            raise ValueError("cannot remove the last server")
-        self.servers.remove(server)
-        self._build_ring()
+    @staticmethod
+    def _point(label: str) -> int:
+        digest = hashlib.sha256(label.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big")
 
     def lookup(self, ring_hash: int) -> int:
         """Clockwise successor of a key's position on the ring."""

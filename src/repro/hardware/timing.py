@@ -18,14 +18,13 @@ from them:
 * **Caladan core reallocation** (Figure 3: 5.3 µs total).  The kernel
   pipeline is ioctl -> IPI -> kernel trap -> SIGUSR-driven user save ->
   kernel context switch (page tables + bookkeeping) -> restore.  The six
-  phase constants below sum to 5.3 µs and are reported individually by the
-  Figure 3 experiment.
+  phase constants below sum to 5.3 µs; the Figure 3 experiment runs them
+  as :class:`~repro.kernel.kschedule.KernelReallocPipeline`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict
 import random
 
 
@@ -200,28 +199,6 @@ class CostModel:
             + self.vessel_park_switch_ns()
             + self.uiret_ns
         )
-
-    def caladan_realloc_ns(self) -> int:
-        """Caladan's kernel-mediated core reallocation (Figure 3)."""
-        return (
-            self.caladan_ioctl_ns
-            + self.caladan_ipi_ns
-            + self.caladan_trap_sigusr_ns
-            + self.caladan_user_save_ns
-            + self.caladan_kernel_switch_ns
-            + self.caladan_restore_ns
-        )
-
-    def caladan_realloc_phases(self) -> Dict[str, int]:
-        """Named phase breakdown for the Figure 3 timeline."""
-        return {
-            "scheduler ioctl": self.caladan_ioctl_ns,
-            "IPI delivery": self.caladan_ipi_ns,
-            "kernel trap + SIGUSR": self.caladan_trap_sigusr_ns,
-            "userspace state save": self.caladan_user_save_ns,
-            "kernel context switch": self.caladan_kernel_switch_ns,
-            "restore to new app": self.caladan_restore_ns,
-        }
 
     def copy(self, **overrides: int) -> "CostModel":
         """A copy with selected constants overridden (for ablations)."""

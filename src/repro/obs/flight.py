@@ -16,8 +16,6 @@ Marks and the stage each one opens (:data:`STAGE_AFTER`)::
     submit      -> sched_queue   the scheduling system's intake
     run_start   -> service       a core began (or resumed) serving it
     preempt     -> preempt_wait  preempted mid-service, requeued
-    io_park     -> io_wait       parked on a device
-    io_done     -> sched_queue   IO completed, requeued for 2nd phase
     complete    -> net_out       App.complete fired (server done)
 
 Terminal outcomes (:data:`TERMINAL`): ``done`` (response reached the
@@ -62,8 +60,6 @@ STAGE_AFTER: Dict[str, str] = {
     "submit": "sched_queue",
     "run_start": "service",
     "preempt": "preempt_wait",
-    "io_park": "io_wait",
-    "io_done": "sched_queue",
     "complete": "net_out",
     "shed": "net_out",
 }
@@ -77,17 +73,15 @@ LEGAL_NEXT: Dict[str, Tuple[str, ...]] = {
     "ingress": ("admit", "submit", "shed", "drop"),
     "admit": ("submit",),
     "submit": ("run_start",),
-    "run_start": ("preempt", "io_park", "complete"),
+    "run_start": ("preempt", "complete"),
     "preempt": ("run_start",),
-    "io_park": ("io_done",),
-    "io_done": ("run_start",),
     "complete": ("done", "dup", "drop"),
     "shed": ("shed", "drop"),
 }
 
 #: stage print order for breakdown tables
 STAGE_ORDER = ("net_in", "nic_ring", "sched_queue", "service",
-               "preempt_wait", "io_wait", "net_out")
+               "preempt_wait", "net_out")
 
 _MAX_VIOLATIONS = 50
 

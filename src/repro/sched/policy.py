@@ -194,7 +194,7 @@ class SchedPolicy:
     read-only; state changes only via returned decisions.
     """
 
-    name = "abstract"
+    name = "default"
 
     def __init__(self,
                  rotation_quantum_ns: int = DEFAULT_ROTATION_QUANTUM_NS,
@@ -363,18 +363,25 @@ _REGISTRY: Dict[str, type] = {}
 
 
 def register_policy(cls: type) -> type:
-    """Class decorator: make a policy constructible by name."""
-    name = cls.name
-    if not name or name == "abstract":
-        raise ValueError(f"{cls.__name__} needs a concrete 'name'")
-    _REGISTRY[name] = cls
+    """Class decorator: make a policy constructible by name.
+
+    A name belongs to one class, so a subclass that forgot to set its own
+    ``name`` (and inherited its parent's) is rejected.
+    """
+    owner = _REGISTRY.get(cls.name)
+    if owner is not None and owner is not cls:
+        raise ValueError(f"policy name {cls.name!r} already belongs to "
+                         f"{owner.__name__}; {cls.__name__} needs its own")
+    _REGISTRY[cls.name] = cls
     return cls
+
+
+register_policy(SchedPolicy)
 
 
 def _load_builtin_policies() -> None:
     """Import the modules whose import registers the built-in zoo."""
     import repro.sched.zoo  # noqa: F401
-    import repro.vessel.policy  # noqa: F401
     import repro.overload.autoscaler  # noqa: F401
     import repro.cluster.coordinator  # noqa: F401
 

@@ -171,20 +171,6 @@ def shortest_queue(states: Iterable[T],
     return best
 
 
-def longest_queue(states: Iterable[T],
-                  eligible: Callable[[T], bool]) -> Optional[T]:
-    """Eligible core with the most queued threads (first on ties)."""
-    best = None
-    best_depth = 0
-    for state in states:
-        if not eligible(state):
-            continue
-        depth = len(state.fifo)
-        if depth > best_depth:
-            best, best_depth = state, depth
-    return best
-
-
 def rr_scan(items: List[T], start: int,
             pred: Callable[[T], bool]) -> Optional[int]:
     """Round-robin scan: index of the first match at/after ``start``

@@ -1,19 +1,18 @@
 """Deterministic discrete-event simulation kernel.
 
 All simulated time is integer nanoseconds.  The engine provides cancellable
-events, a coroutine-style process abstraction, deterministic named RNG
-streams, and the measurement primitives (latency recorders, time-weighted
-values, busy-time accounting) used by every experiment in the reproduction.
+callback events (every simulated actor schedules its work through
+``Simulator.at``/``after``/``post``), deterministic named RNG streams, and
+the measurement primitives (latency recorders, counters, busy-time
+accounting) used by every experiment in the reproduction.
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Proc, Timeout, WaitFor, Interrupt
 from repro.sim.rng import RngStreams
 from repro.sim.stats import (
     BusyAccounter,
     Counter,
     LatencyRecorder,
-    TimeWeightedValue,
     summarize_ns,
 )
 from repro.sim.trace import Tracer, render_timeline
@@ -23,14 +22,9 @@ __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "Proc",
-    "Timeout",
-    "WaitFor",
-    "Interrupt",
     "RngStreams",
     "LatencyRecorder",
     "Counter",
-    "TimeWeightedValue",
     "BusyAccounter",
     "summarize_ns",
     "Tracer",

@@ -6,9 +6,7 @@ The paper reports three kinds of quantities and each has a recorder here:
   :class:`LatencyRecorder`;
 * throughput / operation counts — :class:`Counter`;
 * where CPU time went (application logic vs. runtime vs. kernel vs. idle,
-  Figures 1b and 2) — :class:`BusyAccounter`;
-* values tracked over time (granted cores, consumed bandwidth) —
-  :class:`TimeWeightedValue`.
+  Figures 1b and 2) — :class:`BusyAccounter`.
 """
 
 from __future__ import annotations
@@ -94,44 +92,6 @@ class Counter:
 
     def clear(self) -> None:
         self.value = 0
-
-
-class TimeWeightedValue:
-    """Tracks a piecewise-constant value and integrates it over time."""
-
-    def __init__(self, sim, initial: float = 0.0) -> None:
-        self._sim = sim
-        self._value = float(initial)
-        self._last_change = sim.now
-        self._integral = 0.0
-        self._start = sim.now
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        now = self._sim.now
-        self._integral += self._value * (now - self._last_change)
-        self._value = float(value)
-        self._last_change = now
-
-    def add(self, delta: float) -> None:
-        self.set(self._value + delta)
-
-    def time_average(self) -> float:
-        """Average value from construction (or last reset) until now."""
-        now = self._sim.now
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._value
-        integral = self._integral + self._value * (now - self._last_change)
-        return integral / elapsed
-
-    def reset(self) -> None:
-        self._integral = 0.0
-        self._start = self._sim.now
-        self._last_change = self._sim.now
 
 
 class BusyAccounter:

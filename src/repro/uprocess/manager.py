@@ -111,19 +111,6 @@ class Manager:
             return 0
         return domain.queues.broadcast_kill(uproc, running)
 
-    def teardown_uprocess(self, domain: SchedulingDomain,
-                          uproc: UProcess) -> None:
-        """Immediate full teardown (crash containment, §4.3/§5.1).
-
-        Unlike :meth:`destroy_uprocess` this never defers to the
-        kill-command path: the caller (a SIGSEGV handler) has already
-        taken the uProcess off its cores, so the slot, pkey, descriptor
-        map, and queued commands are reclaimed synchronously.
-        """
-        if uproc not in domain.uprocs:
-            raise SmasError(f"{uproc.name} is not in domain {domain.name}")
-        domain.reap(uproc)
-
     def kill_thread(self, domain: SchedulingDomain, thread) -> int:
         """Terminate one thread of a uProcess (§5.3).
 
@@ -144,29 +131,3 @@ class Manager:
         domain.queues.of(thread.core_id).push(
             Command(CommandKind.DELIVER_SIGNAL, thread))
         return 1
-
-    # ------------------------------------------------------------------
-    def clone_uprocess(self, domain: SchedulingDomain, uproc: UProcess,
-                       image: ProgramImage,
-                       cores: Optional[List[Core]] = None) -> UProcess:
-        """uProcess fork (§5.3).
-
-        The child cannot share its parent's SMAS — it must occupy the same
-        addresses — so a *new* domain/SMAS is created, the child is placed
-        in the same slot index, and data is synchronized (modeled by the
-        fresh load).  Returns the child uProcess (its domain is
-        ``self.domains[-1]``).
-        """
-        child_domain = self.create_domain(cores or domain.cores,
-                                          name=f"{domain.name}-clone")
-        # Occupy lower slots so the child lands at the parent's index,
-        # giving it an identical address-space layout.
-        for index in range(uproc.slot.index):
-            child_domain.smas.slots[index].in_use = True
-        child = self.create_uprocess(child_domain, image,
-                                     name=f"{uproc.name}-child")
-        if child.slot.index != uproc.slot.index:
-            raise SmasError("clone slot mismatch")
-        for index in range(uproc.slot.index):
-            child_domain.smas.slots[index].in_use = False
-        return child

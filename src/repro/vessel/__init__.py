@@ -11,21 +11,15 @@
 ``regulation``
     Fine-grained memory-bandwidth regulation by core duty-cycling
     (Figure 13b).
-``dataplane``
-    Kernel-bypass NIC RX rings and SPDK-style storage queues (§5.2.5),
-    with park-on-IO request semantics.
 """
 
 from repro.vessel.runtime import VesselRuntime, SyscallDenied
 from repro.vessel.scheduler import VesselSystem
 from repro.vessel.regulation import VesselBandwidthRegulator
-from repro.vessel.dataplane import NicRxQueue, StorageDevice
 
 __all__ = [
     "VesselRuntime",
     "SyscallDenied",
     "VesselSystem",
     "VesselBandwidthRegulator",
-    "NicRxQueue",
-    "StorageDevice",
 ]

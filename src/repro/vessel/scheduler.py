@@ -25,8 +25,9 @@ Since the policy split (ghOSt-style), this module is the *mechanism*
 half only: it delivers events to a pluggable :class:`SchedPolicy` and
 executes the decisions the policy returns, through the same Uintr /
 call-gate / containment machinery and charging the same ledger ops.
-``VesselDefaultPolicy`` reproduces the behaviour described above
-byte-for-byte; pass ``policy=`` to swap in a zoo policy.
+The base ``SchedPolicy`` (registry name ``"default"``) reproduces the
+behaviour described above byte-for-byte; pass ``policy=`` to swap in a
+zoo policy.
 """
 
 from __future__ import annotations
@@ -858,31 +859,11 @@ class VesselSystem(ColocationSystem):
 
     def _request_done(self, state: CoreState, request: Request) -> None:
         state.request = None
-        if request.io_wait_ns > 0 and not request.io_done:
-            # Park on the device (§4.4): the IO proceeds asynchronously
-            # through the runtime's dataplane while this core serves
-            # other threads; the completion re-queues the CPU tail.
-            request.io_done = True
-            if self.flight.enabled:
-                self.flight.mark(request, "io_park")
-            self.sim.post(request.io_wait_ns, self._io_complete, request)
-            self._serve_next(state)
-            return
         request.app.complete(request, self.sim.now)
         if self.flight.enabled:
             self.flight.on_complete(request)
         self.policy.on_request_done(state, request)
         self._serve_next(state)
-
-    def _io_complete(self, request: Request) -> None:
-        state = self._apps.get(request.app.name)
-        if state is None:
-            return  # app destroyed while the IO was in flight
-        request.service_ns = max(1, request.post_io_service_ns)
-        if self.flight.enabled:
-            self.flight.mark(request, "io_done")
-        request.app.queue.appendleft(request)
-        self._dispatch_app(state)
 
     def _park_thread(self, state: CoreState, requeue: bool) -> None:
         """The current thread parks (queue empty) or rotates (requeue)."""
@@ -944,24 +925,6 @@ class VesselSystem(ColocationSystem):
     # ------------------------------------------------------------------
     # uProcess termination (manager kill path, fault shielding §4.3)
     # ------------------------------------------------------------------
-    def inject_fault(self, core_id: int):
-        """A fault signal arrived on ``core_id`` (e.g. SIGSEGV).
-
-        The runtime identifies the faulty uProcess via CPUID_TO_TASK_MAP
-        and broadcasts kill commands (§4.3); the scheduler then detaches
-        the application.  Returns the terminated app, or None if the core
-        was not running one.
-        """
-        condemned = self.domain.handle_fault(core_id)
-        if condemned is None:
-            return None
-        state = next((s for s in self._apps.values()
-                      if s.uproc is condemned), None)
-        if state is None:
-            return None
-        self._detach_app(state)
-        return state.app
-
     def crash_uproc(self, app_name: str) -> bool:
         """Fault injection: an MPK fault fires inside a running thread of
         ``app_name`` (a wild store hit another slot's pkey).

@@ -26,11 +26,6 @@ class AppKind(enum.Enum):
 class Request:
     """One open-loop request.
 
-    Requests may block mid-service on a device: ``io_wait_ns`` > 0 means
-    the serving thread parks after the first CPU phase and a second CPU
-    phase of ``post_io_service_ns`` runs when the IO completes (§4.4 /
-    §5.2.5).  Plain requests leave both at zero.
-
     Network integration (``repro.net``): ``client_send_ns`` is when the
     client machine put the request on the wire — distinct from
     ``arrival_ns``, which the NIC restamps to the *server* arrival time —
@@ -43,7 +38,6 @@ class Request:
     """
 
     __slots__ = ("app", "arrival_ns", "service_ns", "conn_id", "start_ns",
-                 "io_wait_ns", "post_io_service_ns", "io_done",
                  "client_send_ns", "bytes_in", "bytes_out", "on_complete",
                  "net_token", "flight")
 
@@ -54,9 +48,6 @@ class Request:
         self.service_ns = service_ns
         self.conn_id = conn_id
         self.start_ns: Optional[int] = None
-        self.io_wait_ns = 0
-        self.post_io_service_ns = 0
-        self.io_done = False
         self.client_send_ns: Optional[int] = None
         self.bytes_in = 0
         self.bytes_out = 0
@@ -88,7 +79,7 @@ class App:
         self.offered = Counter(f"{name}/offered")
         self.completed = Counter(f"{name}/completed")
         self.latency = LatencyRecorder(f"{name}/latency")
-        #: pending requests, oldest first (the dataplane/NIC queue)
+        #: pending requests, oldest first (the server's receive queue)
         self.queue: Deque[Request] = deque()
         #: nanoseconds of useful batch work executed (B-apps)
         self.useful_ns = 0

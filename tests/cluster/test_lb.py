@@ -121,39 +121,6 @@ def test_consistent_hash_is_stable_and_deterministic():
     assert set(a) <= set(range(cluster.num_servers))
 
 
-def test_consistent_hash_add_server_moves_only_new_arcs():
-    cluster, batches = _population(num_servers=4)
-    lb = ConsistentHashLB(cluster)
-    before = lb.assign(batches)
-    lb.add_server(4)
-    after = lb.assign(batches)
-    moved = [(x, y) for x, y in zip(before, after) if x != y]
-    assert moved  # something should land on the new server
-    assert all(y == 4 for _, y in moved)
-
-
-def test_consistent_hash_remove_server_moves_only_its_arcs():
-    cluster, batches = _population(num_servers=4)
-    lb = ConsistentHashLB(cluster)
-    before = lb.assign(batches)
-    lb.remove_server(2)
-    after = lb.assign(batches)
-    for x, y in zip(before, after):
-        if x != 2:
-            assert y == x  # untouched servers keep their arcs
-        else:
-            assert y != 2  # evacuated
-    assert 2 not in after
-
-
-def test_consistent_hash_remove_last_server_refused_intact():
-    cluster = ClusterConfig(num_servers=1, batches=4)
-    lb = ConsistentHashLB(cluster)
-    with pytest.raises(ValueError):
-        lb.remove_server(0)
-    assert lb.servers == [0]  # refused without corrupting the ring
-
-
 def test_make_lb_rejects_unknown_policy():
     cluster = ClusterConfig(lb_policy="round-robin")
     assert make_lb(cluster).name == "round-robin"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.hardware.timing import CostModel
+from repro.kernel.kschedule import KernelReallocPipeline
 
 
 @pytest.fixture
@@ -23,16 +24,6 @@ def test_vessel_preempt_includes_uintr_path(cm):
         + cm.uintr_deliver_ns + cm.uiret_ns)
 
 
-def test_caladan_realloc_matches_fig3(cm):
-    assert cm.caladan_realloc_ns() == 5300
-
-
-def test_caladan_phases_sum_to_total(cm):
-    phases = cm.caladan_realloc_phases()
-    assert sum(phases.values()) == cm.caladan_realloc_ns()
-    assert len(phases) == 6
-
-
 def test_caladan_park_switch_matches_table1(cm):
     one_way = cm.caladan_park_yield_ns + cm.caladan_park_switch_ns
     assert one_way == 2100  # Table 1: 2.103 us average
@@ -41,10 +32,11 @@ def test_caladan_park_switch_matches_table1(cm):
 def test_switch_cost_ordering(cm):
     # The paper's core claim: userspace switch << cooperative kernel
     # switch << preemptive reallocation.
+    realloc_ns = KernelReallocPipeline(cm).total_ns()
     assert (cm.vessel_park_switch_ns()
             < cm.caladan_park_yield_ns + cm.caladan_park_switch_ns
-            < cm.caladan_realloc_ns())
-    assert cm.caladan_realloc_ns() > 30 * cm.vessel_park_switch_ns()
+            < realloc_ns)
+    assert realloc_ns > 30 * cm.vessel_park_switch_ns()
 
 
 def test_uintr_vs_ipi_ratio(cm):

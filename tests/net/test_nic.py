@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.nic import Nic
+from repro.net.nic import Nic, NicRxQueue
 from repro.obs.ledger import OpLedger
 from repro.sim.rng import RngStreams
 from repro.workloads.base import Request
@@ -91,3 +91,33 @@ def test_rx_restamps_arrival_time(sim):
     sim.run()
     assert seen == [request]
     assert request.arrival_ns == 700
+
+
+# ----------------------------------------------------------------------
+# One RX ring
+# ----------------------------------------------------------------------
+def test_nic_adds_latency(sim):
+    app = memcached_app()
+    delivered = []
+    nic = NicRxQueue(sim, delivered.append, latency_ns=500)
+    request = Request(app, 0, 1000)
+    assert nic.client_submit(request)
+    sim.run()
+    assert delivered[0] is request
+    assert request.arrival_ns == 500  # restamped at ring arrival
+
+
+def test_nic_drops_on_overflow(sim):
+    app = memcached_app()
+    nic = NicRxQueue(sim, lambda r: None, capacity=2)
+    for _ in range(3):
+        nic.client_submit(Request(app, 0, 1))
+    assert nic.dropped == 1
+    assert nic.in_flight == 2
+    sim.run()
+    assert nic.received == 2
+
+
+def test_nic_capacity_validated(sim):
+    with pytest.raises(ValueError):
+        NicRxQueue(sim, lambda r: None, capacity=0)

@@ -61,21 +61,20 @@ def test_stage_durations_telescope_to_total():
     assert rec.done_totals("mc") == [2_500]
 
 
-def test_preempt_and_io_stages_split_the_service_time():
+def test_preempt_stages_split_the_service_time():
     rec = _recorder()
     req = _Req(_App("silo"))
     _fly(rec, req,
          ("submit", 0), ("run_start", 100, 0), ("preempt", 200, 0),
-         ("run_start", 350, 1), ("io_park", 400, 1), ("io_done", 900),
+         ("run_start", 350, 1), ("preempt", 400, 1),
          ("run_start", 950, 0))
     rec.sim.now = 1_000
     rec.on_complete(req)  # direct submit: marks complete + finalizes
     assert rec.audit() == []
     stages = rec.stage_summaries()["silo"]["stages"]
     assert stages["service"]["sum_ns"] == 100 + 50 + 50
-    assert stages["preempt_wait"]["sum_ns"] == 150
-    assert stages["io_wait"]["sum_ns"] == 500
-    assert stages["sched_queue"]["sum_ns"] == 100 + 50
+    assert stages["preempt_wait"]["sum_ns"] == 150 + 550
+    assert stages["sched_queue"]["sum_ns"] == 100
     assert rec.stage_summaries()["silo"]["stage_sum_ns"] == 1_000
 
 

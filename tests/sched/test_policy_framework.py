@@ -18,7 +18,6 @@ from repro.sched.policy import (
     Rotate, SchedPolicy, available_policies, make_policy, register_policy)
 from repro.uprocess.threads import UThreadState
 from repro.vessel.scheduler import VesselSystem
-from repro.vessel.policy import VesselDefaultPolicy
 from repro.workloads.base import OpenLoopSource, Request
 from repro.workloads.linpack import linpack_app
 from repro.workloads.memcached import memcached_app
@@ -51,7 +50,7 @@ def test_builtin_policies_registered():
     names = available_policies()
     for name in ("default", "mlfq", "sjf", "trust-group", "priority"):
         assert name in names
-    assert "abstract" not in names  # the base class is not a policy
+    assert names["default"] is SchedPolicy  # the §4.5 base behaviour
 
 
 def test_make_policy_unknown_name():
@@ -71,7 +70,15 @@ def test_register_requires_concrete_name():
     with pytest.raises(ValueError):
         @register_policy
         class Nameless(SchedPolicy):
-            pass  # inherits name == "abstract"
+            pass  # inherits name == "default"
+
+
+def test_register_rejects_a_second_class_under_a_taken_name():
+    with pytest.raises(ValueError, match="already belongs to SchedPolicy"):
+        @register_policy
+        class Impostor(SchedPolicy):
+            name = "default"
+    assert type(make_policy("default")) is SchedPolicy
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +86,7 @@ def test_register_requires_concrete_name():
 # ----------------------------------------------------------------------
 def test_default_policy_is_the_vessel_policy(sim, machine, rngs):
     system = VesselSystem(sim, machine, rngs)
-    assert isinstance(system.policy, VesselDefaultPolicy)
+    assert type(system.policy) is SchedPolicy
     assert system.policy.rotation_quantum_ns == DEFAULT_ROTATION_QUANTUM_NS
     assert system.policy.l_preempt_quantum_ns == \
         DEFAULT_L_PREEMPT_QUANTUM_NS

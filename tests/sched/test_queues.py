@@ -2,7 +2,7 @@
 
 from repro.sched.queues import (
     FifoQueue, MultiLevelQueue, first_idle, first_of_kind, first_where,
-    longest_queue, rr_scan, shortest_queue)
+    rr_scan, shortest_queue)
 
 
 class FakeCore:
@@ -104,7 +104,7 @@ def test_first_of_kind():
     assert first_of_kind([FakeCoreState(kind="L"), b1, b2], "B") is b1
 
 
-def test_shortest_and_longest_queue_tie_break_first():
+def test_shortest_queue_tie_break_first():
     a = FakeCoreState(kind="L", depth=2)
     b = FakeCoreState(kind="L", depth=1)
     c = FakeCoreState(kind="L", depth=1)
@@ -112,7 +112,6 @@ def test_shortest_and_longest_queue_tie_break_first():
         return state.kind == "L"
 
     assert shortest_queue([a, b, c], is_l) is b  # first of the ties
-    assert longest_queue([a, b, c], is_l) is a
     assert shortest_queue([], is_l) is None
     assert shortest_queue([a], lambda s: False) is None
 

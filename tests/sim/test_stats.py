@@ -5,12 +5,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Simulator
 from repro.sim.stats import (
     BusyAccounter,
     Counter,
     LatencyRecorder,
-    TimeWeightedValue,
     summarize_ns,
 )
 
@@ -106,34 +104,6 @@ def test_counter_rate_zero_elapsed():
 def test_counter_rejects_negative():
     with pytest.raises(ValueError):
         Counter().add(-1)
-
-
-# ----------------------------------------------------------------------
-# TimeWeightedValue
-# ----------------------------------------------------------------------
-def test_time_weighted_average():
-    sim = Simulator()
-    value = TimeWeightedValue(sim, initial=2.0)
-    sim.after(100, lambda: value.set(4.0))
-    sim.run(until=200)
-    # 2.0 for 100 ns, 4.0 for 100 ns
-    assert value.time_average() == pytest.approx(3.0)
-
-
-def test_time_weighted_add():
-    sim = Simulator()
-    value = TimeWeightedValue(sim, initial=1.0)
-    value.add(2.0)
-    assert value.value == 3.0
-
-
-def test_time_weighted_reset():
-    sim = Simulator()
-    value = TimeWeightedValue(sim, initial=10.0)
-    sim.after(100, value.reset)
-    sim.after(100, lambda: value.set(2.0))
-    sim.run(until=200)
-    assert value.time_average() == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

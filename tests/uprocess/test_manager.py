@@ -59,32 +59,6 @@ def test_destroy_foreign_uprocess_rejected(manager, domain):
         manager.destroy_uprocess(domain, up)
 
 
-def test_clone_lands_on_same_slot_in_new_domain(manager, domain):
-    manager.create_uprocess(domain, ProgramImage("first"))
-    parent = manager.create_uprocess(domain, ProgramImage("second"))
-    assert parent.slot.index == 1
-    child = manager.clone_uprocess(domain, parent, ProgramImage("second"))
-    assert child.slot.index == parent.slot.index
-    assert child.smas is not parent.smas  # new SMAS (§5.3)
-
-
-def test_clone_creates_new_domain(manager, domain):
-    up = manager.create_uprocess(domain, ProgramImage("p"))
-    before = len(manager.domains)
-    manager.clone_uprocess(domain, up, ProgramImage("p"))
-    assert len(manager.domains) == before + 1
-
-
-def test_clone_domain_slots_usable_afterwards(manager, domain):
-    manager.create_uprocess(domain, ProgramImage("a"))
-    parent = manager.create_uprocess(domain, ProgramImage("b"))
-    manager.clone_uprocess(domain, parent, ProgramImage("b"))
-    clone_domain = manager.domains[-1]
-    # the temporarily-blocked lower slots were released
-    fresh = manager.create_uprocess(clone_domain, ProgramImage("c"))
-    assert fresh.slot.index == 0
-
-
 def test_uprocesses_have_distinct_pkeys(manager, domain):
     ups = [manager.create_uprocess(domain, ProgramImage(f"u{i}"))
            for i in range(5)]
@@ -174,16 +148,9 @@ def test_teardown_uprocess_reaps_without_core_round_trip(manager, domain,
     up = manager.create_uprocess(domain, ProgramImage("svc"))
     thread = UThread(up)
     domain.switcher.install(machine.cores[0], thread)
-    manager.teardown_uprocess(domain, up)
-    # Unlike destroy_uprocess, teardown is the crash path: it reclaims
+    domain.reap(up)
+    # Unlike destroy_uprocess, reaping is the crash path: it reclaims
     # immediately, without waiting for the core to enter privileged mode.
     assert not up.alive
     assert not up.slot.in_use
     assert up.slot.data_region.pkey == 0
-
-
-def test_teardown_foreign_uprocess_rejected(manager, domain):
-    other_domain = manager.create_domain(domain.cores, name="other")
-    up = manager.create_uprocess(other_domain, ProgramImage("x"))
-    with pytest.raises(SmasError):
-        manager.teardown_uprocess(domain, up)

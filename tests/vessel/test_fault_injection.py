@@ -70,21 +70,17 @@ def test_remove_unknown_app_rejected():
         system.remove_app("ghost")
 
 
-def test_inject_fault_kills_exactly_one_uproc():
+def test_crash_uproc_kills_exactly_one_uproc():
     sim, machine, system, apps, batch = build(rate=1.2)
-    victim_core = None
+    crashed = False
     deadline = 5 * MS
-    while victim_core is None and deadline < 20 * MS:
+    while not crashed and deadline < 20 * MS:
         sim.run(until=deadline)
-        for cs in system._cores.values():
-            if cs.kind == "L" and cs.thread is not None \
-                    and cs.thread.payload is apps[0]:
-                victim_core = cs.core.id
-                break
+        crashed = system.crash_uproc("mc0")
         deadline += MS // 5
-    assert victim_core is not None, "mc0 never observed on-core"
-    condemned = system.inject_fault(victim_core)
-    assert condemned is apps[0]
+    assert crashed, "mc0 never observed on-core"
+    sim.run(until=deadline)  # deliver the SIGSEGV to the runtime handler
+    assert system.contained_crashes == 1
     uprocs = {u.name: u for u in system.domain.uprocs}
     # A contained crash fully reaps the victim, which drops it from the
     # domain roster; the survivors stay.
@@ -98,14 +94,14 @@ def test_inject_fault_kills_exactly_one_uproc():
     assert batch.useful_ns > 0
 
 
-def test_inject_fault_on_idle_core_is_noop():
+def test_crash_uproc_off_core_is_noop():
     sim, machine, system, apps, _ = build(rate=0.0)
     sim.run(until=1 * MS)
-    idle = next(cs.core.id for cs in system._cores.values()
-                if cs.kind in (None, "B"))
-    # Fault on a core running the batch app kills the batch app; fault on
-    # a truly idle core returns None.  Either way no latency app dies.
-    system.inject_fault(idle)
+    # With no requests mc0 never holds a core, so there is no running
+    # thread to fault and no latency app dies.
+    assert not system.crash_uproc("mc0")
+    sim.run(until=2 * MS)
+    assert system.contained_crashes == 0
     uprocs = {u.name: u for u in system.domain.uprocs}
     assert uprocs["mc0"].alive and uprocs["mc1"].alive
 
