@@ -367,7 +367,7 @@ def _wire_gauges(gauges, system, workers, fabric, admission_ctl) -> None:
     system.add_probes(gauges)
 
 
-def _authoritative_samples(fabric, system) -> Dict[str, List[int]]:
+def _authoritative_samples(fabric, system) -> Dict[str, Sequence[int]]:
     """Per-app latency samples of the independent (non-flight) recorder:
     client-observed when a fabric ran, server-side otherwise."""
     if fabric is not None:

@@ -17,7 +17,8 @@ cooperative yield + IOKernel rebind.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from array import array
+from typing import Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -38,7 +39,7 @@ PAPER_ROWS = {
 
 
 def measure_vessel(cfg: ExperimentConfig, iterations: int,
-                   ledger: Optional[OpLedger] = None) -> List[int]:
+                   ledger: Optional[OpLedger] = None) -> array:
     """Ping-pong two uProcess threads on one core via park switches.
 
     When ``ledger`` is supplied every switch charges its constituent
@@ -59,7 +60,7 @@ def measure_vessel(cfg: ExperimentConfig, iterations: int,
     thread_b = UThread(app_b)
     core = machine.cores[0]
     domain.switcher.install(core, thread_a)
-    samples = []
+    samples = array("q")
     current, other = thread_a, thread_b
     for _ in range(iterations):
         domain.switcher.park_current(core)
@@ -71,12 +72,12 @@ def measure_vessel(cfg: ExperimentConfig, iterations: int,
     return samples
 
 
-def measure_caladan(cfg: ExperimentConfig, iterations: int) -> List[int]:
+def measure_caladan(cfg: ExperimentConfig, iterations: int) -> array:
     """Cooperative park + IOKernel rebind, with kernel-path jitter."""
     rngs = RngStreams(cfg.seed)
     rng = rngs.stream("caladan-switch")
     costs = cfg.costs
-    samples = []
+    samples = array("q")
     for _ in range(iterations):
         cost = (costs.caladan_park_yield_ns + costs.caladan_park_switch_ns
                 + costs.caladan_switch_noise_ns(rng)

@@ -25,7 +25,8 @@ retransmission already completed the logical request), ``shed``
 ring).  Stage durations *telescope*: every mark opens exactly one stage
 that the next mark closes, so the per-request stage sum equals the
 measured latency **exactly** — the same integer the client-side
-:class:`~repro.sim.stats.LatencyRecorder` records.  That identity is not
+:class:`~repro.sim.stats.LatencyRecorder` records (both keep their
+per-request integers unboxed in ``array("q")``).  That identity is not
 a modeling choice to validate but an invariant :meth:`audit` enforces,
 together with mark monotonicity, transition legality
 (:data:`LEGAL_NEXT`) and per-core non-overlap of service segments.
@@ -41,8 +42,11 @@ What recording costs when on is measured by ``benchmarks/e2e``'s
 from __future__ import annotations
 
 import heapq
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Tuple)
+from array import array
+from collections import defaultdict
+from functools import partial
+from typing import (TYPE_CHECKING, Any, Callable, DefaultDict, Dict, List,
+                    Optional, Sequence, Tuple)
 
 from repro.sim.engine import RunComponent
 from repro.sim.stats import summarize_ns
@@ -85,6 +89,9 @@ STAGE_ORDER = ("net_in", "nic_ring", "sched_queue", "service",
 
 _MAX_VIOLATIONS = 50
 
+#: factory of the unboxed per-request duration arrays
+_int64_array = partial(array, "q")
+
 
 class FlightRecorder(RunComponent):
     """Collects per-request lifecycle marks and derives stage spans.
@@ -103,10 +110,11 @@ class FlightRecorder(RunComponent):
         self.sim = sim
         self.reservoir_k = max(0, reservoir_k)
         self.max_segments = max_segments
-        #: (app, stage) -> list of stage durations (ns) of "done" flights
-        self._stage_ns: Dict[Tuple[str, str], List[int]] = {}
-        #: app -> list of end-to-end totals (ns) of "done" flights
-        self._totals: Dict[str, List[int]] = {}
+        #: (app, stage) -> stage durations (ns) of "done" flights
+        self._stage_ns: DefaultDict[Tuple[str, str], array] = \
+            defaultdict(_int64_array)
+        #: app -> end-to-end totals (ns) of "done" flights
+        self._totals: DefaultDict[str, array] = defaultdict(_int64_array)
         #: (app, outcome) -> finalized-flight count
         self._outcomes: Dict[Tuple[str, str], int] = {}
         #: (core, start_ns, end_ns) service segments for the overlap audit
@@ -120,7 +128,7 @@ class FlightRecorder(RunComponent):
         #: what :meth:`contribute` reports against and prints (see
         #: :meth:`bind_report`)
         self._system_name = ""
-        self._samples: Callable[[], Dict[str, List[int]]] = dict
+        self._samples: Callable[[], Dict[str, Sequence[int]]] = dict
         self._print_breakdown = False
         self._print_slowest = 0
 
@@ -181,13 +189,12 @@ class FlightRecorder(RunComponent):
         self._check(app, marks, total)
         if outcome != "done":
             return
-        self._totals.setdefault(app, []).append(total)
+        self._totals[app].append(total)
         prev_label, prev_ts, _prev_core = marks[0]
         for label, ts, core in marks[1:]:
             stage = STAGE_AFTER.get(prev_label)
             if stage is not None and ts > prev_ts:
-                self._stage_ns.setdefault((app, stage), []).append(
-                    ts - prev_ts)
+                self._stage_ns[(app, stage)].append(ts - prev_ts)
             prev_label, prev_ts = label, ts
         self._collect_segments(marks)
         if self.reservoir_k:
@@ -264,7 +271,7 @@ class FlightRecorder(RunComponent):
                 f"not overlap-checked")
         return violations
 
-    def conservation(self, samples: Dict[str, List[int]]) -> List[str]:
+    def conservation(self, samples: Dict[str, Sequence[int]]) -> List[str]:
         """Cross-check flight aggregates against independent recorders.
 
         ``samples`` maps each app to the latencies of the authoritative
@@ -290,9 +297,9 @@ class FlightRecorder(RunComponent):
     # ------------------------------------------------------------------
     # Queries / summaries
     # ------------------------------------------------------------------
-    def done_totals(self, app: str) -> List[int]:
+    def done_totals(self, app: str) -> array:
         """End-to-end latencies (ns) of ``done`` flights, arrival order."""
-        return self._totals.get(app, [])
+        return self._totals.get(app, array("q"))
 
     def outcome_counts(self) -> Dict[str, Dict[str, int]]:
         out: Dict[str, Dict[str, int]] = {}
@@ -352,7 +359,7 @@ class FlightRecorder(RunComponent):
         self._violations_dropped = 0
 
     def bind_report(self, system_name: str,
-                    samples: Callable[[], Dict[str, List[int]]],
+                    samples: Callable[[], Dict[str, Sequence[int]]],
                     print_breakdown: bool = False,
                     print_slowest: int = 0) -> None:
         """Set what :meth:`contribute` audits against and prints.
@@ -455,7 +462,7 @@ NULL_FLIGHT = NullFlightRecorder()
 
 def format_breakdown(system: str,
                      summaries: Dict[str, Dict[str, Any]],
-                     client_samples: Optional[Dict[str, Iterable[int]]]
+                     client_samples: Optional[Dict[str, Sequence[int]]]
                      = None) -> str:
     """Human-readable per-app stage table plus the reconciliation line.
 

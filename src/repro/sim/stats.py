@@ -3,7 +3,10 @@
 The paper reports three kinds of quantities and each has a recorder here:
 
 * request latencies and their percentiles (P50/P90/P99/P999) —
-  :class:`LatencyRecorder`;
+  :class:`LatencyRecorder`, which keeps every sample exact and unboxed
+  in an ``array("q")`` (8 bytes each, not a boxed int per request), and
+  :func:`summarize_ns`, which summarizes them from one private float64
+  copy;
 * throughput / operation counts — :class:`Counter`;
 * where CPU time went (application logic vs. runtime vs. kernel vs. idle,
   Figures 1b and 2) — :class:`BusyAccounter`.
@@ -11,40 +14,54 @@ The paper reports three kinds of quantities and each has a recorder here:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from array import array
+from typing import Dict, Sequence
 
 import numpy as np
 
 
-def summarize_ns(samples: List[int]) -> Dict[str, float]:
+def summarize_ns(samples: Sequence[int]) -> Dict[str, float]:
     """Summary of latency samples in microseconds.
 
     Returns mean and the percentiles the paper's Table 1 reports; an empty
-    sample list yields NaNs so that report code does not special-case it.
+    sample sequence yields NaNs so that report code does not special-case
+    it.  ``samples`` may be any sequence of integer nanoseconds (a list,
+    an ``array("q")``, an ndarray) and is never mutated: the summary is
+    taken from one private float64 copy, which the percentile step may
+    reorder in place.
     """
-    if not samples:
+    if len(samples) == 0:
         nan = float("nan")
         return {"count": 0, "avg_us": nan, "p50_us": nan, "p90_us": nan,
                 "p99_us": nan, "p999_us": nan, "max_us": nan}
-    arr = np.asarray(samples, dtype=np.float64) / 1_000.0
-    p50, p90, p99, p999 = np.percentile(arr, [50, 90, 99, 99.9])
+    arr = np.array(samples, dtype=np.float64)
+    arr /= 1_000.0
+    # mean and max before the percentiles: the in-place partition below
+    # reorders ``arr``, and the pairwise mean depends on element order.
+    avg, peak = float(arr.mean()), float(arr.max())
+    p50, p90, p99, p999 = np.percentile(arr, [50, 90, 99, 99.9],
+                                        overwrite_input=True)
     return {
         "count": int(arr.size),
-        "avg_us": float(arr.mean()),
+        "avg_us": avg,
         "p50_us": float(p50),
         "p90_us": float(p90),
         "p99_us": float(p99),
         "p999_us": float(p999),
-        "max_us": float(arr.max()),
+        "max_us": peak,
     }
 
 
 class LatencyRecorder:
-    """Accumulates latency samples (integer nanoseconds)."""
+    """Accumulates latency samples (integer nanoseconds), unboxed.
+
+    A sample outside the signed 64-bit range raises ``OverflowError``
+    rather than wrapping.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.samples: List[int] = []
+        self.samples = array("q")
 
     def record(self, latency_ns: int) -> None:
         if latency_ns < 0:
@@ -69,7 +86,8 @@ class LatencyRecorder:
         return summarize_ns(self.samples)
 
     def clear(self) -> None:
-        self.samples.clear()
+        # array has no .clear() before Python 3.13
+        del self.samples[:]
 
 
 class Counter:

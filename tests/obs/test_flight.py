@@ -1,5 +1,7 @@
 """Flight recorder: stage derivation, invariant audit, system wiring."""
 
+from array import array
+
 import pytest
 
 from repro.obs.flight import (NULL_FLIGHT, FlightRecorder,
@@ -58,7 +60,7 @@ def test_stage_durations_telescope_to_total():
     assert stages["sched_queue"]["sum_ns"] == 400  # admit->submit is 0
     assert stages["service"]["sum_ns"] == 1_000
     assert stages["net_out"]["sum_ns"] == 500
-    assert rec.done_totals("mc") == [2_500]
+    assert rec.done_totals("mc") == array("q", [2_500])
 
 
 def test_preempt_stages_split_the_service_time():

@@ -1,9 +1,12 @@
 """Tests for measurement primitives."""
 
 import math
+import tracemalloc
+from array import array
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim.stats import (
     BusyAccounter,
@@ -76,6 +79,102 @@ def test_summary_percentiles_within_range(samples):
     lo, hi = min(samples) / 1000.0, max(samples) / 1000.0
     for key in ("p50_us", "p90_us", "p99_us", "p999_us"):
         assert lo - 1e-9 <= summary[key] <= hi + 1e-9
+
+
+def _three_copy_summary(samples):
+    """The summary as first written: asarray, a divided copy, and
+    np.percentile's own internal copy.  The single-copy summary must
+    match it bit for bit."""
+    arr = np.asarray(samples, dtype=np.float64) / 1_000.0
+    p50, p90, p99, p999 = np.percentile(arr, [50, 90, 99, 99.9])
+    return {"count": int(arr.size), "avg_us": float(arr.mean()),
+            "p50_us": float(p50), "p90_us": float(p90),
+            "p99_us": float(p99), "p999_us": float(p999),
+            "max_us": float(arr.max())}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1,
+                max_size=300),
+       st.integers(min_value=1, max_value=3))
+@example([7], 1)
+@example([5, 5, 5], 1)
+@example([2**40, 0], 2)
+def test_summary_is_bit_identical_to_three_copy_formula(base, repeat):
+    samples = base * repeat
+    expected = _three_copy_summary(samples)
+    as_list = list(samples)
+    as_array = array("q", samples)
+    as_ndarray = np.asarray(samples, dtype=np.float64)
+    before = as_ndarray.copy()
+    assert summarize_ns(as_list) == expected
+    assert summarize_ns(as_array) == expected
+    assert summarize_ns(as_ndarray) == expected
+    # the in-place percentile works on a private copy only
+    assert as_list == samples
+    assert as_array == array("q", samples)
+    assert np.array_equal(as_ndarray, before)
+
+
+def test_recorder_negative_leaves_samples_unchanged():
+    recorder = LatencyRecorder()
+    recorder.record(10)
+    with pytest.raises(ValueError):
+        recorder.record(-1)
+    assert recorder.samples == array("q", [10])
+
+
+def test_recorder_rejects_out_of_range_instead_of_wrapping():
+    recorder = LatencyRecorder()
+    recorder.record(2**63 - 1)
+    with pytest.raises(OverflowError):
+        recorder.record(2**63)
+    assert recorder.samples == array("q", [2**63 - 1])
+
+
+def test_recorder_clear_keeps_typed_array_and_records_again():
+    recorder = LatencyRecorder()
+    recorder.record(5)
+    recorder.clear()
+    assert recorder.samples.typecode == "q"
+    assert len(recorder.samples) == 0
+    recorder.record(7)
+    assert recorder.samples == array("q", [7])
+
+
+def _traced_bytes(fn):
+    """(net growth, peak growth) of traced memory over ``fn()``."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - before, peak - before
+
+
+def test_recorder_stores_samples_unboxed():
+    """A boxed int in a list costs about 36 bytes a sample; unboxed
+    int64 storage costs 8 plus the array's growth slack."""
+    n = 100_000
+    recorder = LatencyRecorder()
+
+    def fill():
+        for i in range(n):
+            recorder.record(1_000 + i)
+
+    growth, _peak = _traced_bytes(fill)
+    assert growth <= 10 * n
+
+
+def test_summary_makes_one_full_size_copy():
+    n = 100_000
+    samples = array("q", range(1_000, 1_000 + n))
+    summarize_ns(samples[:10])  # first call imports numpy lazily
+    _growth, peak = _traced_bytes(lambda: summarize_ns(samples))
+    # one float64 copy is 8 bytes a sample; a second would double it
+    assert peak <= 1.25 * 8 * n
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for apps, requests, and the open-loop sources."""
 
+from array import array
+
 import pytest
 
 from repro.sim.units import MS
@@ -40,7 +42,7 @@ def test_complete_records_latency():
     request = Request(app, 100, 50)
     app.complete(request, 400)
     assert app.completed.value == 1
-    assert app.latency.samples == [300]
+    assert app.latency.samples == array("q", [300])
 
 
 def test_reset_measurements_preserves_queue():
