@@ -32,6 +32,7 @@ from repro.sim.units import MS, US
 from repro.hardware.machine import Machine
 from repro.obs.ledger import OpLedger
 from repro.faults import FaultInjector, FaultPlan
+from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource
 from repro.workloads.linpack import linpack_app
 from repro.experiments.common import (
@@ -49,8 +50,7 @@ L_RATE_MOPS = 0.4
 
 
 def run_chaos(cfg: ExperimentConfig, system_name: str,
-              plan: Optional[FaultPlan] = None,
-              containment: bool = True) -> Tuple:
+              plan: Optional[FaultPlan] = None) -> Tuple:
     """One chaos run; returns (report, system, injector, ledger).
 
     Unlike ``run_colocation`` this always builds a real ledger — the
@@ -62,18 +62,14 @@ def run_chaos(cfg: ExperimentConfig, system_name: str,
                       membus_gbps=cfg.membus_gbps, ledger=ledger)
     rngs = RngStreams(cfg.seed)
     workers = machine.cores[1:]
-    factory = system_factory(system_name)
-    kwargs = {}
-    if system_name == "vessel":
-        kwargs["containment"] = containment
-    system = factory(sim, machine, rngs, worker_cores=workers, **kwargs)
+    system = system_factory(system_name)(sim, machine, rngs,
+                                        worker_cores=workers)
 
     app, sampler = make_l_app("memcached", "memcached", rngs)
     system.add_app(app)
-    source = OpenLoopSource(sim, app, system.submit, L_RATE_MOPS, sampler,
-                            rngs.stream("arrivals/memcached"),
-                            connections=cfg.connections_per_app)
-    assert source is not None
+    OpenLoopSource(sim, app, system.submit, L_RATE_MOPS, sampler,
+                   rngs.stream("arrivals/memcached"),
+                   connections=cfg.connections_per_app)
     if system_name == "vessel":
         silo, silo_sampler = make_l_app("silo", "silo", rngs)
         system.add_app(silo)
@@ -93,13 +89,13 @@ def run_chaos(cfg: ExperimentConfig, system_name: str,
 
 
 def _fallback_rate(system) -> float:
-    """Fraction of preemptions that needed the degraded path."""
-    preempts = getattr(system, "preemptions", 0)
-    fallbacks = (getattr(system, "fallback_retries", 0)
-                 + getattr(system, "fallback_ipis", 0))
-    if preempts <= 0:
+    """Fraction of preemptions that needed the degraded path (only
+    VESSEL's containment has one)."""
+    if not isinstance(system, VesselSystem) or system.preemptions <= 0:
         return 0.0
-    return fallbacks / preempts
+    containment = system.containment
+    return ((containment.fallback_retries + containment.fallback_ipis)
+            / system.preemptions)
 
 
 def _realloc_per_ms(system, report) -> float:
@@ -170,7 +166,7 @@ def main(cfg: ExperimentConfig) -> None:
     if cfg.op_breakdown:
         print("\n[vessel full-chaos] per-op breakdown")
         print(ledger.breakdown_table())
-    issues = injector.uncontained()
+    issues = system.uncontained()
     if issues:
         for issue in issues:
             print(f"  UNCONTAINED: {issue}")

@@ -1,4 +1,4 @@
-"""Executes a :class:`FaultPlan` against a running VESSEL system.
+"""Executes a :class:`FaultPlan` against a running system.
 
 The injector owns its own deterministic RNG (derived from the plan
 seed), so injection decisions never perturb the workload's random
@@ -22,7 +22,10 @@ _REARM_NS = 5_000
 
 
 class FaultInjector(RunComponent):
-    """Attaches a plan to a VesselSystem and tracks containment.
+    """Attaches a plan to a system and reports its containment audit.
+
+    Uintr and packet faults apply to any system; crash, rogue-thread and
+    scheduler-stall faults need VESSEL's containment interface.
 
     :meth:`start` wires the plan in (call it after ``system.start()``).
     """
@@ -64,10 +67,9 @@ class FaultInjector(RunComponent):
             for link in fabric.links:
                 link.inject = self._link_disposition
         for spec in self.plan.specs:
-            if spec.kind is FaultKind.CRASH_UTHREAD:
-                system.sim.at(spec.at_ns, self._crash, spec)
-            elif spec.kind is FaultKind.ROGUE_THREAD:
-                system.sim.at(spec.at_ns, self._rogue, spec)
+            if spec.kind in (FaultKind.CRASH_UTHREAD,
+                             FaultKind.ROGUE_THREAD):
+                system.sim.at(spec.at_ns, self._hit_app, spec)
             elif spec.kind is FaultKind.STALL_SCHEDULER:
                 system.sim.at(spec.at_ns, self._stall)
 
@@ -112,88 +114,33 @@ class FaultInjector(RunComponent):
     # -------------------------------------------------------------------
     # Point faults
     # -------------------------------------------------------------------
-    def _crash(self, spec: FaultSpec) -> None:
+    def _hit_app(self, spec: FaultSpec) -> None:
+        """Crash the victim app's running thread or make it rogue."""
         system = self.system
-        if spec.app not in system._apps:
+        if not system.has_app(spec.app):
             return  # the victim is already gone
-        if system.crash_uproc(spec.app):
-            self.injected[FaultKind.CRASH_UTHREAD] += 1
+        if spec.kind is FaultKind.CRASH_UTHREAD:
+            hit = system.containment.crash_uproc(spec.app)
+        else:
+            hit = system.containment.make_rogue(spec.app)
+        if hit:
+            self.injected[spec.kind] += 1
         else:
             # Victim not on a core right now; re-arm.
-            system.sim.after(_REARM_NS, self._crash, spec)
-
-    def _rogue(self, spec: FaultSpec) -> None:
-        system = self.system
-        if spec.app not in system._apps:
-            return
-        if system.make_rogue(spec.app):
-            self.injected[FaultKind.ROGUE_THREAD] += 1
-        else:
-            system.sim.after(_REARM_NS, self._rogue, spec)
+            system.sim.after(_REARM_NS, self._hit_app, spec)
 
     def _stall(self) -> None:
-        self.system.stall_scheduler()
+        self.system.containment.stall_scheduler()
         self.injected[FaultKind.STALL_SCHEDULER] += 1
 
     # -------------------------------------------------------------------
-    # Containment audit
+    # Report
     # -------------------------------------------------------------------
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
 
     def contribute(self, report) -> None:
-        report.uncontained = self.uncontained()
+        report.uncontained = self.system.uncontained()
         report.fault_injected = {kind.value: count for kind, count
                                  in self.injected.items() if count}
-
-    def uncontained(self) -> List[str]:
-        """Post-run audit: every way a fault can have escaped containment.
-
-        Empty list == every injected fault was absorbed.  Run this after
-        the simulation has drained (or at its horizon).
-        """
-        system = self.system
-        issues: List[str] = []
-        if system is None:
-            return issues
-        for cs in system._cores.values():
-            if cs.core.wedged:
-                issues.append(f"core {cs.core.id} wedged")
-        if system._sched_stalled:
-            issues.append("scheduler core still stalled")
-        grace = (2 * system.preempt_ack_ns
-                 + system.costs.ipi_deliver_ns
-                 + system.costs.kernel_ctx_switch_ns + 1_000)
-        for core_id, pending in system._pending_preempts.items():
-            if system.sim.now - pending.sent_at > grace:
-                issues.append(
-                    f"preemption of core {core_id} unacknowledged for "
-                    f"{system.sim.now - pending.sent_at} ns")
-        for uproc in system.domain.uprocs:
-            if uproc.alive or not uproc.slot.in_use:
-                continue
-            if any(u.alive and u.slot is uproc.slot
-                   for u in system.domain.uprocs):
-                continue  # the slot was legitimately reallocated
-            issues.append(f"{uproc.name}: SMAS slot {uproc.slot.index} "
-                          "leaked after death")
-        for uproc, fds in system.runtime._kernel_fds.items():
-            if not uproc.alive and fds:
-                issues.append(f"{uproc.name}: {len(fds)} kernel "
-                              "descriptors leaked after death")
-        # Churn-aware checks: under continuous create/destroy, teardown
-        # must leave no per-tenant residue in kernel-side tables.
-        signals = getattr(system, "signals", None)
-        if signals is not None:
-            for pid, signo in signals.stale_handlers():
-                issues.append(f"signal handler ({pid}, {signo}) leaked "
-                              "after owner death")
-        manager = getattr(system, "manager", None)
-        if manager is not None:
-            dead_children = sum(1 for child in manager.kprocess.children
-                                if not child.alive)
-            if dead_children:
-                issues.append(f"{dead_children} dead boot kProcess(es) "
-                              "still on the manager's child list")
-        return issues

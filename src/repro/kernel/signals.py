@@ -66,6 +66,10 @@ class KernelSignals:
         if not any(pid == proc.pid for pid, _ in self._handlers):
             self._owners.pop(proc.pid, None)
 
+    def handler_count(self) -> int:
+        """Installed (pid, signo) handlers, live owners or not."""
+        return len(self._handlers)
+
     def stale_handlers(self) -> list:
         """(pid, signo) pairs whose owning process is dead — entries a
         clean teardown should have unregistered."""

@@ -103,7 +103,7 @@ class ChurnDriver(RunComponent):
         if source is None:
             return  # already torn down (e.g. a fault killed the tenant)
         source.stop()
-        if name in self.system._apps:
+        if self.system.has_app(name):
             self.system.remove_app(name)
         self.destroyed += 1
         gap = max(1, int(self.rng.expovariate(
@@ -123,8 +123,7 @@ class ChurnDriver(RunComponent):
         freshly booted system of the same live population would show.
         """
         system = self.system
-        manager = getattr(system, "manager", None)
-        children = manager.kprocess.children if manager is not None else []
+        children = system.manager.kprocess.children
         return {
             "created": self.created,
             "destroyed": self.destroyed,
@@ -132,11 +131,10 @@ class ChurnDriver(RunComponent):
             "deferred_full": self.deferred_full,
             "slots_in_use": system.domain.smas.slots_in_use(),
             "domain_roster": len(system.domain.uprocs),
-            "signal_handlers": len(system.signals._handlers),
+            "signal_handlers": system.signals.handler_count(),
             "live_children": sum(1 for c in children if c.alive),
             "dead_children": sum(1 for c in children if not c.alive),
-            "kernel_fd_tables": sum(
-                1 for fds in system.runtime._kernel_fds.values() if fds),
+            "kernel_fd_tables": len(system.runtime.kernel_fd_counts()),
         }
 
     def contribute(self, report) -> None:

@@ -63,7 +63,7 @@ class SystemReport:
     #: asked for queue tracking) — the graceful-degradation signal
     queue_peak: Dict[str, int] = field(default_factory=dict)
     queue_final: Dict[str, int] = field(default_factory=dict)
-    #: post-run containment audit (FaultInjector.uncontained), when run
+    #: post-run containment audit (ColocationSystem.uncontained), when run
     #: with an injector attached; empty means every fault was absorbed
     uncontained: List[str] = field(default_factory=list)
     #: injected-fault counts by kind, when an injector was attached
@@ -259,6 +259,12 @@ class ColocationSystem:
             else:
                 rep.useful_ns[app.name] = app.useful_ns
         return rep
+
+    def uncontained(self) -> List[str]:
+        """Post-run containment audit (empty: every fault absorbed): wedged
+        worker cores, plus the checks of a system's own containment."""
+        return [f"core {core.id} wedged" for core in self.worker_cores
+                if core.wedged]
 
     def add_probes(self, gauges) -> None:
         """Register this system's own gauge probes (none by default)."""

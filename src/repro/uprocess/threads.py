@@ -79,6 +79,11 @@ class UThread:
         # modeled nanoseconds because the kernel never participates.
         uproc.smas.syscalls.ledger.count_op("uthread_create", domain="uproc")
 
+    @property
+    def gone(self) -> bool:
+        """Destroyed, or its uProcess was torn down: never install it."""
+        return self.state is UThreadState.DEAD or not self.uproc.alive
+
     def destroy(self) -> None:
         """Release the stack and TLS back to the arena."""
         if self.state is not UThreadState.DEAD:

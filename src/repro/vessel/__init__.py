@@ -8,6 +8,10 @@
     The one-level global core scheduler (§4.5) as a performance-layer
     system: per-core FIFO thread queues, a global best-effort queue,
     Uintr-driven preemption of best-effort work, and UMWAIT idling.
+``containment``
+    Fault containment (§4.3): the preemption watchdog and its kernel-IPI
+    fallback, the scheduler heartbeat, crash and rogue-thread handling,
+    and app teardown.
 ``regulation``
     Fine-grained memory-bandwidth regulation by core duty-cycling
     (Figure 13b).

@@ -118,6 +118,11 @@ class VesselRuntime:
             self.ledger.count_op("reclaim:kernel_fds", domain="vessel")
         return len(fds)
 
+    def kernel_fd_counts(self) -> Dict[UProcess, int]:
+        """Open proxied kernel descriptors per uProcess that holds any."""
+        return {uproc: len(fds) for uproc, fds in self._kernel_fds.items()
+                if fds}
+
     def sys_read(self, uproc: UProcess, ufd: int) -> FileDescription:
         """Dereference a descriptor; only the owner's map is consulted, so
         brute-forcing another uProcess's descriptors yields EBADF."""

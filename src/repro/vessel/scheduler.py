@@ -24,7 +24,9 @@ the simulation would fault (MpkFault) if the mechanism were wired wrong.
 Since the policy split (ghOSt-style), this module is the *mechanism*
 half only: it delivers events to a pluggable :class:`SchedPolicy` and
 executes the decisions the policy returns, through the same Uintr /
-call-gate / containment machinery and charging the same ledger ops.
+call-gate machinery and charging the same ledger ops.  Fault
+containment (watchdog, fallback IPI, heartbeat, crash and app teardown)
+lives in :mod:`repro.vessel.containment`.
 The base ``SchedPolicy`` (registry name ``"default"``) reproduces the
 behaviour described above byte-for-byte; pass ``policy=`` to swap in a
 zoo policy.
@@ -38,7 +40,7 @@ from typing import Deque, Dict, List, Optional, Union
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RngStreams
 from repro.hardware.machine import Core, Machine
-from repro.kernel.signals import KernelSignals, SIGSEGV, Signal
+from repro.kernel.signals import KernelSignals
 from repro.sched.base import ColocationSystem, SystemReport
 from repro.sched.policy import (
     Decision, Enqueue, Idle, Place, Preempt, Rotate, Run, SchedPolicy, Steal,
@@ -47,29 +49,9 @@ from repro.uprocess.loader import ProgramImage
 from repro.uprocess.manager import Manager
 from repro.uprocess.threads import UThread, UThreadState
 from repro.uprocess.usignals import Command, CommandKind
+from repro.vessel.containment import Containment
 from repro.vessel.runtime import VesselRuntime
 from repro.workloads.base import App, Request
-
-#: how long the scheduler waits for a preemption command to be acted on
-#: before escalating (normal Uintr ack is ~0.2 µs; the deadline leaves
-#: an order of magnitude of slack before the watchdog interferes)
-PREEMPT_ACK_NS = 3_000
-#: scheduler-liveness watchdog period (a stalled scheduler core is
-#: detected and kicked within one period)
-HEARTBEAT_INTERVAL_NS = 50_000
-
-
-class _PendingPreempt:
-    """One unacknowledged preemption command awaiting its deadline."""
-
-    __slots__ = ("thread", "event", "sent_at", "attempt")
-
-    def __init__(self, thread: UThread, event: Optional[Event],
-                 sent_at: int, attempt: int) -> None:
-        self.thread = thread
-        self.event = event
-        self.sent_at = sent_at
-        self.attempt = attempt
 
 
 class CoreState:
@@ -173,21 +155,17 @@ class VesselSystem(ColocationSystem):
     def __init__(self, sim: Simulator, machine: Machine, rngs: RngStreams,
                  worker_cores: Optional[List[Core]] = None,
                  policy: Union[SchedPolicy, str, None] = None,
-                 containment: bool = True,
-                 preempt_ack_ns: int = PREEMPT_ACK_NS,
-                 heartbeat_interval_ns: int = HEARTBEAT_INTERVAL_NS) -> None:
+                 containment: bool = True) -> None:
         super().__init__(sim, machine, rngs, worker_cores)
         if policy is None:
             policy = make_policy("default")
         elif isinstance(policy, str):
             policy = make_policy(policy)
         self.policy = policy
-        #: failure-containment machinery (preemption watchdog, SIGSEGV
-        #: teardown, scheduler-liveness heartbeat); the ablation toggle
-        #: for fault-injection experiments
-        self.containment = containment
-        self.preempt_ack_ns = preempt_ack_ns
-        self.heartbeat_interval_ns = heartbeat_interval_ns
+        #: failure containment (preemption watchdog, SIGSEGV teardown,
+        #: scheduler-liveness heartbeat); ``containment=False`` is the
+        #: ablation toggle for fault-injection experiments
+        self.containment = Containment(self, enabled=containment)
         self.rng = rngs.stream("vessel")
         self.manager = Manager(costs=self.costs, rng=self.rng,
                                ledger=self.ledger)
@@ -218,16 +196,10 @@ class VesselSystem(ColocationSystem):
         self._react_ns = int(max(self.costs.sched_react_ns,
                                  self.effective_scan_ns // 2)
                              * self.control_plane_factor)
-        # --- containment state -------------------------------------------
-        self._pending_preempts: Dict[int, _PendingPreempt] = {}
+        # Scan-loop liveness, stalled and restarted by containment.
         self._sched_stalled = False
         self._last_scan_ns = 0
         self._scan_event: Optional[Event] = None
-        self.fallback_retries = 0
-        self.fallback_ipis = 0
-        self.contained_crashes = 0
-        self.sched_restarts = 0
-        self.rogue_kills = 0
 
     # ------------------------------------------------------------------
     # Setup
@@ -236,15 +208,8 @@ class VesselSystem(ColocationSystem):
         super().add_app(app)
         uproc = self.manager.create_uprocess(
             self.domain, ProgramImage(app.name), name=app.name)
-        if self.containment:
-            # Fault shielding (§4.3): a SIGSEGV on this uProcess's boot
-            # kProcess lands in the runtime's handler, which tears the
-            # uProcess down without touching co-located ones.  Without
-            # containment the kernel's default action applies.
-            self.signals.register(
-                uproc.boot_kprocess, SIGSEGV,
-                lambda proc, sig, u=uproc: self._on_sigsegv(u))
         state = AppState(app, uproc)
+        self.containment.shield(state)
         self._apps[app.name] = state
         count = len(self.worker_cores)
         for i in range(count):
@@ -289,19 +254,12 @@ class VesselSystem(ColocationSystem):
             uintr.on_user_resume(core_id)
             state.uitt_index = uintr.register_sender(
                 self._scheduler_core_id, core_id, vector=1)
-            if self.containment:
-                # Kernel-IPI escape hatch for preemptions the Uintr path
-                # never acknowledges (dropped delivery, rogue thread).
-                self.machine.ipi.register_handler(
-                    core_id,
-                    lambda vec, cid=core_id: self._on_fallback_ipi(cid))
         # Prime every core with best-effort work.
         for state in self._cores.values():
             self._fill_core(state)
         self._last_scan_ns = self.sim.now
         self._scan_event = self.sim.after(self.effective_scan_ns, self._scan)
-        if self.containment:
-            self.sim.post(self.heartbeat_interval_ns, self._heartbeat)
+        self.containment.start()
 
     def report(self) -> SystemReport:
         """The base report plus the policy's own results (the
@@ -312,6 +270,13 @@ class VesselSystem(ColocationSystem):
 
     def add_probes(self, gauges) -> None:
         self.policy.add_probes(gauges)
+
+    def uncontained(self) -> List[str]:
+        return super().uncontained() + self.containment.uncontained()
+
+    def has_app(self, name: str) -> bool:
+        """Whether ``name`` is registered and not yet torn down."""
+        return name in self._apps
 
     # ------------------------------------------------------------------
     # Arrival path
@@ -419,9 +384,7 @@ class VesselSystem(ColocationSystem):
         if self.ledger.enabled:
             self.ledger.count_op("sched_preemption", core=state.core.id,
                                  domain="vessel")
-        if state.batch_run is not None:
-            state.batch_run.preempt()
-            state.batch_run = None
+        self._evict(state)
         thread = state.thread
         state.thread = None
         state.kind = None
@@ -501,42 +464,6 @@ class VesselSystem(ColocationSystem):
         self._run_decisions(self.policy.on_tick())
         self._scan_event = self.sim.after(self.effective_scan_ns, self._scan)
 
-    # ------------------------------------------------------------------
-    # Scheduler-core liveness (containment for fault class "d")
-    # ------------------------------------------------------------------
-    def stall_scheduler(self) -> None:
-        """Fault injection: the dedicated scheduler core stops polling.
-
-        Arrivals and rebalancing cease; worker cores keep draining what
-        they already have.  With containment on, the kernel-side
-        heartbeat notices within one period and restarts the scan loop.
-        """
-        self._sched_stalled = True
-        if self._scan_event is not None and self._scan_event.alive:
-            self._scan_event.cancel()
-        self._scan_event = None
-        if self.ledger.enabled:
-            self.ledger.count_op("fault:sched_stall",
-                                 core=self._scheduler_core_id, domain="fault")
-
-    def _heartbeat(self) -> None:
-        now = self.sim.now
-        if self._sched_stalled \
-                or now - self._last_scan_ns > self.heartbeat_interval_ns:
-            self.sched_restarts += 1
-            if self.ledger.enabled:
-                self.ledger.count_op("fallback:sched_restart",
-                                     core=self._scheduler_core_id,
-                                     domain="fallback")
-            # The kernel watchdog kicks the scheduler process back onto
-            # its core (modeled as one ioctl on the manager's kProcess).
-            self.manager.syscalls.ioctl(self.manager.kprocess,
-                                        "watchdog_restart")
-            self._sched_stalled = False
-            self._last_scan_ns = now
-            self._scan_event = self.sim.call_soon(self._scan)
-        self.sim.post(self.heartbeat_interval_ns, self._heartbeat)
-
     def _exec_l_preempt(self, state: CoreState, decision: Preempt) -> bool:
         """§4.4 preemption: a long request is hogging a core other
         latency threads are queued on.  The request is suspended (its
@@ -544,13 +471,7 @@ class VesselSystem(ColocationSystem):
         the core rotates via a Uintr-priced switch."""
         if state.request is None or decision.incoming not in state.fifo:
             return self._reject(decision)
-        request = state.request
-        remaining = state.core.preempt()
-        request.service_ns = max(1, remaining)
-        if self.flight.enabled:
-            self.flight.mark(request, "preempt", core=state.core.id)
-        request.app.queue.appendleft(request)
-        state.request = None
+        self._evict(state, requeue=True)
         self.preemptions += 1
         if self.ledger.enabled:
             self.ledger.count_op("sched_preemption", core=state.core.id,
@@ -570,14 +491,15 @@ class VesselSystem(ColocationSystem):
         return True
 
     def _fill_core(self, state: CoreState) -> None:
-        """Idle core: ask the policy what to run (queue head first, then
-        the global BE queue, else UMWAIT, under the default policy)."""
+        """Vacate the core and ask the policy what to run (queue head
+        first, then the global BE queue, else UMWAIT, under the default
+        policy)."""
+        state.kind = None
+        state.thread = None
         decision = self.policy.on_core_idle(state)
         if decision is None or not self._execute(decision):
             # A policy that answers nothing executable leaves the core
             # in UMWAIT; the next scan asks again.
-            state.kind = None
-            state.thread = None
             state.core.set_idle()
 
     # ------------------------------------------------------------------
@@ -609,141 +531,24 @@ class VesselSystem(ColocationSystem):
         # Reserve the core so concurrent dispatches pick other victims.
         state.kind = "switch"
         self.machine.uintr.senduipi(self._scheduler_core_id, state.uitt_index)
-        if self.containment:
-            self._arm_watchdog(state, thread, attempt=1)
+        self.containment.watch(state, thread)
 
-    # ------------------------------------------------------------------
-    # Preemption watchdog (containment for fault classes "a" and "c")
-    # ------------------------------------------------------------------
-    def _arm_watchdog(self, state: CoreState, thread: UThread,
-                      attempt: int) -> None:
-        pending = self._pending_preempts.get(state.core.id)
-        sent_at = pending.sent_at if pending is not None else self.sim.now
-        event = self.sim.after(self.preempt_ack_ns, self._preempt_deadline,
-                               state, thread, attempt)
-        self._pending_preempts[state.core.id] = _PendingPreempt(
-            thread, event, sent_at, attempt)
-
-    def _ack_preempt(self, core_id: int) -> None:
-        pending = self._pending_preempts.pop(core_id, None)
-        if pending is not None and pending.event is not None \
-                and pending.event.alive:
-            pending.event.cancel()
-
-    def _preempt_deadline(self, state: CoreState, thread: UThread,
-                          attempt: int) -> None:
-        core_id = state.core.id
-        pending = self._pending_preempts.get(core_id)
-        if pending is None or pending.thread is not thread:
-            return
-        if thread.state is UThreadState.DEAD or not thread.uproc.alive:
-            # The target vanished (its app was torn down); release the
-            # core reservation so the scan can refill it.
-            del self._pending_preempts[core_id]
-            if state.kind == "switch" and state.batch_run is None \
-                    and not state.core.busy:
-                state.kind = None
-                state.thread = None
-                self._fill_core(state)
-            return
-        if attempt == 1:
-            # First escalation: the notification may have been lost in
-            # flight, but the vector is still posted in the PIR, so a
-            # fresh senduipi re-raises it at Uintr cost.
-            self.fallback_retries += 1
-            if self.ledger.enabled:
-                self.ledger.count_op("fallback:uintr_retry", core=core_id,
-                                     domain="fallback")
-            self.machine.uintr.senduipi(self._scheduler_core_id,
-                                        state.uitt_index)
-            self._arm_watchdog(state, thread, attempt=2)
-            return
-        # Second escalation: give up on the userspace path; trap into the
-        # kernel and interrupt the victim core with an IPI (~15x the
-        # Uintr cost — visible in the fallback breakdown rows).
-        del self._pending_preempts[core_id]
-        self.fallback_ipis += 1
-        if self.ledger.enabled:
-            self.ledger.count_op("fallback:kernel_ipi", core=core_id,
-                                 domain="fallback")
-        self.manager.syscalls.ioctl(self.manager.kprocess, "vessel_kick")
-        self._pending_preempts[core_id] = _PendingPreempt(
-            thread, None, pending.sent_at, attempt=3)
-        self.machine.ipi.send(core_id, op="fallback:ipi_deliver",
-                              domain="fallback")
-
-    def _on_fallback_ipi(self, core_id: int) -> None:
-        """Kernel IPI handler: forcibly evict the occupant and install
-        the stuck preemption's target thread via a kernel context switch."""
-        pending = self._pending_preempts.pop(core_id, None)
-        if pending is None:
-            return  # the Uintr path won the race after all
-        state = self._cores[core_id]
-        victim = state.thread
+    def _evict(self, state: CoreState, requeue: bool = False) -> None:
+        """The one eviction path: cut short a batch chunk, or the request
+        in service, whose rest goes back to the front of its app's queue
+        (``requeue``) or is lost.  The caller settles thread and kind."""
         if state.batch_run is not None:
             state.batch_run.preempt()
             state.batch_run = None
         elif state.core.busy:
             remaining = state.core.preempt()
-            if state.request is not None:
-                # An in-flight request survives the forced switch: its
-                # unfinished service returns to the front of its queue.
-                state.request.service_ns = max(1, remaining)
+            request = state.request
+            if requeue and request is not None:
+                request.service_ns = max(1, remaining)
                 if self.flight.enabled:
-                    self.flight.mark(state.request, "preempt",
-                                     core=state.core.id)
-                state.request.app.queue.appendleft(state.request)
-        state.thread = None
+                    self.flight.mark(request, "preempt", core=state.core.id)
+                request.app.queue.appendleft(request)
         state.request = None
-        if victim is not None and victim.state is not UThreadState.DEAD:
-            if victim.rogue:
-                # A thread that ignores the preemption protocol loses its
-                # right to run (§4.3's non-cooperative case): destroy it
-                # rather than return it to the best-effort queue.
-                victim.core_id = None
-                victim.destroy()
-                self.rogue_kills += 1
-                if self.ledger.enabled:
-                    self.ledger.count_op("fault:rogue_kill", core=core_id,
-                                         domain="fault")
-            elif not victim.payload.is_latency:
-                self._return_be(victim)
-            else:
-                victim.state = UThreadState.PARKED
-                victim.core_id = None
-                self._apps[victim.payload.name].parked.append(victim)
-        # Consume whatever commands are still queued in kernel-forced
-        # privileged mode; the stuck thread itself installs below, any
-        # other still-live RUN_THREAD target goes to the FIFO.
-        thread = pending.thread
-        for command in self.domain.process_commands(core_id):
-            if command.kind is not CommandKind.RUN_THREAD:
-                continue
-            other = command.payload
-            if other is not thread and other.state is not UThreadState.DEAD \
-                    and other.uproc.alive:
-                state.fifo.append(other)
-                self._apps[other.payload.name].queued_servers += 1
-        if thread.state is UThreadState.DEAD or not thread.uproc.alive:
-            state.kind = None
-            self._fill_core(state)
-            return
-        state.kind = "switch"
-        cost = self.costs.kernel_ctx_switch_ns
-        if self.ledger.enabled:
-            self.ledger.charge("fallback:forced_switch", cost, core=core_id,
-                               domain="fallback")
-        state.core.run("kernel", cost,
-                       lambda: self._forced_switch_done(state, thread))
-
-    def _forced_switch_done(self, state: CoreState,
-                            thread: UThread) -> None:
-        if thread.state is UThreadState.DEAD or not thread.uproc.alive:
-            state.kind = None
-            state.thread = None
-            self._fill_core(state)
-            return
-        self._start_thread(state, thread, preempt=False)
 
     def _on_uintr(self, core_id: int) -> None:
         """Uintr handler: runs on the victim core, in privileged mode."""
@@ -757,19 +562,18 @@ class VesselSystem(ColocationSystem):
                 self.ledger.count_op("fault:rogue_ignore", core=core_id,
                                      domain="fault")
             return
-        self._ack_preempt(core_id)
+        self.containment.ack(core_id)
         commands = self.domain.process_commands(core_id)
         for command in commands:
             if command.kind is not CommandKind.RUN_THREAD:
                 continue
             thread = command.payload
-            if thread.state is UThreadState.DEAD or not thread.uproc.alive:
+            if thread.gone:
                 continue
             if state.batch_run is not None:
-                state.batch_run.preempt()
-                be_thread, state.batch_run = state.thread, None
-                if be_thread is not None:
-                    self._return_be(be_thread)
+                self._evict(state)
+                if state.thread is not None:
+                    self._return_be(state.thread)
             elif state.core.busy:
                 # The core moved on (e.g. started an L thread) between
                 # send and delivery; queue the thread instead.
@@ -875,8 +679,6 @@ class VesselSystem(ColocationSystem):
             app_state.queued_servers += 1
         else:
             app_state.parked.append(thread)
-        state.thread = None
-        state.kind = None
         # The park's call-gate traversal is part of the switch cost the
         # next _start_thread charges (that composite is what Table 1's
         # ping-pong experiment measures).
@@ -914,151 +716,27 @@ class VesselSystem(ColocationSystem):
             return
         # Yield to queued latency threads at chunk boundaries for free.
         if state.fifo:
-            be_thread = state.thread
-            self._return_be(be_thread)
-            state.kind = None
-            state.thread = None
+            self._return_be(state.thread)
             self._fill_core(state)
             return
         self._run_batch_chunk(state)
 
     # ------------------------------------------------------------------
-    # uProcess termination (manager kill path, fault shielding §4.3)
+    # Application teardown (the §5.1 manager kill path)
     # ------------------------------------------------------------------
-    def crash_uproc(self, app_name: str) -> bool:
-        """Fault injection: an MPK fault fires inside a running thread of
-        ``app_name`` (a wild store hit another slot's pkey).
-
-        The faulting instruction raises SIGSEGV on the uProcess's boot
-        kProcess.  With containment the runtime's registered handler
-        (§4.3) tears the uProcess down and every resource is reclaimed;
-        without it the kernel's default action kills the whole kProcess
-        and the core is lost (wedged) — the ablation shows exactly what
-        fault shielding buys.  Returns False if no core is currently
-        running the app.
-        """
-        state = self._apps.get(app_name)
-        if state is None:
-            return False
-        cs = next((c for c in self._cores.values()
-                   if c.thread is not None and c.thread.payload is state.app
-                   and c.kind in ("L", "B")), None)
-        if cs is None:
-            return False
-        if self.ledger.enabled:
-            self.ledger.count_op("fault:uproc_crash", core=cs.core.id,
-                                 domain="fault")
-        # The faulting instruction aborts the in-flight segment; the
-        # request it was serving is lost (clients see resets, §5.1).
-        if cs.batch_run is not None:
-            cs.batch_run.preempt()
-            cs.batch_run = None
-        elif cs.core.busy:
-            cs.core.preempt()
-        cs.request = None
-        self.signals.post(state.uproc.boot_kprocess, Signal(SIGSEGV))
-        if not self.containment:
-            # No handler registered: the kProcess dies and takes the core
-            # with it.  Slot, pkey, and descriptors all leak.
-            cs.core.wedge()
-            cs.kind = "wedged"
-            cs.thread = None
-        return True
-
-    def _on_sigsegv(self, uproc) -> None:
-        """Runtime SIGSEGV handler (§4.3): full crash containment."""
-        self.contained_crashes += 1
-        if self.ledger.enabled:
-            self.ledger.count_op("fault:crash_contained", domain="fault")
-        state = next((s for s in self._apps.values() if s.uproc is uproc),
-                     None)
-        if state is not None:
-            self._detach_app(state)
-        else:
-            self.domain.reap(uproc)
-
-    def make_rogue(self, app_name: str) -> bool:
-        """Fault injection: mark ``app_name``'s currently running thread
-        non-cooperative — it stops acting on preemption commands and
-        never yields, until the kernel-IPI fallback evicts and kills it.
-        Returns False if the app has no thread on a core right now.
-        """
-        state = self._apps.get(app_name)
-        if state is None:
-            return False
-        thread = next((t for t in state.threads
-                       if t.state is UThreadState.RUNNING
-                       and t.core_id is not None), None)
-        if thread is None:
-            cs = next((c for c in self._cores.values()
-                       if c.thread is not None
-                       and c.thread.payload is state.app
-                       and c.kind in ("L", "B")), None)
-            if cs is None:
-                return False
-            thread = cs.thread
-        thread.rogue = True
-        if self.ledger.enabled:
-            self.ledger.count_op("fault:rogue_thread", domain="fault")
-        return True
-
     def remove_app(self, app_name: str):
         """Destroy an application (the §5.1 manager kill flow)."""
         state = self._apps.get(app_name)
         if state is None:
             raise KeyError(f"no app named {app_name!r}")
         self.manager.destroy_uprocess(self.domain, state.uproc)
-        self._detach_app(state)
+        self.containment.detach_app(state)
         return state.app
 
-    def _detach_app(self, state: AppState) -> None:
+    def _forget_app(self, state: AppState) -> None:
+        """Drop a torn-down app's threads, queued requests and bookkeeping,
+        then refill the cores its teardown freed."""
         app = state.app
-        self.policy.on_app_removed(state)
-        # Preempt every core currently running (or switching to) it and
-        # consume the pending kill commands in privileged mode.
-        for cs in self._cores.values():
-            cs.fifo.purge(lambda t: t.payload is app)
-            if cs.thread is not None and cs.thread.payload is app:
-                if cs.batch_run is not None:
-                    cs.batch_run.preempt()
-                    cs.batch_run = None
-                elif cs.core.busy:
-                    cs.core.preempt()
-                cs.thread = None
-                cs.request = None
-                cs.kind = None
-            if cs.kind != "wedged":
-                # Consuming the kill commands drains the whole queue, so
-                # a RUN_THREAD for a *surviving* app must be re-routed to
-                # the core's FIFO — dropping it would strand a thread
-                # that was already claimed out of its app's parked list.
-                # The departing app's own threads are dropped: its uProcess
-                # still reads alive until the reap below.
-                for command in self.domain.process_commands(cs.core.id):
-                    if command.kind is not CommandKind.RUN_THREAD:
-                        continue
-                    other = command.payload
-                    if other.payload is app \
-                            or other.state is UThreadState.DEAD \
-                            or not other.uproc.alive:
-                        continue
-                    cs.fifo.append(other)
-                    self._apps[other.payload.name].queued_servers += 1
-                    pending = self._pending_preempts.get(cs.core.id)
-                    if pending is not None and pending.thread is other:
-                        # The preemption protocol resolved by requeueing;
-                        # escalation would install the thread twice.
-                        self._ack_preempt(cs.core.id)
-                        self._release_switch_reservation(cs)
-            pending = self._pending_preempts.get(cs.core.id)
-            if pending is not None and pending.thread.payload is app:
-                self._ack_preempt(cs.core.id)
-                self._release_switch_reservation(cs)
-        # Full teardown: threads, queued commands, proxied descriptors,
-        # SMAS slot + pkey (revoked until the slot is reused), and the
-        # runtime's SIGSEGV registration for the departing boot kProcess.
-        self.signals.unregister(state.uproc.boot_kprocess, SIGSEGV)
-        self.domain.reap(state.uproc)
         self._be_queue = deque(t for t in self._be_queue
                                if t.payload is not app)
         self._suspended_threads = deque(t for t in self._suspended_threads
@@ -1071,6 +749,9 @@ class VesselSystem(ColocationSystem):
             self.apps.remove(app)
         state.parked.clear()
         state.queued_servers = 0
+        self._refill_idle()
+
+    def _refill_idle(self) -> None:
         for cs in self._cores.values():
             if cs.kind is None and not cs.core.busy:
                 self._fill_core(cs)
@@ -1091,14 +772,10 @@ class VesselSystem(ColocationSystem):
         for state in self._cores.values():
             if state.kind == "B" and state.thread is not None \
                     and state.thread.payload.name == app_name:
-                if state.batch_run is not None:
-                    state.batch_run.preempt()
-                    state.batch_run = None
+                self._evict(state)
                 state.thread.state = UThreadState.PARKED
                 state.thread.core_id = None
                 self._suspended_threads.append(state.thread)
-                state.thread = None
-                state.kind = None
                 self._fill_core(state)
 
     def resume_batch_app(self, app_name: str) -> None:
@@ -1112,6 +789,4 @@ class VesselSystem(ColocationSystem):
             t for t in self._suspended_threads
             if t.payload.name != app_name)
         self._be_queue.extend(held)
-        for state in self._cores.values():
-            if state.kind is None and not state.core.busy:
-                self._fill_core(state)
+        self._refill_idle()

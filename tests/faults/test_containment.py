@@ -10,8 +10,11 @@ from repro.sim.rng import RngStreams
 from repro.sim.units import MS
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
+from repro.experiments.common import ExperimentConfig, run_colocation
 from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.net.config import NetConfig
 from repro.uprocess.threads import UThreadState
+from repro.vessel.containment import HEARTBEAT_INTERVAL_NS
 from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource
 from repro.workloads.linpack import linpack_app
@@ -57,19 +60,19 @@ def test_injector_starts_once():
 # ----------------------------------------------------------------------
 def test_dropped_uintr_contained_by_watchdog():
     sim, machine, system, apps, _ = build()
-    injector = inject(system, FaultPlan(seed=1).drop_uintr(1.0))
+    inject(system, FaultPlan(seed=1).drop_uintr(1.0))
     sim.run(until=6 * MS)
     assert machine.uintr.dropped > 0
     # Escalation chain exercised: retry first, then the kernel IPI.
-    assert system.fallback_retries > 0
-    assert system.fallback_ipis > 0
-    assert machine.ipi.sent == system.fallback_ipis
+    assert system.containment.fallback_retries > 0
+    assert system.containment.fallback_ipis > 0
+    assert machine.ipi.sent == system.containment.fallback_ipis
     # Both latency apps keep completing despite 100% notification loss.
     before = [app.completed.value for app in apps]
     assert all(b > 0 for b in before)
     sim.run(until=8 * MS)
     assert all(app.completed.value > b for app, b in zip(apps, before))
-    assert injector.uncontained() == []
+    assert system.uncontained() == []
 
 
 def test_dropped_uintr_breaks_without_containment():
@@ -77,7 +80,7 @@ def test_dropped_uintr_breaks_without_containment():
     inject(system, FaultPlan(seed=1).drop_uintr(1.0))
     sim.run(until=6 * MS)
     assert machine.uintr.dropped > 0
-    assert system.fallback_ipis == 0
+    assert system.containment.fallback_ipis == 0
     # Every worker core ends up reserved for a preemption whose
     # notification never arrives: the switch limbo the watchdog exists
     # to resolve.  No latency request is ever served.
@@ -99,7 +102,7 @@ def test_uthread_crash_contained_and_resources_reclaimed():
     injector = inject(system, FaultPlan(seed=2).crash("mc0", at_ns=2 * MS))
     sim.run(until=3 * MS)
     assert injector.injected[FaultKind.CRASH_UTHREAD] == 1
-    assert system.contained_crashes == 1
+    assert system.containment.contained_crashes == 1
     # Everything the uProcess held is reclaimed: threads and fd map
     # (terminate), SMAS slot, pkey (revoked to 0), proxied kernel
     # descriptors, queued commands.
@@ -118,7 +121,7 @@ def test_uthread_crash_contained_and_resources_reclaimed():
     before = apps[1].completed.value
     sim.run(until=6 * MS)
     assert apps[1].completed.value > before
-    assert injector.uncontained() == []
+    assert system.uncontained() == []
 
 
 def test_uthread_crash_breaks_without_containment():
@@ -130,9 +133,9 @@ def test_uthread_crash_breaks_without_containment():
     # is lost and the slot leaks.
     assert any(core.wedged for core in machine.cores)
     assert system._apps["mc0"].uproc.slot.in_use
-    assert system.contained_crashes == 0
+    assert system.containment.contained_crashes == 0
     assert system.signals.killed >= 1
-    assert injector.uncontained() != []
+    assert system.uncontained() != []
 
 
 # ----------------------------------------------------------------------
@@ -148,13 +151,13 @@ def test_rogue_thread_evicted_by_kernel_ipi():
     assert rogues
     # The rogue ignored its preemption commands, the watchdog escalated
     # to the kernel IPI, and the thread was evicted and destroyed.
-    assert system.rogue_kills == 1
+    assert system.containment.rogue_kills == 1
     assert all(t.state is UThreadState.DEAD for t in rogues)
     assert all(t.core_id is None for t in rogues)
     before = [app.completed.value for app in apps]
     sim.run(until=7 * MS)
     assert all(app.completed.value > b for app, b in zip(apps, before))
-    assert injector.uncontained() == []
+    assert system.uncontained() == []
 
 
 def test_rogue_thread_squats_core_without_containment():
@@ -167,7 +170,7 @@ def test_rogue_thread_squats_core_without_containment():
     assert rogues
     rogue = rogues[0]
     # No fallback path: the rogue holds its core for the rest of the run.
-    assert system.rogue_kills == 0
+    assert system.containment.rogue_kills == 0
     assert rogue.state is UThreadState.RUNNING
     assert rogue.core_id is not None
     assert system._cores[rogue.core_id].thread is rogue
@@ -179,28 +182,44 @@ def test_rogue_thread_squats_core_without_containment():
 def test_scheduler_stall_restarted_by_heartbeat():
     sim, machine, system, apps, _ = build(rate=1.2)
     stall_at = 2 * MS + 7_000
-    injector = inject(system, FaultPlan(seed=4).stall_scheduler(stall_at))
+    inject(system, FaultPlan(seed=4).stall_scheduler(stall_at))
     sim.run(until=stall_at + 40_000)
     assert system._sched_stalled  # mid-outage, before the next heartbeat
-    sim.run(until=stall_at + 2 * system.heartbeat_interval_ns)
+    sim.run(until=stall_at + 2 * HEARTBEAT_INTERVAL_NS)
     assert not system._sched_stalled
-    assert system.sched_restarts >= 1
+    assert system.containment.sched_restarts >= 1
     before = [app.completed.value for app in apps]
     sim.run(until=6 * MS)
     assert all(app.completed.value > b for app, b in zip(apps, before))
     # The backlog built during the outage drains again.
     assert all(len(app.queue) < 100 for app in apps)
-    assert injector.uncontained() == []
+    assert system.uncontained() == []
 
 
 def test_scheduler_stall_starves_without_containment():
     sim, machine, system, apps, _ = build(rate=1.2, containment=False)
-    injector = inject(system,
-                      FaultPlan(seed=4).stall_scheduler(2 * MS + 7_000))
+    inject(system, FaultPlan(seed=4).stall_scheduler(2 * MS + 7_000))
     sim.run(until=6 * MS)
     assert system._sched_stalled
-    assert system.sched_restarts == 0
+    assert system.containment.sched_restarts == 0
     # Arrivals keep landing but nothing rebalances: at this load a
     # single stuck server cannot keep up and the backlog diverges.
     assert any(len(app.queue) > 100 for app in apps)
-    assert "scheduler core still stalled" in injector.uncontained()
+    assert "scheduler core still stalled" in system.uncontained()
+
+
+# ----------------------------------------------------------------------
+# The audit on systems without VESSEL's containment machinery
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("system_name", ["vessel", "caladan", "arachne"])
+def test_fault_plan_audits_every_system(system_name):
+    # Uintr faults never reach Caladan or Arachne (they reallocate
+    # through the kernel), so packet drops make sure every system sees
+    # an injected fault; the audit must run on all of them.
+    cfg = ExperimentConfig(sim_ms=6, warmup_ms=1, net=NetConfig())
+    plan = FaultPlan(seed=1).drop_uintr(0.05).drop_packets(0.05)
+    report = run_colocation(system_name, cfg,
+                            l_specs=[("memcached", "mc", 1.0)],
+                            fault_plan=plan)
+    assert report.uncontained == []
+    assert report.fault_injected

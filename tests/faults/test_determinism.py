@@ -40,8 +40,9 @@ def test_same_seed_same_plan_is_byte_identical():
         assert app_a.latency.samples == app_b.latency.samples
     # Scheduler and fallback activity.
     assert system_a.preemptions == system_b.preemptions
-    assert system_a.fallback_retries == system_b.fallback_retries
-    assert system_a.fallback_ipis == system_b.fallback_ipis
+    containment_a, containment_b = system_a.containment, system_b.containment
+    assert containment_a.fallback_retries == containment_b.fallback_retries
+    assert containment_a.fallback_ipis == containment_b.fallback_ipis
     assert report_a.fault_ops == report_b.fault_ops
     assert report_a.fallback_ops == report_b.fallback_ops
 

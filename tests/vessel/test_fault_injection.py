@@ -76,11 +76,11 @@ def test_crash_uproc_kills_exactly_one_uproc():
     deadline = 5 * MS
     while not crashed and deadline < 20 * MS:
         sim.run(until=deadline)
-        crashed = system.crash_uproc("mc0")
+        crashed = system.containment.crash_uproc("mc0")
         deadline += MS // 5
     assert crashed, "mc0 never observed on-core"
     sim.run(until=deadline)  # deliver the SIGSEGV to the runtime handler
-    assert system.contained_crashes == 1
+    assert system.containment.contained_crashes == 1
     uprocs = {u.name: u for u in system.domain.uprocs}
     # A contained crash fully reaps the victim, which drops it from the
     # domain roster; the survivors stay.
@@ -94,14 +94,16 @@ def test_crash_uproc_kills_exactly_one_uproc():
     assert batch.useful_ns > 0
 
 
-def test_crash_uproc_off_core_is_noop():
+@pytest.mark.parametrize("fault", ["crash_uproc", "make_rogue"])
+def test_crash_uproc_off_core_is_noop(fault):
     sim, machine, system, apps, _ = build(rate=0.0)
     sim.run(until=1 * MS)
     # With no requests mc0 never holds a core, so there is no running
     # thread to fault and no latency app dies.
-    assert not system.crash_uproc("mc0")
+    assert not getattr(system.containment, fault)("mc0")
+    assert not any(t.rogue for t in system._apps["mc0"].threads)
     sim.run(until=2 * MS)
-    assert system.contained_crashes == 0
+    assert system.containment.contained_crashes == 0
     uprocs = {u.name: u for u in system.domain.uprocs}
     assert uprocs["mc0"].alive and uprocs["mc1"].alive
 
