@@ -181,7 +181,7 @@ class ArachneSystem(ColocationSystem):
         self._window_busy[app.name] = (
             self._window_busy.get(app.name, 0) + request.service_ns
         )
-        state.core.run(f"app:{app.name}", self.effective_service_ns(request),
+        state.core.run(app.category, self.effective_service_ns(request),
                        lambda: self._request_done(state, request))
 
     def _request_done(self, state: _CoreState, request: Request) -> None:

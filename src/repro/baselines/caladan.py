@@ -62,6 +62,9 @@ class CaladanSystem(ColocationSystem):
         self.bw_cap_app = bw_cap_app
         self.bw_cap_gbps = bw_cap_gbps
         self._bw_meter = None
+        #: EWMA of the capped app's per-core bandwidth (GB/s); None
+        #: until the first sample with the app running
+        self._bw_per_core: Optional[float] = None
         self._bw_throttled = False
         self.delay_lo_ns = delay_lo_ns
         self.delay_hi_ns = delay_hi_ns
@@ -80,27 +83,22 @@ class CaladanSystem(ColocationSystem):
         self.rebinds = 0
         self.parks = 0
         self._started = False
-
-    # ------------------------------------------------------------------
-    @property
-    def alloc_interval_ns(self) -> int:
-        """IOKernel tick, stretched by its per-core control-plane cost."""
-        per_pass = (len(self.worker_cores)
-                    * self.costs.caladan_iokernel_per_core_ns)
-        return max(self.costs.caladan_core_alloc_interval_ns, per_pass)
-
-    @property
-    def control_plane_factor(self) -> float:
-        """IOKernel congestion multiplier (1/(1-rho)).
-
-        The IOKernel polls queues AND forwards packets for every managed
-        core, costing ~295 ns per core per 10 us tick, so it saturates
-        around 34 cores — the Figure 12 knee the paper measures.
-        """
-        rho = (len(self.worker_cores)
-               * self.costs.caladan_iokernel_per_core_ns
-               / self.costs.caladan_core_alloc_interval_ns)
-        return 1.0 / (1.0 - min(rho, 0.97))
+        # Worker count and cost model are fixed for the system's life,
+        # so the IOKernel constants are derived once, not per tick,
+        # park or arrival.
+        costs = self.costs
+        workers = len(self.worker_cores)
+        #: IOKernel tick, stretched by its per-core control-plane cost
+        self.alloc_interval_ns: int = max(
+            costs.caladan_core_alloc_interval_ns,
+            workers * costs.caladan_iokernel_per_core_ns)
+        # IOKernel congestion multiplier (1/(1-rho)).  The IOKernel polls
+        # queues AND forwards packets for every managed core, costing
+        # ~295 ns per core per 10 us tick, so it saturates around 34
+        # cores — the Figure 12 knee the paper measures.
+        rho = (workers * costs.caladan_iokernel_per_core_ns
+               / costs.caladan_core_alloc_interval_ns)
+        self.control_plane_factor: float = 1.0 / (1.0 - min(rho, 0.97))
 
     def start(self) -> None:
         if self._started:
@@ -186,9 +184,11 @@ class CaladanSystem(ColocationSystem):
         consumed = self._bw_meter.sample_gbps()
         if running and consumed > 0:
             per_core = consumed / len(running)
-            self._bw_per_core = (0.7 * getattr(self, "_bw_per_core", per_core)
+            previous = self._bw_per_core
+            self._bw_per_core = (0.7 * (per_core if previous is None
+                                        else previous)
                                  + 0.3 * per_core)
-        per_core = getattr(self, "_bw_per_core", None)
+        per_core = self._bw_per_core
         if per_core is None or per_core <= 0:
             return
         allowed = int(self.bw_cap_gbps / per_core)
@@ -311,17 +311,17 @@ class CaladanSystem(ColocationSystem):
     # ------------------------------------------------------------------
     def _serve(self, state: _CoreState) -> None:
         app = state.owner
-        request = app.pop_request()
-        if request is None:
+        if not app.queue:
             # Steal inside the app for 2 µs before parking (Figure 7a).
             state.kind = "spin"
             state.core.run("runtime", self.costs.caladan_steal_before_park_ns,
                            lambda: self._spin_done(state))
             return
+        request = app.queue.popleft()
         state.kind = "serve"
         state.request = request
         self.begin_service(request, core_id=state.core.id)
-        state.core.run(f"app:{app.name}", self.effective_service_ns(request),
+        state.core.run(app.category, self.effective_service_ns(request),
                        lambda: self._request_done(state, request))
 
     def _request_done(self, state: _CoreState, request: Request) -> None:

@@ -86,7 +86,7 @@ class IdealSystem(ColocationSystem):
             request = self._pending.popleft()
             state.kind = "L"
             self.begin_service(request, core_id=state.core.id)
-            state.core.run(f"app:{request.app.name}",
+            state.core.run(request.app.category,
                            self.effective_service_ns(request),
                            lambda: self._done(state, request))
             return

@@ -42,7 +42,7 @@ class _WorkerTask(CfsTask):
             self._staged = None
             self.system.begin_service(request)
             return Chunk(self.system.effective_service_ns(request),
-                         f"app:{self.app.name}",
+                         self.app.category,
                          lambda: self._complete(request))
         request = self.app.pop_request()
         if request is None:
@@ -67,7 +67,7 @@ class _BatchTask(CfsTask):
     def next_chunk(self) -> Optional[Chunk]:
         def done() -> None:
             self.app.useful_ns += self.chunk_ns
-        return Chunk(self.chunk_ns, f"app:{self.app.name}", done)
+        return Chunk(self.chunk_ns, self.app.category, done)
 
 
 class LinuxCfsSystem(ColocationSystem):

@@ -15,8 +15,9 @@ short version:
 * a **data plane**: each server replays its balancer-assigned load
   curve through a full single-server simulation (the existing
   ``run_colocation`` stack — NIC, clients, scheduler, ledger), fanned
-  out over worker processes via ``run_colocation_batch``;
-* a **merge**: per-server latency recorders fold into one cluster
+  out over worker processes; each server's worker turns its latency
+  recorders into log-histograms;
+* a **merge**: the per-server histograms fold into one cluster
   histogram via the exact log-histogram merge
   (:class:`repro.obs.hist.LogHistogram`), counters sum.
 

@@ -12,11 +12,12 @@ A :class:`Cluster` run happens in three strictly separated stages:
    ``run_colocation`` task — its own Simulator, spawned RNG root,
    ``server_id``-namespaced NIC fabric, its rate timeline replayed as
    a ``LoadTrace`` and its cap schedule replayed by the
-   ``cluster-cap`` policy.  The tasks share nothing, so
-   ``run_colocation_batch`` fans them out over ``--jobs`` processes
-   with byte-identical results.
-3. **Merge** (serial, in server order): per-server latency recorders
-   fold through the exact log-histogram merge into cluster-wide
+   ``cluster-cap`` policy.  The tasks share nothing, so ``run_batch``
+   fans them out over ``--jobs`` processes with byte-identical
+   results.  Each server's worker also turns the run's latency
+   recorders into log-histograms: the only place any run builds them.
+3. **Merge** (serial, in server order): the per-server histograms fold
+   through the exact log-histogram merge into cluster-wide
    percentiles; reliability counters and throughput sum.
 
 The plan stage is the only place cross-server coupling exists, and it
@@ -213,7 +214,7 @@ class Cluster:
     # -- stage 2: the parallel data plane -------------------------------
     def server_tasks(self, plan: ClusterPlan,
                      fault_plan=None) -> List[Tuple[str, object, Dict]]:
-        """One ``run_colocation_batch`` task per server."""
+        """One ``(system, cfg, run_colocation kwargs)`` task per server."""
         cfg, cluster = self.cfg, self.cluster
         base_rate = self.total_rate_mops / cluster.num_servers
         tasks = []
@@ -241,10 +242,11 @@ class Cluster:
 
     # -- stage 3: the merge ---------------------------------------------
     def run(self, jobs: int = 1, fault_plan=None) -> ClusterReport:
-        from repro.experiments.common import run_colocation_batch
+        from repro.experiments.common import run_batch
         plan = self.plan()
-        reports = run_colocation_batch(
-            self.server_tasks(plan, fault_plan=fault_plan), jobs=jobs)
+        reports = run_batch(_server_worker,
+                            self.server_tasks(plan, fault_plan=fault_plan),
+                            jobs)
         return self.merge(plan, reports)
 
     def merge(self, plan: ClusterPlan,
@@ -274,3 +276,19 @@ class Cluster:
         for name, hists in server_hists.items():
             out.latency_summary[name] = LogHistogram.merged(hists).summary()
         return out
+
+
+def _server_worker(task):
+    """Pool worker: one server's run, plus the log-histograms of its
+    server-side and client-observed latency that :meth:`Cluster.merge`
+    folds.  Only cluster server runs build them; a plain
+    ``run_colocation`` report carries none."""
+    from repro.experiments.common import run_task_captured
+
+    report, system, fabric, text = run_task_captured(task)
+    for app in system.latency_apps:
+        report.latency_hist[app.name] = \
+            LogHistogram.from_samples(app.latency.samples)
+    for name, recorder in fabric.client_latency.items():
+        report.client_hist[name] = LogHistogram.from_samples(recorder.samples)
+    return report, text

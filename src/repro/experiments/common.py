@@ -190,6 +190,25 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     randomness while staying reproducible.  ``None`` — the default —
     is byte-identical to the historical behaviour.
     """
+    return _run_colocation(system_name, cfg, l_specs, b_specs,
+                           bus_sensitivity, caladan_bw_cap, vessel_bw_cap,
+                           admission, trace, churn, fault_plan,
+                           track_queues, rng_namespace)[0]
+
+
+def _run_colocation(system_name: str, cfg: ExperimentConfig,
+                    l_specs: Sequence[Tuple[str, str, float]],
+                    b_specs: Sequence[str] = ("linpack",),
+                    bus_sensitivity: float = 0.0,
+                    caladan_bw_cap: Optional[Tuple[str, float]] = None,
+                    vessel_bw_cap: Optional[Tuple[str, float]] = None,
+                    admission=None, trace=None, churn=None,
+                    fault_plan=None,
+                    track_queues: bool = False,
+                    rng_namespace: Optional[str] = None):
+    """:func:`run_colocation` returning ``(report, system, fabric)``, so
+    a caller can read the run's own recorders after the report is built
+    (``fabric`` is None for direct submit)."""
     sim = Simulator()
     # Observability must be wired before the system is built: layers
     # capture the machine's ledger at construction time.
@@ -332,7 +351,7 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     report = system.report()
     for component in components:
         component.contribute(report)
-    return report
+    return report, system, fabric
 
 
 def _wire_gauges(gauges, system, workers, fabric, admission_ctl) -> None:
@@ -380,16 +399,37 @@ def _authoritative_samples(fabric, system) -> Dict[str, Sequence[int]]:
 # ----------------------------------------------------------------------
 # Sweep fan-out
 # ----------------------------------------------------------------------
-def _colocation_worker(task):
-    """Pool worker: one run_colocation call with stdout captured."""
+def run_task_captured(task):
+    """One ``(system_name, cfg, kwargs)`` run with its stdout captured:
+    ``(report, system, fabric, stdout)``."""
     import contextlib
     import io
 
     system_name, cfg, kwargs = task
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        report = run_colocation(system_name, cfg, **kwargs)
-    return report, buffer.getvalue()
+        report, system, fabric = _run_colocation(system_name, cfg, **kwargs)
+    return report, system, fabric, buffer.getvalue()
+
+
+def _colocation_worker(task):
+    """Pool worker: one run_colocation call with stdout captured."""
+    report, _, _, text = run_task_captured(task)
+    return report, text
+
+
+def run_batch(worker, tasks, jobs: int) -> List[SystemReport]:
+    """``worker`` (a picklable ``task -> (report, stdout)``) over
+    ``tasks`` on ``jobs`` processes; each run's stdout is re-printed in
+    task order and the reports come back in task order."""
+    from repro.perf.parallel import parallel_map
+
+    reports = []
+    for report, text in parallel_map(worker, list(tasks), jobs):
+        if text:
+            print(text, end="")
+        reports.append(report)
+    return reports
 
 
 def run_colocation_batch(tasks: Sequence[Tuple[str, "ExperimentConfig",
@@ -406,15 +446,7 @@ def run_colocation_batch(tasks: Sequence[Tuple[str, "ExperimentConfig",
     streams, parallelism only changes wall time.  ``jobs <= 1`` runs
     everything in-process.
     """
-    from repro.perf.parallel import parallel_map
-
-    results = parallel_map(_colocation_worker, list(tasks), jobs)
-    reports = []
-    for report, text in results:
-        if text:
-            print(text, end="")
-        reports.append(report)
-    return reports
+    return run_batch(_colocation_worker, tasks, jobs)
 
 
 # ----------------------------------------------------------------------

@@ -100,9 +100,16 @@ class Core:
             raise SimulationError(f"core {self.id} is already busy")
         if duration_ns < 0:
             raise SimulationError(f"negative duration {duration_ns}")
-        self._switch_category(category)
+        now = self.sim.now
+        if now == self._since:
+            # Nothing accrued since the last switch (a completion that
+            # starts the next segment at once): _switch_category would
+            # record nothing, so only the category changes.
+            self._category = category
+        else:
+            self._switch_category(category)
         self._on_done = on_done
-        self._segment_end = self.sim.now + duration_ns
+        self._segment_end = now + duration_ns
         self._segment_event = self.sim.after(duration_ns, self._complete)
 
     def preempt(self) -> int:

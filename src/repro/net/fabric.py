@@ -29,7 +29,6 @@ from repro.net.config import NetConfig
 from repro.net.link import Link
 from repro.net.nic import Nic
 from repro.obs.flight import NULL_FLIGHT
-from repro.obs.hist import LogHistogram
 from repro.obs.ledger import NULL_LEDGER, OpLedger
 from repro.sim.engine import RunComponent, Simulator
 from repro.sim.rng import RngStreams
@@ -282,7 +281,5 @@ class NetFabric(RunComponent):
         """Client-observed latency, counters and the conservation check."""
         for name, recorder in self.client_latency.items():
             report.client_latency[name] = summarize_ns(recorder.samples)
-            report.client_hist[name] = \
-                LogHistogram.from_samples(recorder.samples)
         report.net_ops = self.counters_snapshot()
         report.net_conservation = self.conservation()

@@ -7,9 +7,10 @@ power of two, bounding the relative error of any percentile estimate by
 bucket-by-bucket, and the result is *identical* to histogramming the
 concatenated sample streams — no percentile-of-percentiles
 approximation.  That is what lets a cluster report merge per-server
-latency recorders (``repro.cluster``) and a sweep merge per-run reports
-(``run_colocation_batch`` summaries) without shipping raw samples
-between processes.
+latency recorders (``repro.cluster``) without shipping raw samples
+between processes.  The cluster's server worker is the only place a
+run's latency histograms are built; the operation ledger keeps its
+per-op cost statistics on this class too.
 
 Everything here is plain ints/dicts, so histograms pickle cheaply
 across ``parallel_map`` workers and merge deterministically (bucket

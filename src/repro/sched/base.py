@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs.hist import LogHistogram
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.stats import summarize_ns
@@ -83,10 +82,12 @@ class SystemReport:
     #: recording was on
     flight_audit: List[str] = field(default_factory=list)
     #: per L-app server-side latency log-histograms
-    #: (``repro.obs.hist.LogHistogram``) — exact-mergeable across runs,
-    #: the cluster layer's aggregation currency
+    #: (``repro.obs.hist.LogHistogram``), exact-mergeable across runs.
+    #: Only the cluster's server worker fills them, for its merge; a
+    #: plain ``run_colocation`` report leaves them empty.
     latency_hist: Dict[str, object] = field(default_factory=dict)
-    #: per L-app client-observed latency log-histograms (fabric runs)
+    #: per L-app client-observed latency log-histograms, filled like
+    #: ``latency_hist`` (cluster server runs only)
     client_hist: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -253,8 +254,6 @@ class ColocationSystem:
         for app in self.apps:
             if app.is_latency:
                 rep.latency[app.name] = summarize_ns(app.latency.samples)
-                rep.latency_hist[app.name] = \
-                    LogHistogram.from_samples(app.latency.samples)
                 rep.completed[app.name] = app.completed.value
             else:
                 rep.useful_ns[app.name] = app.useful_ns

@@ -126,7 +126,7 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         time = int(time)
-        event = Event(time, seq, fn, args, owner=self)
+        event = Event(time, seq, fn, args, self)
         heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
@@ -137,7 +137,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         self._seq = seq = self._seq + 1
         time = self.now + int(delay)
-        event = Event(time, seq, fn, args, owner=self)
+        event = Event(time, seq, fn, args, self)
         heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event

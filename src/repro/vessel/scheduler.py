@@ -658,7 +658,7 @@ class VesselSystem(ColocationSystem):
             return
         state.request = request
         self.begin_service(request, core_id=state.core.id)
-        state.core.run(f"app:{app.name}", self.effective_service_ns(request),
+        state.core.run(app.category, self.effective_service_ns(request),
                        lambda: self._request_done(state, request))
 
     def _request_done(self, state: CoreState, request: Request) -> None:

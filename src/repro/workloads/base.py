@@ -70,6 +70,9 @@ class App:
                  mean_service_ns: float = 0.0,
                  batch_work: Optional[object] = None) -> None:
         self.name = name
+        #: accounting category of this app's segments, derived once
+        #: (no per-segment string formatting on the request path)
+        self.category = f"app:{name}"
         self.kind = kind
         #: used for capacity normalization of L-apps
         self.mean_service_ns = mean_service_ns
@@ -90,7 +93,9 @@ class App:
         return self.kind is AppKind.LATENCY
 
     def enqueue(self, request: Request) -> None:
-        self.offered.add()
+        # Hot path: one call per request.  The counter is bumped
+        # directly (Counter.add's negative check cannot fire for 1).
+        self.offered.value += 1
         self.queue.append(request)
 
     def pop_request(self) -> Optional[Request]:
@@ -105,8 +110,11 @@ class App:
         return now - self.queue[0].arrival_ns
 
     def complete(self, request: Request, now: int) -> None:
-        self.completed.add()
-        self.latency.record(request.latency_ns(now))
+        # Hot path, like enqueue; Request.latency_ns is inlined.
+        self.completed.value += 1
+        sent = request.client_send_ns
+        self.latency.record(now - (request.arrival_ns if sent is None
+                                   else sent))
         if request.on_complete is not None:
             request.on_complete(request, now)
 
@@ -163,12 +171,8 @@ class OpenLoopSource:
         sim = self.sim
         if self.stop_ns is not None and sim.now >= self.stop_ns:
             return
-        request = Request(
-            app=self.app,
-            arrival_ns=sim.now,
-            service_ns=self.service_sampler(),
-            conn_id=self.generated % self.connections,
-        )
+        request = Request(self.app, sim.now, self.service_sampler(),
+                          self.generated % self.connections)
         self.generated += 1
         self.submit(request)
         gap = max(1, int(self.rng.expovariate(1.0 / (1000.0 / self.rate_mops))))

@@ -55,7 +55,7 @@ class LinpackWork:
             if on_done is not None:
                 on_done()
 
-        core.run(f"app:{self.app.name}", self.chunk_ns, _complete)
+        core.run(self.app.category, self.chunk_ns, _complete)
         return run
 
 

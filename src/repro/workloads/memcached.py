@@ -27,9 +27,12 @@ class UsrServiceSampler:
                         + (1 - _GET_FRACTION) * self._set.mean_ns)
 
     def __call__(self) -> int:
-        if self.rng.random() < _GET_FRACTION:
-            return self._get()
-        return self._set()
+        # Hot path: one call per request.  One lognormvariate draw with
+        # the chosen component's parameters, exactly what calling the
+        # component would draw.
+        rng = self.rng
+        part = self._get if rng.random() < _GET_FRACTION else self._set
+        return max(1, int(rng.lognormvariate(part.mu, part.sigma)))
 
 
 class UsrPayloadSampler:

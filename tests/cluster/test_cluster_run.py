@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, run_colocation
 from repro.faults.plan import FaultPlan
 
 
@@ -85,3 +85,34 @@ def test_skewed_population_reports_hot_share():
 def test_unknown_system_is_rejected():
     with pytest.raises(Exception):
         Cluster("notasystem", _cfg(), _fleet()).run(jobs=1)
+
+
+# Merged figures of ``_cfg()`` / ``_fleet()``, pinned from the commit
+# before the per-run histogram build moved into the cluster's server
+# worker: moving it must not change what the merge computes.
+_PINNED_PER_SERVER_P99_US = {"mc": [5.12, 5.12]}
+_PINNED_LATENCY_SUMMARY = {"mc": {
+    "count": 4025, "avg_us": 2.85403850931677, "p50_us": 2.816,
+    "p90_us": 3.584, "p99_us": 4.608, "p999_us": 5.12, "max_us": 5.368}}
+_PINNED_CLIENT_SUMMARY = {"mc": {
+    "count": 4026, "avg_us": 3.3640218579234973, "p50_us": 3.328,
+    "p90_us": 4.096, "p99_us": 5.12, "p999_us": 5.632, "max_us": 5.876}}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_merged_figures_match_pinned_values(jobs):
+    report = Cluster("vessel", _cfg(), _fleet()).run(jobs=jobs)
+    assert report.per_server_p99_us == _PINNED_PER_SERVER_P99_US
+    assert report.latency_summary == _PINNED_LATENCY_SUMMARY
+    assert report.client_summary == _PINNED_CLIENT_SUMMARY
+
+
+def test_direct_run_builds_no_histograms():
+    """Only the cluster's server worker builds the merge's histograms."""
+    cluster = Cluster("vessel", _cfg(), _fleet())
+    system_name, cfg, kwargs = cluster.server_tasks(cluster.plan())[0]
+    report = run_colocation(system_name, cfg, **kwargs)
+    assert report.latency_hist == {}
+    assert report.client_hist == {}
+    assert report.latency["mc"]["count"] > 0
+    assert report.client_latency["mc"]["count"] > 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.trace import Tracer
 from repro.hardware.machine import Core, CoreMode, Machine
 
 
@@ -105,6 +106,52 @@ def test_chained_segments_account_fully(sim):
     sim.run()
     core.settle()
     assert core.acct.buckets["app"] == 500
+
+
+class _SwitchEveryRunCore(Core):
+    """Reference core: every ``run`` goes through ``_switch_category``."""
+
+    def run(self, category, duration_ns, on_done=None):
+        self._switch_category(category)
+        self._on_done = on_done
+        self._segment_end = self.sim.now + duration_ns
+        self._segment_event = self.sim.after(duration_ns, self._complete)
+
+
+def _drive(core_cls):
+    """Back-to-back segments (the fast path), gaps between some
+    (idle time accrues), a zero-length segment and a preemption."""
+    sim = Simulator()
+    tracer = Tracer(sim)
+    core = core_cls(sim, 3)
+    core.tracer = tracer
+    script = [("app:a", 100, 0), ("app:a", 250, 0), ("runtime", 0, 0),
+              ("kernel", 40, 30), ("app:b", 500, 0), ("idle", 10, 0),
+              ("app:a", 70, 5), ("runtime", 200, 0)]
+
+    def step(i):
+        if i == len(script):
+            return
+        category, duration, gap = script[i]
+        if gap:
+            sim.after(gap, lambda: core.run(category, duration,
+                                            lambda: step(i + 1)))
+        else:
+            core.run(category, duration, lambda: step(i + 1))
+
+    step(0)
+    sim.after(1100, core.preempt)
+    sim.after(1200, lambda: core.run("app:b", 300))
+    sim.run()
+    core.settle()
+    return core.acct.buckets, dict(tracer.spans), sim.events_fired
+
+
+def test_back_to_back_runs_account_like_explicit_switches():
+    buckets, spans, events = _drive(Core)
+    assert (buckets, spans, events) == _drive(_SwitchEveryRunCore)
+    assert sum(buckets.values()) == 1500
+    assert buckets["app:a"] == 100 + 250 + 70
 
 
 def test_machine_has_controllers(sim, costs):

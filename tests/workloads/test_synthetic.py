@@ -73,3 +73,21 @@ def test_memcached_usr_mean_about_1us():
     sampler = UsrServiceSampler(random.Random(5))
     samples = [sampler() for _ in range(50_000)]
     assert sum(samples) / len(samples) == pytest.approx(1000, rel=0.08)
+
+
+def test_usr_sampler_draws_what_its_components_draw():
+    """One lognormvariate call with the chosen component's parameters
+    gives the values, and leaves the RNG state, of calling the
+    component: the coin flip, then ``LognormalService(...)()``."""
+    from repro.workloads.memcached import UsrServiceSampler
+    rng, twin = random.Random(2024), random.Random(2024)
+    sampler = UsrServiceSampler(rng)
+    get = LognormalService(median_ns=930, sigma=0.22, rng=twin)
+    put = LognormalService(median_ns=1450, sigma=0.30, rng=twin)
+
+    def composed():
+        return get() if twin.random() < 0.97 else put()
+
+    drawn = [sampler() for _ in range(10_000)]
+    assert drawn == [composed() for _ in range(10_000)]
+    assert rng.getstate() == twin.getstate()
