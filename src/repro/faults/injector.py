@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.hardware.uintr import UINTR_DROP
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.net.link import LINK_DROP
 from repro.sim.engine import RunComponent
 
 #: how long a crash/rogue spec waits before re-probing when its victim
@@ -59,7 +60,7 @@ class FaultInjector(RunComponent):
         self._pkt_delay_specs = [s for s in self.plan.specs
                                  if s.kind is FaultKind.DELAY_PACKET]
         if self._pkt_drop_specs or self._pkt_delay_specs:
-            fabric = getattr(system, "net_fabric", None)
+            fabric = system.net_fabric
             if fabric is None:
                 raise RuntimeError(
                     "packet fault specs need a network fabric "
@@ -93,17 +94,18 @@ class FaultInjector(RunComponent):
     # Link dispositions (packet loss / delay on the simulated wire)
     # -------------------------------------------------------------------
     def _link_disposition(self, request, nbytes: int) -> Optional[int]:
-        from repro.net.link import LINK_DROP
+        # Called per packet: one clock read and one bound draw method.
         now = self.system.sim.now
+        random = self.rng.random
         for spec in self._pkt_drop_specs:
-            if now >= spec.at_ns and self.rng.random() < spec.probability:
+            if now >= spec.at_ns and random() < spec.probability:
                 self.injected[FaultKind.DROP_PACKET] += 1
                 if self.system.ledger.enabled:
                     self.system.ledger.count_op("fault:packet_drop",
                                                 domain="fault")
                 return LINK_DROP
         for spec in self._pkt_delay_specs:
-            if now >= spec.at_ns and self.rng.random() < spec.probability:
+            if now >= spec.at_ns and random() < spec.probability:
                 self.injected[FaultKind.DELAY_PACKET] += 1
                 if self.system.ledger.enabled:
                     self.system.ledger.count_op("fault:packet_delay",

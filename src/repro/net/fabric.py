@@ -60,7 +60,7 @@ class NetFabric(RunComponent):
                              cfg.propagation_ns, ledger=self.ledger,
                              on_drop=self._on_drop)
         rss_key = rngs.stream(f"{cfg.stream_prefix()}/rss").getrandbits(64)
-        self.nic = Nic(sim, self._server_intake,
+        self.nic = Nic(sim, None,
                        num_rings=cfg.num_rings(num_workers),
                        ring_capacity=cfg.ring_capacity, nic_ns=cfg.nic_ns,
                        rss_key=rss_key, ledger=self.ledger,
@@ -113,6 +113,9 @@ class NetFabric(RunComponent):
         if self.submit is not None:
             raise RuntimeError("fabric already connected")
         self.submit = system.submit
+        # The rings restamp arrival_ns and hand the request straight to
+        # the system's intake, the same path a direct submit takes.
+        self.nic.deliver_to(system.submit)
         system.net_fabric = self
         num_machines = len(self.machines)
         for app, rate, service_sampler, payload_sampler, conns \
@@ -156,11 +159,6 @@ class NetFabric(RunComponent):
                 self.shed_response(request)
                 return
         self.nic.rx(request)
-
-    def _server_intake(self, request: Request) -> None:
-        # The ring restamped arrival_ns; from here the request follows
-        # the exact direct-submit path through the scheduling system.
-        self.submit(request)
 
     def _server_done(self, request: Request, now: int) -> None:
         """App.complete hook: ship the response back to its client."""
@@ -226,14 +224,6 @@ class NetFabric(RunComponent):
         stats = self.stats.get(app_name)
         if stats is not None:
             stats[key] += amount
-
-    def inflight_inc(self, app_name: str) -> None:
-        if app_name in self.inflight:
-            self.inflight[app_name] += 1
-
-    def inflight_dec(self, app_name: str) -> None:
-        if app_name in self.inflight:
-            self.inflight[app_name] -= 1
 
     def conservation(self) -> Dict[str, Dict[str, int]]:
         """Per-app accounting identity over the counted window.

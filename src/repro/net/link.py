@@ -19,7 +19,7 @@ extra delay in nanoseconds.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs.ledger import NULL_LEDGER, OpLedger
 from repro.sim.engine import Simulator
@@ -51,6 +51,9 @@ class Link:
         self.inject: Optional[Callable[[Request, int], Optional[int]]] = None
         #: when the serializer finishes its current backlog
         self._busy_until = 0
+        #: nbytes -> serialization_ns(nbytes); payload sizes repeat, so
+        #: this holds a few dozen entries
+        self._ser_ns: Dict[int, int] = {}
         self.tx_packets = 0
         self.tx_bytes = 0
         self.dropped = 0
@@ -58,7 +61,10 @@ class Link:
     # ------------------------------------------------------------------
     def serialization_ns(self, nbytes: int) -> int:
         """Wire time for ``nbytes`` at this link's bandwidth (>= 1 ns)."""
-        return max(1, round(nbytes * 8 / self.gbps))
+        ser = self._ser_ns.get(nbytes)
+        if ser is None:
+            ser = self._ser_ns[nbytes] = max(1, round(nbytes * 8 / self.gbps))
+        return ser
 
     def queue_ns(self) -> int:
         """Current serializer backlog (how long a new packet would wait)."""
@@ -84,13 +90,14 @@ class Link:
                 return False
             if disposition is not None:
                 extra = disposition
-        ser = self.serialization_ns(nbytes)
-        start = max(self.sim.now, self._busy_until)
-        self._busy_until = start + ser
+        ser = self._ser_ns.get(nbytes) or self.serialization_ns(nbytes)
+        now = self.sim.now
+        self._busy_until = busy = max(now, self._busy_until) + ser
         self.tx_packets += 1
         self.tx_bytes += nbytes
         if self.ledger.enabled:
             self.ledger.charge("link_tx", ser, domain="net")
-        self.sim.at(self._busy_until + self.propagation_ns + extra,
-                    deliver, request)
+        # Nothing cancels a delivery, so it needs no Event handle.
+        self.sim.post(busy + self.propagation_ns + extra - now,
+                      deliver, request)
         return True

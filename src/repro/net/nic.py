@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.ledger import NULL_LEDGER, OpLedger
 from repro.sim.engine import Simulator
@@ -96,9 +96,14 @@ class NicRxQueue:
 
 
 class Nic:
-    """RSS steering over a fixed set of bounded RX rings."""
+    """RSS steering over a fixed set of bounded RX rings.
 
-    def __init__(self, sim: Simulator, deliver: Callable[[Request], None],
+    ``deliver`` may be None until :meth:`deliver_to` names the intake
+    (the fabric builds its NIC before it connects a system).
+    """
+
+    def __init__(self, sim: Simulator,
+                 deliver: Optional[Callable[[Request], None]],
                  num_rings: int, ring_capacity: int = 256,
                  nic_ns: int = 600, rss_key: int = 0,
                  ledger: Optional[OpLedger] = None,
@@ -113,26 +118,29 @@ class Nic:
                        on_drop=on_drop)
             for _ in range(num_rings)
         ]
-        #: (app_name, conn_id) -> ring index, memoized (flows are sticky)
-        self._steering: dict = {}
+        #: (app_name, conn_id) -> its ring, memoized (flows are sticky)
+        self._steering: Dict[Tuple[str, int], NicRxQueue] = {}
 
     # ------------------------------------------------------------------
     def ring_for(self, app_name: str, conn_id: int) -> int:
         """Deterministic RSS hash of the connection's flow tuple."""
-        flow = (app_name, conn_id)
-        ring = self._steering.get(flow)
-        if ring is None:
-            digest = hashlib.sha256(
-                f"{self.rss_key}/{app_name}/{conn_id}".encode("utf-8")
-            ).digest()
-            ring = int.from_bytes(digest[:8], "big") % len(self.rings)
-            self._steering[flow] = ring
-        return ring
+        digest = hashlib.sha256(
+            f"{self.rss_key}/{app_name}/{conn_id}".encode("utf-8")
+        ).digest()
+        return int.from_bytes(digest[:8], "big") % len(self.rings)
 
     def rx(self, request: Request) -> bool:
         """Steer one arriving packet onto its ring; False on overflow."""
-        ring = self.rings[self.ring_for(request.app.name, request.conn_id)]
+        flow = (request.app.name, request.conn_id)
+        ring = self._steering.get(flow)
+        if ring is None:
+            ring = self._steering[flow] = self.rings[self.ring_for(*flow)]
         return ring.client_submit(request)
+
+    def deliver_to(self, deliver: Callable[[Request], None]) -> None:
+        """Point every ring's delivery at ``deliver``."""
+        for ring in self.rings:
+            ring.deliver = deliver
 
     # ------------------------------------------------------------------
     # Aggregate signals and counters

@@ -30,6 +30,11 @@ per-request integers unboxed in ``array("q")``).  That identity is not
 a modeling choice to validate but an invariant :meth:`audit` enforces,
 together with mark monotonicity, transition legality
 (:data:`LEGAL_NEXT`) and per-core non-overlap of service segments.
+:meth:`FlightRecorder.finalize` walks a flight's marks once: the same
+loop checks monotonicity, legality, that every mark opens a stage and
+the stage sum, and folds a ``done`` flight's stage durations and
+service segments; only the cross-flight overlap check waits for
+:meth:`~FlightRecorder.audit`.
 
 Zero-overhead disablement mirrors ``NULL_LEDGER``: components default to
 the shared :data:`NULL_FLIGHT`, whose methods are empty and whose
@@ -82,6 +87,12 @@ LEGAL_NEXT: Dict[str, Tuple[str, ...]] = {
     "complete": ("done", "dup", "drop"),
     "shed": ("shed", "drop"),
 }
+
+#: every legal ``(prev, next)`` pair; :data:`LEGAL_NEXT` and
+#: :data:`STAGE_AFTER` share their keys, so a label that opens a stage
+#: is exactly one whose successors are audited
+_LEGAL_PAIRS = frozenset((prev, nxt) for prev, successors
+                         in LEGAL_NEXT.items() for nxt in successors)
 
 #: stage print order for breakdown tables
 STAGE_ORDER = ("net_in", "nic_ring", "sched_queue", "service",
@@ -176,63 +187,63 @@ class FlightRecorder(RunComponent):
     # Finalization
     # ------------------------------------------------------------------
     def finalize(self, request: Request, outcome: str) -> None:
-        """Close the flight with ``outcome`` and fold it into aggregates."""
+        """Close the flight with ``outcome`` and fold it into aggregates.
+
+        One pass over the marks checks the per-flight invariants and,
+        for a ``done`` flight, folds the stage durations and service
+        segments; violations are reported in mark order.
+        """
         marks = request.flight
         if marks is None:
             return
         request.flight = None
-        marks.append((outcome, self.sim.now, None))
+        now = self.sim.now
+        marks.append((outcome, now, None))
         app = request.app.name
         key = (app, outcome)
         self._outcomes[key] = self._outcomes.get(key, 0) + 1
-        total = marks[-1][1] - marks[0][1]
-        self._check(app, marks, total)
-        if outcome != "done":
-            return
-        self._totals[app].append(total)
-        prev_label, prev_ts, _prev_core = marks[0]
-        for label, ts, core in marks[1:]:
-            stage = STAGE_AFTER.get(prev_label)
-            if stage is not None and ts > prev_ts:
-                self._stage_ns[(app, stage)].append(ts - prev_ts)
-            prev_label, prev_ts = label, ts
-        self._collect_segments(marks)
-        if self.reservoir_k:
-            entry = (total, self._seq, app, outcome, tuple(marks))
-            self._seq += 1
-            if len(self._slowest) < self.reservoir_k:
-                heapq.heappush(self._slowest, entry)
-            elif entry > self._slowest[0]:
-                heapq.heapreplace(self._slowest, entry)
-
-    def _collect_segments(self, marks: List[tuple]) -> None:
-        for i, (label, ts, core) in enumerate(marks[:-1]):
-            if label == "run_start" and core is not None:
-                end = marks[i + 1][1]
-                if len(self._segments) < self.max_segments:
-                    self._segments.append((core, ts, end))
-                else:
-                    self.segments_dropped += 1
-
-    def _check(self, app: str, marks: List[tuple], total: int) -> None:
-        """Per-flight invariants, evaluated once at finalize time."""
+        done = outcome == "done"
+        stage_ns = self._stage_ns
         stage_sum = 0
-        prev_label, prev_ts, _ = marks[0]
-        for label, ts, _core in marks[1:]:
+        prev_label, prev_ts, prev_core = marks[0]
+        total = now - prev_ts
+        for label, ts, core in marks[1:]:
             if ts < prev_ts:
                 self._violate(f"{app}: non-monotonic mark {label}@{ts} "
                               f"after {prev_label}@{prev_ts}")
-            legal = LEGAL_NEXT.get(prev_label)
-            if legal is not None and label not in legal:
-                self._violate(
-                    f"{app}: illegal transition {prev_label} -> {label}")
-            if prev_label in STAGE_AFTER:
-                stage_sum += ts - prev_ts
-            else:
+            stage = STAGE_AFTER.get(prev_label)
+            if stage is None:
                 self._violate(f"{app}: mark {prev_label!r} opens no stage")
-            prev_label, prev_ts = label, ts
+            else:
+                if (prev_label, label) not in _LEGAL_PAIRS:
+                    self._violate(
+                        f"{app}: illegal transition {prev_label} -> {label}")
+                stage_sum += ts - prev_ts
+                if done:
+                    if ts > prev_ts:
+                        stage_ns[(app, stage)].append(ts - prev_ts)
+                    if prev_label == "run_start" and prev_core is not None:
+                        if len(self._segments) < self.max_segments:
+                            self._segments.append((prev_core, prev_ts, ts))
+                        else:
+                            self.segments_dropped += 1
+            prev_label, prev_ts, prev_core = label, ts, core
         if stage_sum != total:
             self._violate(f"{app}: stage sum {stage_sum} != total {total}")
+        if not done:
+            return
+        self._totals[app].append(total)
+        if self.reservoir_k:
+            slowest = self._slowest
+            # ``seq`` strictly increases, so on a tie in ``total`` the
+            # new flight is the larger entry: ``>=`` is ``entry > top``.
+            if len(slowest) < self.reservoir_k:
+                heapq.heappush(slowest, (total, self._seq, app, outcome,
+                                         tuple(marks)))
+            elif total >= slowest[0][0]:
+                heapq.heapreplace(slowest, (total, self._seq, app, outcome,
+                                            tuple(marks)))
+            self._seq += 1
 
     def _violate(self, message: str) -> None:
         if len(self._violations) < _MAX_VIOLATIONS:

@@ -130,7 +130,7 @@ class AdmissionControl(RunComponent):
         # a direct-submit request simply never enters the system (the
         # open-loop source does not react either way).
         if request.net_token is not None:
-            fabric = getattr(self.system, "net_fabric", None)
+            fabric = self.system.net_fabric
             if fabric is not None:
                 fabric.shed_response(request)
         elif self.flight.enabled:

@@ -156,6 +156,9 @@ class ColocationSystem:
         #: per-request lifecycle recorder (NULL_FLIGHT when tracing is
         #: off; hot paths guard with ``if self.flight.enabled:``)
         self.flight = machine.flight
+        #: the :class:`~repro.net.fabric.NetFabric` feeding this system,
+        #: set by ``NetFabric.connect``; None for direct submit
+        self.net_fabric = None
         self.rngs = rngs
         #: cores running application work; by convention core 0 is
         #: reserved for the system's scheduler / IOKernel when the system

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, Optional
 
 from repro.sched import queues
 from repro.sched.policy import (
-    Decision, Idle, Place, Preempt, Rotate, Run, SchedPolicy,
+    Decision, Enqueue, Idle, Place, Preempt, Rotate, Run, SchedPolicy,
     register_policy)
 
 
@@ -160,7 +160,6 @@ class TrustGroupPolicy(SchedPolicy):
         target = self.shortest_queue_core(app_state)
         if target is None:
             return None
-        from repro.sched.policy import Enqueue
         return Enqueue(thread, target.core.id)
 
     def on_core_idle(self, core_state) -> Decision:

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hardware.mpk import (
+    AccessKind,
     AddressSpaceMap,
+    MpkFault,
     Permission,
     PkruRegister,
     Region,
@@ -81,7 +83,6 @@ class MessagePipe:
         self.func_vector: Dict[str, object] = {}
 
     def _check_write(self, pkru: PkruRegister) -> None:
-        from repro.hardware.mpk import AccessKind, MpkFault
         if not pkru.allows(self.region.pkey, AccessKind.WRITE):
             raise MpkFault(self.region.start, AccessKind.WRITE,
                            self.region.pkey)

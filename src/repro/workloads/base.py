@@ -74,6 +74,9 @@ class App:
         #: (no per-segment string formatting on the request path)
         self.category = f"app:{name}"
         self.kind = kind
+        #: ``kind is AppKind.LATENCY``, read on every request; a plain
+        #: attribute because ``kind`` never changes after construction
+        self.is_latency = kind is AppKind.LATENCY
         #: used for capacity normalization of L-apps
         self.mean_service_ns = mean_service_ns
         #: work generator for batch apps (LinpackWork / MembenchWork / ...)
@@ -88,10 +91,6 @@ class App:
         self.useful_ns = 0
 
     # ------------------------------------------------------------------
-    @property
-    def is_latency(self) -> bool:
-        return self.kind is AppKind.LATENCY
-
     def enqueue(self, request: Request) -> None:
         # Hot path: one call per request.  The counter is bumped
         # directly (Counter.add's negative check cannot fire for 1).

@@ -49,18 +49,16 @@ class UsrPayloadSampler:
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
 
-    def _key_bytes(self) -> int:
-        return self.rng.randint(16, 21)
-
-    def _value_bytes(self) -> int:
-        # Mostly 2-30 B with an occasional few-hundred-byte object.
-        if self.rng.random() < 0.95:
-            return self.rng.randint(2, 30)
-        return self.rng.randint(64, 512)
-
     def __call__(self) -> tuple:
-        key, value = self._key_bytes(), self._value_bytes()
-        if self.rng.random() < _GET_FRACTION:
+        # Draw order: key size, value coin, value size, GET/SET coin.
+        rng = self.rng
+        key = rng.randint(16, 21)
+        # Mostly 2-30 B values with an occasional few-hundred-byte object.
+        if rng.random() < 0.95:
+            value = rng.randint(2, 30)
+        else:
+            value = rng.randint(64, 512)
+        if rng.random() < _GET_FRACTION:
             return 24 + key, 32 + value       # GET: key in, value out
         return 32 + key + value, 8            # SET: key+value in, ack out
 

@@ -77,3 +77,39 @@ def test_ledger_charges_link_tx_under_net_domain(sim):
     sim.run()
     assert ledger.op_count("link_tx", domain="net") == 1
     assert ledger.total_ns(domain="net", op="link_tx") == 10
+
+
+def test_deliveries_fire_in_send_order_at_the_absolute_times(sim):
+    """A delivery is a ``post`` (a delay from now) yet lands where an
+    absolute ``at(busy_until + propagation + extra)`` put it, and ties
+    at one nanosecond break in scheduling order across links and plain
+    ``post`` calls."""
+    fast = Link(sim, "fast", gbps=100.0, propagation_ns=500)
+    slow = Link(sim, "slow", gbps=50.0, propagation_ns=490)
+    slow.inject = lambda request, nbytes: None
+    fired, expected = [], []
+
+    def send(link, tag):
+        link.send(_request(), 125,
+                  lambda r: fired.append((tag, sim.now)))
+        expected.append((tag, link._busy_until + link.propagation_ns))
+
+    def burst():
+        send(fast, "fast-1")        # 10 ns on the wire -> 1_510
+        sim.post(510, lambda: fired.append(("post", sim.now)))
+        expected.append(("post", 1_510))
+        send(slow, "slow-1")        # 20 ns on the wire -> 1_510
+        send(fast, "fast-2")        # queued behind fast-1 -> 1_520
+
+    sim.post(1_000, burst)
+    sim.run()
+    assert fired == expected
+    assert fired == [("fast-1", 1_510), ("post", 1_510),
+                     ("slow-1", 1_510), ("fast-2", 1_520)]
+
+
+def test_memoized_serialization_time_matches_the_formula(sim):
+    link = Link(sim, "l", gbps=40.0, propagation_ns=0)
+    sizes = (1, 64, 125, 1_500, 64, 1)  # the repeats hit the memo
+    assert [link.serialization_ns(n) for n in sizes] == \
+        [max(1, round(n * 8 / 40.0)) for n in sizes]

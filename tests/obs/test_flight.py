@@ -1,10 +1,11 @@
 """Flight recorder: stage derivation, invariant audit, system wiring."""
 
+import heapq
 from array import array
 
 import pytest
 
-from repro.obs.flight import (NULL_FLIGHT, FlightRecorder,
+from repro.obs.flight import (LEGAL_NEXT, NULL_FLIGHT, FlightRecorder,
                               NullFlightRecorder, STAGE_AFTER, STAGE_ORDER,
                               format_breakdown)
 
@@ -83,6 +84,11 @@ def test_preempt_stages_split_the_service_time():
 def test_every_label_opens_a_stage():
     # A label outside STAGE_AFTER would silently break telescoping.
     assert set(STAGE_AFTER.values()) <= set(STAGE_ORDER)
+
+
+def test_labels_that_open_a_stage_are_the_audited_ones():
+    # finalize's one pass checks legality only for stage-opening labels.
+    assert LEGAL_NEXT.keys() == STAGE_AFTER.keys()
 
 
 def test_zero_duration_stages_keep_the_sum_exact():
@@ -223,6 +229,159 @@ def test_begin_measurement_drops_aggregates_keeps_open_flights():
     rec.on_complete(inflight)
     assert rec.outcome_counts() == {"mc": {"done": 1}}
     assert rec.audit() == []
+
+
+# ----------------------------------------------------------------------
+# One-pass finalize against the three-pass reference
+# ----------------------------------------------------------------------
+class _ThreePassRecorder(FlightRecorder):
+    """The three-pass ``finalize`` (``_check``, the stage fold and
+    ``_collect_segments`` each walk the marks), kept verbatim as the
+    reference the one-pass version must match field for field."""
+
+    def finalize(self, request, outcome):
+        marks = request.flight
+        if marks is None:
+            return
+        request.flight = None
+        marks.append((outcome, self.sim.now, None))
+        app = request.app.name
+        key = (app, outcome)
+        self._outcomes[key] = self._outcomes.get(key, 0) + 1
+        total = marks[-1][1] - marks[0][1]
+        self._check(app, marks, total)
+        if outcome != "done":
+            return
+        self._totals[app].append(total)
+        prev_label, prev_ts, _prev_core = marks[0]
+        for label, ts, core in marks[1:]:
+            stage = STAGE_AFTER.get(prev_label)
+            if stage is not None and ts > prev_ts:
+                self._stage_ns[(app, stage)].append(ts - prev_ts)
+            prev_label, prev_ts = label, ts
+        self._collect_segments(marks)
+        if self.reservoir_k:
+            entry = (total, self._seq, app, outcome, tuple(marks))
+            self._seq += 1
+            if len(self._slowest) < self.reservoir_k:
+                heapq.heappush(self._slowest, entry)
+            elif entry > self._slowest[0]:
+                heapq.heapreplace(self._slowest, entry)
+
+    def _collect_segments(self, marks):
+        for i, (label, ts, core) in enumerate(marks[:-1]):
+            if label == "run_start" and core is not None:
+                end = marks[i + 1][1]
+                if len(self._segments) < self.max_segments:
+                    self._segments.append((core, ts, end))
+                else:
+                    self.segments_dropped += 1
+
+    def _check(self, app, marks, total):
+        stage_sum = 0
+        prev_label, prev_ts, _ = marks[0]
+        for label, ts, _core in marks[1:]:
+            if ts < prev_ts:
+                self._violate(f"{app}: non-monotonic mark {label}@{ts} "
+                              f"after {prev_label}@{prev_ts}")
+            legal = LEGAL_NEXT.get(prev_label)
+            if legal is not None and label not in legal:
+                self._violate(
+                    f"{app}: illegal transition {prev_label} -> {label}")
+            if prev_label in STAGE_AFTER:
+                stage_sum += ts - prev_ts
+            else:
+                self._violate(f"{app}: mark {prev_label!r} opens no stage")
+            prev_label, prev_ts = label, ts
+        if stage_sum != total:
+            self._violate(f"{app}: stage sum {stage_sum} != total {total}")
+
+
+def _net_path(t, core=1):
+    """A clean over-the-network flight starting at ``t``; done at +1500."""
+    return [("client_send", t, None), ("ingress", t + 500, None),
+            ("admit", t + 600, None), ("submit", t + 600, None),
+            ("run_start", t + 700, core), ("complete", t + 1_000, None)]
+
+
+#: (app, outcome, marks, finalize time) — every shape the audit knows
+_FLIGHTS = [
+    # done with a preemption, migrating between cores
+    ("mc", "done",
+     [("client_send", 0, None), ("ingress", 500, None),
+      ("admit", 600, None), ("submit", 600, None),
+      ("run_start", 700, 1), ("preempt", 800, 1),
+      ("run_start", 900, 2), ("complete", 1_000, None)], 1_500),
+    # shed, drop and dup
+    ("mc", "shed",
+     [("client_send", 2_000, None), ("ingress", 2_500, None),
+      ("shed", 2_500, None)], 3_000),
+    ("mc", "drop", [("client_send", 3_000, None)], 3_400),
+    ("silo", "dup", _net_path(4_000), 5_500),
+    # a non-monotonic mark, then an illegal transition
+    ("mc", "done",
+     [("submit", 6_100, None), ("run_start", 6_050, 0),
+      ("complete", 6_200, None)], 6_200),
+    ("mc", "done", [("submit", 7_000, None), ("complete", 7_010, None)],
+     7_010),
+    # a mid-flight label that opens no stage (and is illegal after submit)
+    ("silo", "done",
+     [("submit", 8_000, None), ("bogus", 8_005, None),
+      ("run_start", 8_010, 0), ("complete", 8_020, None)], 8_020),
+    # a zero-length stage and a run_start without a core
+    ("mc", "done",
+     [("submit", 9_000, None), ("run_start", 9_000, None),
+      ("complete", 9_300, None)], 9_300),
+    # enough service segments to hit a cap of 3
+    ("mc", "done", _net_path(10_000, core=3), 11_500),
+    ("mc", "done", _net_path(12_000, core=4), 13_500),
+    # reservoir ties on total (1_500, like every _net_path flight)
+    ("silo", "done", _net_path(14_000), 15_500),
+    ("mc", "done", _net_path(16_000), 17_500),
+    # faster than every reservoir entry: must not enter
+    ("mc", "done",
+     [("submit", 18_000, None), ("run_start", 18_001, 1),
+      ("complete", 18_002, None)], 18_003),
+]
+
+_COMPARED = ("_violations", "_violations_dropped", "_stage_ns", "_totals",
+             "_segments", "segments_dropped", "_outcomes", "_slowest",
+             "_seq")
+
+
+def _replay(recorder, flights):
+    for app, outcome, marks, end in flights:
+        req = _Req(_App(app))
+        req.flight = list(marks)
+        recorder.sim.now = end
+        recorder.finalize(req, outcome)
+        assert req.flight is None
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"reservoir_k": 2, "max_segments": 3},
+    {"reservoir_k": 0},
+    {},
+])
+def test_one_pass_finalize_matches_three_pass_reference(kwargs):
+    one = FlightRecorder(_Sim(), **kwargs)
+    three = _ThreePassRecorder(_Sim(), **kwargs)
+    # Thirty replays push past the violation cap and turn the reservoir.
+    flights = _FLIGHTS * 30
+    _replay(one, flights)
+    _replay(three, flights)
+    for field in _COMPARED:
+        assert getattr(one, field) == getattr(three, field), field
+    assert one.audit() == three.audit()
+    assert one.slowest_traces() == three.slowest_traces()
+    # The fixture really reaches every violation kind and both caps.
+    messages = three._violations
+    for text in ("non-monotonic", "illegal transition", "opens no stage",
+                 "stage sum"):
+        assert any(text in m for m in messages), text
+    assert three._violations_dropped > 0
+    if kwargs.get("max_segments") == 3:
+        assert three.segments_dropped > 0
 
 
 # ----------------------------------------------------------------------

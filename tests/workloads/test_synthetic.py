@@ -91,3 +91,33 @@ def test_usr_sampler_draws_what_its_components_draw():
     drawn = [sampler() for _ in range(10_000)]
     assert drawn == [composed() for _ in range(10_000)]
     assert rng.getstate() == twin.getstate()
+
+
+def test_usr_payload_sampler_draws_what_its_helpers_drew():
+    """The inlined payload draws equal the key-size, value-size and
+    GET/SET-coin helpers they replaced, called in that order on a twin
+    RNG, and leave the same RNG state."""
+    from repro.workloads.memcached import UsrPayloadSampler
+    rng, twin = random.Random(2024), random.Random(2024)
+    sampler = UsrPayloadSampler(rng)
+
+    def key_bytes():
+        return twin.randint(16, 21)
+
+    def value_bytes():
+        if twin.random() < 0.95:
+            return twin.randint(2, 30)
+        return twin.randint(64, 512)
+
+    def composed():
+        key, value = key_bytes(), value_bytes()
+        if twin.random() < 0.97:
+            return 24 + key, 32 + value
+        return 32 + key + value, 8
+
+    drawn = [sampler() for _ in range(10_000)]
+    assert drawn == [composed() for _ in range(10_000)]
+    assert rng.getstate() == twin.getstate()
+    # Both value branches and both request kinds were exercised.
+    assert {out for _, out in drawn} & {8}
+    assert max(out for _, out in drawn) > 32 + 30
