@@ -3,7 +3,8 @@
 Each benchmark regenerates one of the paper's tables/figures at a reduced
 ("smoke") scale, asserts the qualitative shape the paper reports, and
 prints the paper-vs-measured rows.  Full-scale runs:
-``python -m repro.experiments.<module> --scale paper``.
+``python -m repro <name> --scale paper`` (``python -m repro --list``
+names the experiments).
 
 Benchmarks write their printed tables to ``benchmarks/results/`` as well,
 since pytest captures stdout (run with ``-s`` to see them live).

@@ -5,7 +5,7 @@ Compares VESSEL against Caladan (and its Delay Range variants) on the
 same machine, workload, and seed, and prints total normalized throughput
 and P999 tail latency per load point.
 
-Run:  python examples/colocation_study.py [--scale paper]
+Run:  python examples/colocation_study.py
 """
 
 from repro.experiments.common import (
@@ -13,7 +13,6 @@ from repro.experiments.common import (
     format_table,
     l_capacity_mops,
     normalized_total,
-    parse_profile,
     run_colocation,
 )
 from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
@@ -23,7 +22,7 @@ LOADS = (0.25, 0.5, 0.75)
 
 
 def main() -> None:
-    cfg = parse_profile()
+    cfg = ExperimentConfig()
     capacity = l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
     print(f"machine: {cfg.num_workers} workers, capacity ~"
           f"{capacity:.1f} Mops/s; window {cfg.sim_ms} ms\n")

@@ -8,6 +8,14 @@ Usage::
     python -m repro fig09 --jobs 4       # fan one experiment's sweep out
     python -m repro --list
     python -m repro --scale paper fig09
+    python -m repro churn --smoke        # CI profile + the module's gate
+
+This is the only command-line front end: every experiment gets its
+``ExperimentConfig`` from here, so a documented command means one
+config.  ``--smoke`` runs at the shared CI profile
+(``repro.experiments.common.SMOKE_PROFILE``) plus the module's own
+``SMOKE`` overrides, if it has any, and then calls the module's
+``gate(cfg, results)``, if it has one; a failed gate raises.
 
 Parallelism policy (``--jobs N``): with several experiments selected the
 experiments themselves run in worker processes (their stdout is captured
@@ -56,36 +64,36 @@ EXPERIMENTS = {
     "cluster": "repro.experiments.cluster",
 }
 
-#: scenario entries with their own flag sets (--smoke etc.); a leading
-#: argv[0] match routes straight to the module's cli_main
-_CLI_EXPERIMENTS = {
-    "policies": "repro.experiments.policy_zoo",
-    "churn": "repro.experiments.churn",
-    "flashcrowd": "repro.experiments.flashcrowd",
-    "oversub": "repro.experiments.oversub",
-    "overload": "repro.experiments.overload_suite",
-    "tracecheck": "repro.experiments.tracecheck",
-    "cluster": "repro.experiments.cluster",
-}
-
 
 def _banner(name: str) -> str:
     return f"\n{'=' * 72}\n{name}  ({EXPERIMENTS[name]})\n{'=' * 72}\n"
 
 
-def _run_one_captured(task: Tuple[str, str, object]) -> Tuple[str, str, float]:
+def _run_module(name: str, cfg, smoke: bool) -> None:
+    """Run one experiment's ``main`` (at its smoke profile and then
+    through its ``gate`` when ``smoke`` is set)."""
+    module = importlib.import_module(EXPERIMENTS[name])
+    if smoke:
+        from repro.experiments.common import SMOKE_PROFILE
+        cfg = cfg.scaled(**{**SMOKE_PROFILE, **getattr(module, "SMOKE", {})})
+    results = module.main(cfg)
+    if smoke and hasattr(module, "gate"):
+        module.gate(cfg, results)
+
+
+def _run_one_captured(task: Tuple[str, object, bool]) -> Tuple[str, str, float]:
     """Pool worker: run one experiment with stdout captured."""
-    name, module_name, cfg = task
-    module = importlib.import_module(module_name)
+    name, cfg, smoke = task
     buffer = io.StringIO()
     started = time.perf_counter()
     with contextlib.redirect_stdout(buffer):
-        module.main(cfg)
+        _run_module(name, cfg, smoke)
     return name, buffer.getvalue(), time.perf_counter() - started
 
 
 def run_experiments(selected: Sequence[str], cfg, jobs: int = 1,
-                    stream: Optional[TextIO] = None) -> Dict[str, float]:
+                    stream: Optional[TextIO] = None,
+                    smoke: bool = False) -> Dict[str, float]:
     """Run experiment modules; returns per-experiment wall seconds.
 
     Output goes to ``stream`` (default: the real stdout).  With
@@ -101,7 +109,7 @@ def run_experiments(selected: Sequence[str], cfg, jobs: int = 1,
     timings: Dict[str, float] = {}
     if jobs > 1 and len(selected) > 1:
         worker_cfg = replace(cfg, jobs=1)
-        tasks = [(name, EXPERIMENTS[name], worker_cfg) for name in selected]
+        tasks = [(name, worker_cfg, smoke) for name in selected]
         for name, text, took in parallel_map(_run_one_captured, tasks, jobs):
             out.write(_banner(name))
             out.write(text)
@@ -110,12 +118,11 @@ def run_experiments(selected: Sequence[str], cfg, jobs: int = 1,
         if jobs > 1:
             cfg = replace(cfg, jobs=jobs)
         for name in selected:
-            module = importlib.import_module(EXPERIMENTS[name])
             out.write(_banner(name))
             out.flush()
             started = time.perf_counter()
             with contextlib.redirect_stdout(out):
-                module.main(cfg)
+                _run_module(name, cfg, smoke)
             timings[name] = time.perf_counter() - started
     return timings
 
@@ -131,6 +138,10 @@ def main(argv=None) -> int:
                         help="list experiments and exit")
     parser.add_argument("--scale", choices=["smoke", "paper"],
                         default="smoke")
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI-sized run (4 workers, 8 ms) followed by "
+                             "each selected experiment's gate, if it has "
+                             "one; a failed gate exits non-zero")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="fan independent experiments (or one "
@@ -162,14 +173,6 @@ def main(argv=None) -> int:
                         help="capture and print the K slowest requests' "
                              "full stage-span lists after each run")
 
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in _CLI_EXPERIMENTS:
-        # A leading scenario name gets its own flag set (--smoke etc.);
-        # it still runs as a normal experiment when selected
-        # among others or via the run-everything default.
-        module = importlib.import_module(_CLI_EXPERIMENTS[argv[0]])
-        return module.cli_main(argv[1:])
     args = parser.parse_args(argv)
 
     if args.list:
@@ -178,6 +181,8 @@ def main(argv=None) -> int:
         return 0
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.smoke and args.scale == "paper":
+        parser.error("--smoke and --scale paper are exclusive")
 
     selected = args.experiments or list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
@@ -197,7 +202,8 @@ def main(argv=None) -> int:
         cfg = cfg.scaled(**PAPER_PROFILE)
 
     started = time.perf_counter()
-    timings = run_experiments(selected, cfg, jobs=args.jobs)
+    timings = run_experiments(selected, cfg, jobs=args.jobs,
+                              smoke=args.smoke)
     for name, took in timings.items():
         print(f"[{name} took {took:.1f}s]", file=sys.stderr)
     print(f"[total {time.perf_counter() - started:.1f}s, "

@@ -1,11 +1,16 @@
 """Experiment harness: one module per table/figure in the paper (§6).
 
 Every module exposes ``run(cfg)`` returning a plain dict of series (so
-tests and benchmarks can assert on shapes) and ``main()`` which prints
-the paper-style rows.  Run any of them directly::
+tests and benchmarks can assert on shapes) and ``main(cfg)`` which
+prints the paper-style rows.  A module may also define ``SMOKE``
+(overrides on top of ``common.SMOKE_PROFILE``) and ``gate(cfg,
+results)`` (post-run checks that raise on failure); ``--smoke`` uses
+both.  Modules have no command line of their own: every run gets its
+config from the one front end, ``repro.__main__``::
 
-    python -m repro.experiments.fig09_colocation
-    python -m repro.experiments.tab1_context_switch --scale paper
+    python -m repro fig09
+    python -m repro tab1 --scale paper
+    python -m repro churn --smoke
 
 | Module                  | Reproduces                                    |
 |-------------------------|-----------------------------------------------|

@@ -155,8 +155,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     for key, value in gate.items():
         print(f"  {key:22s} {value} ns")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

@@ -105,46 +105,24 @@ def _fingerprint(results: Dict) -> str:
     ))
 
 
-def cli_main(argv: Optional[List[str]] = None) -> int:
-    """Entry for ``python -m repro churn [--smoke]``."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro churn",
-        description="Tenant create/destroy churn against a running "
-                    "VESSEL system, with a kernel-residue audit.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run with hard gates (leak audit, "
-                             "turnover, byte-identical rerun)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", "-j", type=int, default=1)
-    args = parser.parse_args(argv)
-    cfg = ExperimentConfig(seed=args.seed, jobs=max(1, args.jobs))
-    if args.smoke:
-        cfg = cfg.scaled(num_workers=4, sim_ms=8, warmup_ms=2)
-    results = main(cfg)
-    if args.smoke:
-        churned = results["churned"]
-        snap = churned.churn
-        if snap["created"] < 10:
-            raise RuntimeError(
-                f"churn too slow: only {snap['created']} tenants created")
-        if snap["created"] - snap["destroyed"] != snap["active"]:
-            raise RuntimeError(
-                f"turnover accounting broken: created {snap['created']} "
-                f"- destroyed {snap['destroyed']} != active "
-                f"{snap['active']}")
-        if churned.uncontained:
-            raise RuntimeError(
-                f"{len(churned.uncontained)} teardown leak(s): "
-                f"{churned.uncontained}")
-        rerun = run(cfg)
-        if _fingerprint(rerun) != _fingerprint(results):
-            raise RuntimeError("rerun was not byte-identical")
-        print("[churn --smoke] gates passed: turnover, zero leaks, "
-              "deterministic rerun")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(cli_main())
+def gate(cfg: ExperimentConfig, results: Dict) -> None:
+    """``--smoke`` gates: turnover, zero leaks, byte-identical rerun."""
+    churned = results["churned"]
+    snap = churned.churn
+    if snap["created"] < 10:
+        raise RuntimeError(
+            f"churn too slow: only {snap['created']} tenants created")
+    if snap["created"] - snap["destroyed"] != snap["active"]:
+        raise RuntimeError(
+            f"turnover accounting broken: created {snap['created']} "
+            f"- destroyed {snap['destroyed']} != active "
+            f"{snap['active']}")
+    if churned.uncontained:
+        raise RuntimeError(
+            f"{len(churned.uncontained)} teardown leak(s): "
+            f"{churned.uncontained}")
+    rerun = run(cfg)
+    if _fingerprint(rerun) != _fingerprint(results):
+        raise RuntimeError("rerun was not byte-identical")
+    print("[churn --smoke] gates passed: turnover, zero leaks, "
+          "deterministic rerun")

@@ -76,6 +76,9 @@ SKEW_ARMS: List[Tuple[str, str, bool]] = [
 SWEEP_LOADS = (0.75, 0.83, 0.90)
 SWEEP_SYSTEMS = ("vessel", "caladan")
 
+#: ``--smoke`` overrides on top of the shared CI profile
+SMOKE = dict(sim_ms=6)
+
 
 def base_cluster(cfg: ExperimentConfig, **overrides) -> ClusterConfig:
     """The experiment's fleet shape (shared by every arm)."""
@@ -191,25 +194,16 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     return results
 
 
-def _fingerprint(results: Dict) -> str:
-    return repr([(label, report.fingerprint())
-                 for label, report in results["skew_arms"]]
-                + [(system, load, report.fingerprint())
-                   for system, load, report in results["sweep"]])
-
-
-def smoke_config(seed: int = 42, jobs: int = 1) -> ExperimentConfig:
-    return ExperimentConfig(num_workers=4, sim_ms=6, warmup_ms=2,
-                            seed=seed, jobs=jobs)
-
-
 def _gate(ok: bool, message: str, failures: List[str]) -> None:
     print(("PASS " if ok else "FAIL ") + message)
     if not ok:
         failures.append(message)
 
 
-def check_gates(results: Dict) -> List[str]:
+def gate(cfg: ExperimentConfig, results: Dict) -> None:
+    """``--smoke`` gates: skew, capacity at SLO, and a byte-identical
+    ``--jobs 2`` fleet merge (Part C)."""
+    print("\n[cluster --smoke] gates:")
     failures: List[str] = []
     p99 = {label: report.p99_us()
            for label, report in results["skew_arms"]}
@@ -230,50 +224,18 @@ def check_gates(results: Dict) -> List[str]:
     _gate(vessel > caladan,
           f"VESSEL fleet sustains more load at SLO "
           f"({vessel:.2f} > {caladan:.2f})", failures)
-    return failures
-
-
-def cli_main(argv: Optional[List[str]] = None) -> int:
-    """Entry for ``python -m repro cluster [--smoke]``."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro cluster",
-        description="Multi-server fleet behind a load balancer: "
-                    "LB policies under hot-key skew, fleet capacity "
-                    "at SLO, byte-identical --jobs fan-out.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run + skew/capacity/determinism "
-                             "gates")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", "-j", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        cfg = smoke_config(seed=args.seed, jobs=max(1, args.jobs))
-    else:
-        cfg = ExperimentConfig(num_workers=8, sim_ms=16, warmup_ms=4,
-                               seed=args.seed, jobs=max(1, args.jobs))
-    results = main(cfg)
-    if args.smoke:
-        print("\n[cluster --smoke] gates:")
-        failures = check_gates(results)
-        # Part C: the same fleet, servers sharded two ways, must merge
-        # to the same bytes.
-        gate_cfg = cfg.scaled(membus_gbps=BUS_GBPS)
-        serial = Cluster("vessel", gate_cfg,
-                         base_cluster(gate_cfg, lb_policy="round-robin")) \
-            .run(jobs=1).fingerprint()
-        fanned = Cluster("vessel", gate_cfg,
-                         base_cluster(gate_cfg, lb_policy="round-robin")) \
-            .run(jobs=2).fingerprint()
-        _gate(serial == fanned,
-              "--jobs 2 fleet merge byte-identical to serial", failures)
-        if failures:
-            raise RuntimeError(
-                f"cluster smoke gates failed: {failures}")
-        print("[cluster --smoke] all gates passed")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(cli_main())
+    # Part C: the same fleet, servers sharded two ways, must merge
+    # to the same bytes.
+    gate_cfg = cfg.scaled(membus_gbps=BUS_GBPS)
+    serial = Cluster("vessel", gate_cfg,
+                     base_cluster(gate_cfg, lb_policy="round-robin")) \
+        .run(jobs=1).fingerprint()
+    fanned = Cluster("vessel", gate_cfg,
+                     base_cluster(gate_cfg, lb_policy="round-robin")) \
+        .run(jobs=2).fingerprint()
+    _gate(serial == fanned,
+          "--jobs 2 fleet merge byte-identical to serial", failures)
+    if failures:
+        raise RuntimeError(
+            f"cluster smoke gates failed: {failures}")
+    print("[cluster --smoke] all gates passed")

@@ -100,6 +100,9 @@ class ExperimentConfig:
 
 #: the "paper" profile: closer to the testbed scale (slow; not used in CI)
 PAPER_PROFILE = dict(num_workers=32, sim_ms=120, warmup_ms=20)
+#: the CI-sized profile behind ``python -m repro <name> --smoke``: small,
+#: but still exercises rotation, BE preemption and queued placement
+SMOKE_PROFILE = dict(num_workers=4, sim_ms=8, warmup_ms=2)
 
 
 def system_factory(name: str) -> Callable[..., ColocationSystem]:
@@ -499,43 +502,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
         lines.append("  ".join(row[i].ljust(widths[i])
                                for i in range(len(headers))))
     return "\n".join(lines)
-
-
-def parse_profile(argv: Optional[List[str]] = None) -> ExperimentConfig:
-    """--scale smoke|paper command-line handling for __main__ blocks."""
-    import argparse
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--scale", choices=["smoke", "paper"],
-                        default="smoke")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--op-breakdown", action="store_true",
-                        help="print the per-op ledger breakdown")
-    parser.add_argument("--trace-out", metavar="FILE", default=None,
-                        help="write a Chrome trace_event JSON file")
-    parser.add_argument("--net", action="store_true",
-                        help="deliver load through the simulated "
-                             "client/link/NIC fabric (repro.net)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for sweep fan-out "
-                             "(byte-identical output to --jobs 1)")
-    parser.add_argument("--policy", default=None, metavar="NAME",
-                        help="scheduling policy for VESSEL runs "
-                             "(default/mlfq/sjf/trust-group/priority; "
-                             "see 'python -m repro policies')")
-    parser.add_argument("--latency-breakdown", action="store_true",
-                        help="record per-request flights and print the "
-                             "per-app per-stage latency decomposition")
-    parser.add_argument("--trace-requests", type=int, default=0,
-                        metavar="K",
-                        help="capture and print the K slowest requests' "
-                             "full stage-span lists")
-    args = parser.parse_args(argv)
-    cfg = ExperimentConfig(seed=args.seed, op_breakdown=args.op_breakdown,
-                           trace_out=args.trace_out,
-                           net=NetConfig() if args.net else None,
-                           jobs=max(1, args.jobs), policy=args.policy,
-                           latency_breakdown=args.latency_breakdown,
-                           trace_requests=max(0, args.trace_requests))
-    if args.scale == "paper":
-        cfg = cfg.scaled(**PAPER_PROFILE)
-    return cfg

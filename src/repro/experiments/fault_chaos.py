@@ -39,7 +39,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     format_table,
     make_l_app,
-    parse_profile,
     system_factory,
 )
 
@@ -174,7 +173,3 @@ def main(cfg: ExperimentConfig) -> None:
             f"{len(issues)} fault(s) escaped containment")
     print(f"  containment     : all {injector.total_injected} injected "
           "faults contained, zero leaks")
-
-
-if __name__ == "__main__":
-    main(parse_profile())

@@ -81,8 +81,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print(f"max kernel+runtime share: measured {results['max_waste']:.1%}, "
           f"paper up to {results['paper_max_waste']:.0%}")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

@@ -55,8 +55,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print("paper: CPU cycles spent in the kernel increase with the number "
           "of colocated applications")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

@@ -61,8 +61,3 @@ def main(cfg: ExperimentConfig = None) -> Dict:
     print(f"total: measured {results['measured_total_us']:.2f} us, "
           f"paper {results['paper_total_us']:.2f} us")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

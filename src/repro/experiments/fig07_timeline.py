@@ -87,8 +87,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print("paper Figure 7: VESSEL fills the cores with application work; "
           "Caladan's timeline shows spins, kernel switches, and gaps")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

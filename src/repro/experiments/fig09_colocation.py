@@ -123,8 +123,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
         print(f"  {system:14s} avg {stats['avg_decline']:.1%}  "
               f"max {stats['max_decline']:.1%}")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

@@ -87,8 +87,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print("paper: Caladan's peak declines ~25% and P999 rises ~20% from "
           "1 to 10 instances; VESSEL is almost unchanged")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

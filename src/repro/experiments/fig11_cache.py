@@ -156,8 +156,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print(f"completion time reduction: "
           f"{results['completion_reduction']:.1%} (paper: 6-24%)")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

@@ -12,9 +12,8 @@ Paper: VESSEL's goodput rises ~25.4% from 32 to 42 cores and the gain
 drops back to ~22.8% at 44; Caladan gains only ~1.45% from 32 to 34 and
 declines beyond.
 
-This is by far the heaviest experiment; the default (smoke) profile uses
-short windows and a coarse load grid, so goodput values are quantized to
-the grid.
+This is by far the heaviest experiment; the load grid is coarse, so
+goodput values are quantized to it.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def run(cfg: Optional[ExperimentConfig] = None,
         vessel_cores: Sequence[int] = DEFAULT_VESSEL_CORES,
         caladan_cores: Sequence[int] = DEFAULT_CALADAN_CORES,
         loads: Sequence[float] = DEFAULT_LOADS) -> Dict:
-    base = cfg or ExperimentConfig(sim_ms=6, warmup_ms=2)
+    base = cfg or ExperimentConfig()
     # Bursty clients (as in the paper's dense/bursty setups): reaction
     # latency to burst onsets is what the control plane limits.
     base = base.scaled(bursty=True)
@@ -106,9 +105,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print("paper: VESSEL +25.4% from 32 to 42 cores (dips at 44); "
           "Caladan +1.45% from 32 to 34, declining beyond")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    cfg = parse_profile()
-    main(cfg.scaled(sim_ms=6, warmup_ms=2))

@@ -211,8 +211,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print("paper: MBA and the cgroup approach use far more bandwidth than "
           "desired; VESSEL is accurate")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

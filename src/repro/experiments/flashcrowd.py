@@ -139,43 +139,8 @@ def _fingerprint(results: Dict) -> str:
                  for label, report in results["arms"]])
 
 
-def smoke_config(seed: int = 42, jobs: int = 1) -> ExperimentConfig:
-    return ExperimentConfig(num_workers=4, sim_ms=8, warmup_ms=2,
-                            seed=seed, jobs=jobs)
-
-
-def cli_main(argv: Optional[List[str]] = None) -> int:
-    """Entry for ``python -m repro flashcrowd [--smoke]``."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro flashcrowd",
-        description="Trace-driven 10x flash crowd: VESSEL+overload "
-                    "machinery vs unprotected baselines.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run + deterministic-rerun gate")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", "-j", type=int, default=1)
-    parser.add_argument("--latency-breakdown", action="store_true",
-                        help="record per-request flights and print the "
-                             "per-stage latency decomposition per arm")
-    parser.add_argument("--trace-requests", type=int, default=0,
-                        metavar="K",
-                        help="print the K slowest requests' stage spans")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        cfg = smoke_config(seed=args.seed, jobs=max(1, args.jobs))
-    else:
-        cfg = ExperimentConfig(seed=args.seed, jobs=max(1, args.jobs))
-    cfg = cfg.scaled(latency_breakdown=args.latency_breakdown,
-                     trace_requests=max(0, args.trace_requests))
-    results = main(cfg)
-    if args.smoke:
-        if _fingerprint(run(cfg)) != _fingerprint(results):
-            raise RuntimeError("rerun was not byte-identical")
-        print("[flashcrowd --smoke] deterministic rerun gate passed")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(cli_main())
+def gate(cfg: ExperimentConfig, results: Dict) -> None:
+    """``--smoke`` gate: a rerun must be byte-identical."""
+    if _fingerprint(run(cfg)) != _fingerprint(results):
+        raise RuntimeError("rerun was not byte-identical")
+    print("[flashcrowd --smoke] deterministic rerun gate passed")

@@ -73,8 +73,3 @@ def main(cfg: ExperimentConfig = None) -> Dict:
     print(f"ratio: {results['ratio']:.1f}x "
           f"(paper: up to {results['paper_ratio']:.0f}x)")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

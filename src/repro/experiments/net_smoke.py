@@ -25,7 +25,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     format_table,
     l_capacity_mops,
-    parse_profile,
     run_colocation,
 )
 from repro.faults import FaultPlan
@@ -108,7 +107,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> None:
     print(f"  containment     : all {total_injected} injected "
           "packet faults contained; client-observed P99 >= server P99 "
           "at every load point")
-
-
-if __name__ == "__main__":
-    main(parse_profile())

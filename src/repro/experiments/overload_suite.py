@@ -157,29 +157,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
             f"{len(failures)} overload gate(s) failed: {failures}")
     print("\nAll overload gates passed.")
     return {"flashcrowd": results, "chaos": report}
-
-
-def cli_main(argv: Optional[List[str]] = None) -> int:
-    """Entry for ``python -m repro overload [--smoke]``."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro overload",
-        description="Gated overload acceptance suite: flash crowd, "
-                    "chaos composition, determinism.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (4 workers, 8 ms)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", "-j", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        cfg = flashcrowd.smoke_config(seed=args.seed,
-                                      jobs=max(1, args.jobs))
-    else:
-        cfg = ExperimentConfig(seed=args.seed, jobs=max(1, args.jobs))
-    main(cfg)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(cli_main())

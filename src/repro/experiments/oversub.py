@@ -114,29 +114,8 @@ def _fingerprint(results: Dict) -> str:
                  for label, report in results["arms"]])
 
 
-def cli_main(argv: Optional[List[str]] = None) -> int:
-    """Entry for ``python -m repro oversub [--smoke]``."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro oversub",
-        description="2-4x more runnable uProcesses than cores, with "
-                    "and without admission control.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run + deterministic-rerun gate")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", "-j", type=int, default=1)
-    args = parser.parse_args(argv)
-    cfg = ExperimentConfig(seed=args.seed, jobs=max(1, args.jobs))
-    if args.smoke:
-        cfg = cfg.scaled(num_workers=4, sim_ms=8, warmup_ms=2)
-    results = main(cfg)
-    if args.smoke:
-        if _fingerprint(run(cfg)) != _fingerprint(results):
-            raise RuntimeError("rerun was not byte-identical")
-        print("[oversub --smoke] deterministic rerun gate passed")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(cli_main())
+def gate(cfg: ExperimentConfig, results: Dict) -> None:
+    """``--smoke`` gate: a rerun must be byte-identical."""
+    if _fingerprint(run(cfg)) != _fingerprint(results):
+        raise RuntimeError("rerun was not byte-identical")
+    print("[oversub --smoke] deterministic rerun gate passed")

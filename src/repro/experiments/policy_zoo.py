@@ -44,13 +44,6 @@ ZOO = [
 ]
 
 
-def smoke_config(seed: int = 42) -> ExperimentConfig:
-    """The CI-sized profile: small but still exercises rotation,
-    BE preemption, and queued (FIFO) placement for every policy."""
-    return ExperimentConfig(num_workers=4, sim_ms=8, warmup_ms=2,
-                            seed=seed)
-
-
 def run(cfg: Optional[ExperimentConfig] = None,
         load: float = DEFAULT_LOAD) -> Dict:
     cfg = cfg or ExperimentConfig()
@@ -92,35 +85,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
         ["policy", "hi P99 us", "hi P999 us", "lo P999 us",
          "BE cores", "idle frac"], rows))
     return results
-
-
-def cli_main(argv: Optional[List[str]] = None) -> int:
-    """Entry for ``python -m repro policies [--smoke]``."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro policies",
-        description="Compare scheduling policies over the VESSEL "
-                    "mechanism.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (4 workers, 8 ms)")
-    parser.add_argument("--scale", choices=["smoke", "paper"],
-                        default="smoke",
-                        help="profile for the non---smoke path")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", "-j", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        cfg = smoke_config(seed=args.seed)
-    else:
-        from repro.experiments.common import PAPER_PROFILE
-        cfg = ExperimentConfig(seed=args.seed)
-        if args.scale == "paper":
-            cfg = cfg.scaled(**PAPER_PROFILE)
-    cfg = cfg.scaled(jobs=max(1, args.jobs))
-    main(cfg)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(cli_main())

@@ -108,8 +108,3 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
           "latency crossover: not reached in this range "
           "(even expensive direct switches beat the 10 us tick)")
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

@@ -121,8 +121,3 @@ def main(cfg: ExperimentConfig = None) -> Dict[str, Dict]:
               "end-to-end cost above):")
         print(ledger.breakdown_table(domain="uproc"))
     return results
-
-
-if __name__ == "__main__":
-    from repro.experiments.common import parse_profile
-    main(parse_profile())

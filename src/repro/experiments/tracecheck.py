@@ -24,7 +24,7 @@ Any violated gate raises ``RuntimeError`` (non-zero exit), which the
 CI ``trace-smoke`` job keys on.  ``--trace-out FILE`` additionally
 writes the chaos arm's merged Perfetto/Chrome trace (core spans, op
 events, slowest-request stage spans, gauge counter tracks) for the CI
-artifact.
+artifact; no other arm writes one.
 
 Usage::
 
@@ -44,6 +44,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     format_table,
     l_capacity_mops,
+    run_colocation,
     run_colocation_batch,
 )
 from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
@@ -74,7 +75,9 @@ def arms(cfg: ExperimentConfig) -> List:
         cfg, MEMCACHED_MEAN_SERVICE_NS)
     trace = flashcrowd.flash_crowd_trace(cfg.sim_ms,
                                          flashcrowd.SPIKE_FACTOR)
-    flight_cfg = cfg.scaled(latency_breakdown=True,
+    # Only the chaos arm's trace is written (by ``main``, after the
+    # gates), so no arm inherits ``cfg.trace_out``.
+    flight_cfg = cfg.scaled(trace_out=None, latency_breakdown=True,
                             trace_requests=max(cfg.trace_requests, 2))
     return [
         # Direct submit: submit/run_start/preempt/complete marks, the
@@ -199,50 +202,12 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     if failures:
         raise RuntimeError("tracecheck gates failed: "
                            + "; ".join(failures))
-    results["fingerprint"] = _fingerprint(results)
-    return results
-
-
-def smoke_config(seed: int = 42, jobs: int = 1) -> ExperimentConfig:
-    return ExperimentConfig(num_workers=4, sim_ms=8, warmup_ms=2,
-                            seed=seed, jobs=jobs)
-
-
-def cli_main(argv: Optional[List[str]] = None) -> int:
-    """Entry for ``python -m repro tracecheck [--smoke]``."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro tracecheck",
-        description="Audit the per-request flight recorder's invariants "
-                    "across direct/fabric/chaos arms.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run + --jobs 2 determinism gate")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", "-j", type=int, default=1)
-    parser.add_argument("--trace-out", metavar="FILE", default=None,
-                        help="write the chaos arm's merged Perfetto/"
-                             "Chrome trace (core spans + ops + request "
-                             "stage spans + gauges)")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        cfg = smoke_config(seed=args.seed, jobs=max(1, args.jobs))
-    else:
-        cfg = ExperimentConfig(seed=args.seed, jobs=max(1, args.jobs))
-    results = main(cfg)
-    jobs2 = run(cfg.scaled(jobs=2))
-    if _fingerprint(jobs2) != results["fingerprint"]:
+    if _fingerprint(run(cfg.scaled(jobs=2))) != _fingerprint(results):
         raise RuntimeError("--jobs 2 rerun was not byte-identical")
     print("[tracecheck] --jobs 2 determinism gate passed")
-    if args.trace_out is not None:
-        from repro.experiments.common import run_colocation
+    if cfg.trace_out is not None:
         _, _, chaos_cfg, chaos_kwargs = arms(cfg)[1]
-        run_colocation("vessel",
-                       chaos_cfg.scaled(trace_out=args.trace_out),
+        run_colocation("vessel", chaos_cfg.scaled(trace_out=cfg.trace_out),
                        **chaos_kwargs)
-        print(f"[tracecheck] wrote merged trace to {args.trace_out}")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(cli_main())
+        print(f"[tracecheck] wrote merged trace to {cfg.trace_out}")
+    return results

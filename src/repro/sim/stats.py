@@ -145,12 +145,5 @@ class BusyAccounter:
             return 0.0
         return self.buckets.get(category, 0) / elapsed_ns
 
-    def merged(self, other: "BusyAccounter") -> "BusyAccounter":
-        out = BusyAccounter()
-        for src in (self, other):
-            for key, val in src.buckets.items():
-                out.buckets[key] = out.buckets.get(key, 0) + val
-        return out
-
     def clear(self) -> None:
         self.buckets.clear()

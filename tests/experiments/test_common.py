@@ -13,7 +13,6 @@ from repro.experiments.common import (
     format_table,
     l_capacity_mops,
     normalized_total,
-    parse_profile,
     run_colocation,
     system_factory,
 )
@@ -64,16 +63,6 @@ def test_format_table_aligns():
     assert len(lines) == 4
     assert lines[0].startswith("name")
     assert "1.500" in lines[2]
-
-
-def test_parse_profile_defaults():
-    cfg = parse_profile([])
-    assert cfg.num_workers == 8
-
-
-def test_parse_profile_paper():
-    cfg = parse_profile(["--scale", "paper"])
-    assert cfg.num_workers == 32
 
 
 def test_run_colocation_smoke():

@@ -5,14 +5,14 @@ these keep CI fast while still exercising every code path."""
 
 import pytest
 
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import SMOKE_PROFILE, ExperimentConfig
 
-TINY = ExperimentConfig(num_workers=4, sim_ms=8, warmup_ms=2)
+SMOKE = ExperimentConfig(**SMOKE_PROFILE)
 
 
 def test_tab1_shapes():
     from repro.experiments import tab1_context_switch as tab1
-    results = tab1.run(TINY, iterations=4000)
+    results = tab1.run(SMOKE, iterations=4000)
     vessel, caladan = results["vessel"], results["caladan"]
     assert vessel["avg_us"] == pytest.approx(0.161, abs=0.03)
     assert caladan["avg_us"] == pytest.approx(2.1, abs=0.15)
@@ -22,7 +22,7 @@ def test_tab1_shapes():
 
 def test_fig03_timeline():
     from repro.experiments import fig03_realloc_timeline as fig3
-    results = fig3.run(TINY)
+    results = fig3.run(SMOKE)
     assert results["measured_total_us"] == pytest.approx(5.3, abs=0.01)
     assert len(results["timeline"]) == 6
     starts = [p["start_us"] for p in results["timeline"]]
@@ -31,13 +31,13 @@ def test_fig03_timeline():
 
 def test_micro_uintr_ratio():
     from repro.experiments import micro_uintr
-    results = micro_uintr.run(TINY, iterations=200)
+    results = micro_uintr.run(SMOKE, iterations=200)
     assert 10 <= results["ratio"] <= 25  # paper: up to 15x
 
 
 def test_fig01_decline_and_waste():
     from repro.experiments import fig01_colocation_cost as fig1
-    results = fig1.run(TINY, load_points=(0.3, 0.6))
+    results = fig1.run(SMOKE, load_points=(0.3, 0.6))
     assert 0.03 <= results["max_decline"] <= 0.35
     assert 0.02 <= results["max_waste"] <= 0.30
     for point in results["points"]:
@@ -46,14 +46,14 @@ def test_fig01_decline_and_waste():
 
 def test_fig02_kernel_share_grows():
     from repro.experiments import fig02_dense_cost as fig2
-    results = fig2.run(TINY, counts=(1, 4))
+    results = fig2.run(SMOKE, counts=(1, 4))
     kernel = [p["kernel_fraction"] for p in results["points"]]
     assert kernel[1] > kernel[0]
 
 
 def test_fig09_vessel_beats_caladan():
     from repro.experiments import fig09_colocation as fig9
-    results = fig9.run(TINY, systems=("vessel", "caladan"),
+    results = fig9.run(SMOKE, systems=("vessel", "caladan"),
                        loads=(0.3, 0.6), include_slow_systems=False,
                        include_silo=False)
     summary = results["summary"]
@@ -78,7 +78,7 @@ def test_fig09_silo_amortizes_overhead():
 
 def test_fig10_dense_shapes():
     from repro.experiments import fig10_dense as fig10
-    results = fig10.run(TINY, counts=(1, 6), loads=(0.4, 0.6))
+    results = fig10.run(SMOKE, counts=(1, 6), loads=(0.4, 0.6))
     summary = results["summary"]
     vessel_drop = 1 - (summary[("vessel", 6)]["peak_tput_mops"]
                        / max(1e-9,
@@ -92,7 +92,7 @@ def test_fig10_dense_shapes():
 
 def test_fig11_cache_friendliness():
     from repro.experiments import fig11_cache as fig11
-    results = fig11.run(TINY, total_ops=8000)
+    results = fig11.run(SMOKE, total_ops=8000)
     assert results["vessel"]["miss_rate"] < results["caladan"]["miss_rate"]
     assert results["vessel"]["completion_ms"] \
         < results["caladan"]["completion_ms"]
@@ -101,7 +101,7 @@ def test_fig11_cache_friendliness():
 
 def test_fig13_accuracy_part():
     from repro.experiments import fig13_membw as fig13
-    results = fig13.run_accuracy_part(TINY, targets=(0.1, 0.5, 1.0))
+    results = fig13.run_accuracy_part(SMOKE, targets=(0.1, 0.5, 1.0))
     errors = results["max_error"]
     assert errors["vessel"] < 0.10
     assert errors["mba"] > 0.2
@@ -150,7 +150,7 @@ def test_fig12_control_plane_factors():
 
 def test_fig07_fractions():
     from repro.experiments import fig07_timeline as fig7
-    results = fig7.run(TINY)
+    results = fig7.run(SMOKE)
     vessel, caladan = results["vessel"], results["caladan"]
     assert vessel["app_fraction"] > caladan["app_fraction"]
     assert caladan["kernel_fraction"] > vessel["kernel_fraction"]
@@ -163,7 +163,7 @@ def test_fig07_fractions():
 
 def test_sensitivity_monotone():
     from repro.experiments import sensitivity as sens
-    results = sens.run(TINY, multipliers=(1, 16, 48))
+    results = sens.run(SMOKE, multipliers=(1, 16, 48))
     rows = results["rows"]
     assert rows[0]["waste"] < rows[-1]["waste"]
     assert rows[0]["p999_us"] < rows[-1]["p999_us"]
@@ -172,7 +172,7 @@ def test_sensitivity_monotone():
 
 def test_ablations_structure():
     from repro.experiments import ablations as abl
-    results = abl.run(TINY)
+    results = abl.run(SMOKE)
     names = {r["variant"] for r in results["rows"]}
     assert names == {"vessel", "vessel-no-uintr", "vessel-kernel-switch",
                      "caladan", "caladan-fast-switch",
@@ -187,13 +187,13 @@ def test_ablations_structure():
 
 
 def test_cli_list_and_selection(capsys):
-    from repro.__main__ import main as cli_main
-    assert cli_main(["--list"]) == 0
+    from repro.__main__ import main as front_end
+    assert front_end(["--list"]) == 0
     out = capsys.readouterr().out
     assert "fig09" in out and "sensitivity" in out
 
 
 def test_cli_rejects_unknown():
-    from repro.__main__ import main as cli_main
+    from repro.__main__ import main as front_end
     with pytest.raises(SystemExit):
-        cli_main(["fig99"])
+        front_end(["fig99"])

@@ -7,8 +7,12 @@ colocation twice in-process and compares the full serialized reports.
 
 import pytest
 
-from repro.experiments.common import run_colocation
-from repro.experiments.policy_zoo import ZOO, smoke_config
+from repro.experiments.common import (
+    SMOKE_PROFILE,
+    ExperimentConfig,
+    run_colocation,
+)
+from repro.experiments.policy_zoo import ZOO
 
 
 def _serialize(report):
@@ -23,8 +27,8 @@ def _serialize(report):
 
 
 def _run_zoo_once(name, params, seed=42):
-    cfg = smoke_config(seed=seed).scaled(sim_ms=6, policy=name,
-                                         policy_params=params)
+    cfg = ExperimentConfig(seed=seed, **SMOKE_PROFILE).scaled(
+        sim_ms=6, policy=name, policy_params=params)
     return run_colocation(
         "vessel", cfg,
         l_specs=[("memcached", "mc-hi", 0.8), ("memcached", "mc-lo", 0.8)],

@@ -228,17 +228,5 @@ def test_busy_accounter_cores_equivalent():
     assert acct.cores_equivalent("app", 1_000_000) == pytest.approx(2.0)
 
 
-def test_busy_accounter_merge():
-    a = BusyAccounter()
-    a.charge("app", 10)
-    b = BusyAccounter()
-    b.charge("app", 5)
-    b.charge("idle", 3)
-    merged = a.merged(b)
-    assert merged.buckets == {"app": 15, "idle": 3}
-    # originals untouched
-    assert a.buckets == {"app": 10}
-
-
 def test_busy_accounter_empty_fraction():
     assert BusyAccounter().fraction("app") == 0.0

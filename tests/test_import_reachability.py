@@ -89,8 +89,7 @@ def _with_parents(name):
 
 
 def _reached(modules):
-    roots = ["repro.__main__", *cli.EXPERIMENTS.values(),
-             *cli._CLI_EXPERIMENTS.values()]
+    roots = ["repro.__main__", *cli.EXPERIMENTS.values()]
     seen = set()
     stack = [parent for root in roots for parent in _with_parents(root)]
     while stack:
