@@ -153,9 +153,11 @@ def main(argv=None) -> int:
                              "(count / total ns / percentiles) after "
                              "each run")
     parser.add_argument("--trace-out", metavar="FILE", default=None,
-                        help="write a Chrome trace_event JSON file "
-                             "(chrome://tracing, Perfetto) after each "
-                             "run")
+                        help="write each run's Chrome trace_event JSON "
+                             "(chrome://tracing, Perfetto) to a file of "
+                             "its own, FILE with the run's system and a "
+                             "digest of its settings before the suffix "
+                             "(tracecheck writes its one trace to FILE)")
     parser.add_argument("--net", action="store_true",
                         help="deliver load through the simulated "
                              "client/link/NIC fabric and report "

@@ -122,7 +122,7 @@ class ArachneSystem(ColocationSystem):
         state.owner = app
         state.kind = "transition"
         state.core.run("kernel", self.costs.arachne_core_grant_ns,
-                       lambda: self._begin(state))
+                       self._begin, state)
 
     def _release(self, state: _CoreState) -> None:
         if state.kind == "serve":
@@ -138,7 +138,7 @@ class ArachneSystem(ColocationSystem):
             state.owner = app
             state.kind = "transition"
             state.core.run("kernel", self.costs.arachne_core_grant_ns,
-                           lambda: self._begin(state))
+                           self._begin, state)
             return
         state.core.set_idle()
 
@@ -163,7 +163,7 @@ class ArachneSystem(ColocationSystem):
             if state.owner is app and state.kind == "idle-held":
                 state.kind = "transition"
                 state.core.run("kernel", self.costs.arachne_wake_ns,
-                               lambda s=state: self._serve(s))
+                               self._serve, state)
                 return
 
     def _serve(self, state: _CoreState) -> None:
@@ -182,7 +182,7 @@ class ArachneSystem(ColocationSystem):
             self._window_busy.get(app.name, 0) + request.service_ns
         )
         state.core.run(app.category, self.effective_service_ns(request),
-                       lambda: self._request_done(state, request))
+                       self._request_done, state, request)
 
     def _request_done(self, state: _CoreState, request: Request) -> None:
         request.app.complete(request, self.sim.now)

@@ -270,7 +270,7 @@ class CaladanSystem(ColocationSystem):
         state.kind = "transition"
         state.core.run("kernel", self.costs.caladan_park_switch_ns
                        + self.costs.kernel_jitter_ns(self.rng),
-                       lambda: self._begin(state))
+                       self._begin, state)
 
     def _preempt(self, state: _CoreState, app: App) -> None:
         """Preemptive reallocation: the Figure 3 kernel pipeline."""
@@ -315,14 +315,14 @@ class CaladanSystem(ColocationSystem):
             # Steal inside the app for 2 µs before parking (Figure 7a).
             state.kind = "spin"
             state.core.run("runtime", self.costs.caladan_steal_before_park_ns,
-                           lambda: self._spin_done(state))
+                           self._spin_done, state)
             return
         request = app.queue.popleft()
         state.kind = "serve"
         state.request = request
         self.begin_service(request, core_id=state.core.id)
         state.core.run(app.category, self.effective_service_ns(request),
-                       lambda: self._request_done(state, request))
+                       self._request_done, state, request)
 
     def _request_done(self, state: _CoreState, request: Request) -> None:
         state.request = None
@@ -340,7 +340,7 @@ class CaladanSystem(ColocationSystem):
         self.parks += 1
         state.kind = "transition"
         state.core.run("kernel", self.costs.caladan_park_yield_ns,
-                       lambda: self._parked(state))
+                       self._parked, state)
 
     def _parked(self, state: _CoreState) -> None:
         state.owner = None

@@ -88,7 +88,7 @@ class IdealSystem(ColocationSystem):
             self.begin_service(request, core_id=state.core.id)
             state.core.run(request.app.category,
                            self.effective_service_ns(request),
-                           lambda: self._done(state, request))
+                           self._done, state, request)
             return
         if self.batch_apps:
             app = self.batch_apps[self._batch_rr % len(self.batch_apps)]

@@ -13,6 +13,8 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +60,8 @@ class ExperimentConfig:
     costs: CostModel = field(default_factory=CostModel)
     #: print the per-op ledger breakdown after each run
     op_breakdown: bool = False
-    #: write a Chrome trace_event JSON file after each run
+    #: write each run's Chrome trace_event JSON to its own file, named
+    #: from this path by :func:`run_trace_path`
     trace_out: Optional[str] = None
     #: simulate clients/link/NIC (None = direct submit, the seed-faithful
     #: default); set to a NetConfig to measure client-observed latency
@@ -78,11 +81,6 @@ class ExperimentConfig:
     latency_breakdown: bool = False
     #: capture the K slowest requests' full flight-mark lists
     trace_requests: int = 0
-
-    @property
-    def observability(self) -> bool:
-        """True when a run needs a real (non-null) operation ledger."""
-        return self.op_breakdown or self.trace_out is not None
 
     @property
     def flight_on(self) -> bool:
@@ -152,7 +150,8 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
                    admission=None, trace=None, churn=None,
                    fault_plan=None,
                    track_queues: bool = False,
-                   rng_namespace: Optional[str] = None) -> SystemReport:
+                   rng_namespace: Optional[str] = None,
+                   trace_file: Optional[str] = None) -> SystemReport:
     """Build and run one colocation simulation.
 
     ``l_specs`` rows are ``(kind, name, rate_mops)``; ``b_specs`` are
@@ -192,11 +191,30 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     cluster layer's per-server simulations) draw fully independent
     randomness while staying reproducible.  ``None`` — the default —
     is byte-identical to the historical behaviour.
+
+    With ``cfg.trace_out`` set the run writes its Chrome trace to
+    :func:`run_trace_path` of it, a file of its own; ``trace_file``
+    writes it to exactly that path instead (a command whose one traced
+    run is the point of its ``--trace-out``).
     """
     return _run_colocation(system_name, cfg, l_specs, b_specs,
                            bus_sensitivity, caladan_bw_cap, vessel_bw_cap,
                            admission, trace, churn, fault_plan,
-                           track_queues, rng_namespace)[0]
+                           track_queues, rng_namespace, trace_file)[0]
+
+
+def run_trace_path(trace_out: str, system_name: str, identity: str) -> str:
+    """The file one run's Chrome trace goes to under ``trace_out``.
+
+    The run's system name and a digest of its arguments go in before the
+    suffix (``t.json`` -> ``t.vessel-<digest>.json``).  The name depends
+    on nothing but the run, so it is the same under ``--jobs 1`` and
+    ``--jobs N``; two runs share a file only if they are the same run,
+    which writes the same bytes.
+    """
+    digest = hashlib.sha256(identity.encode()).hexdigest()[:10]
+    stem, suffix = os.path.splitext(trace_out)
+    return f"{stem}.{system_name}-{digest}{suffix}"
 
 
 def _run_colocation(system_name: str, cfg: ExperimentConfig,
@@ -208,19 +226,28 @@ def _run_colocation(system_name: str, cfg: ExperimentConfig,
                     admission=None, trace=None, churn=None,
                     fault_plan=None,
                     track_queues: bool = False,
-                    rng_namespace: Optional[str] = None):
+                    rng_namespace: Optional[str] = None,
+                    trace_file: Optional[str] = None):
     """:func:`run_colocation` returning ``(report, system, fabric)``, so
     a caller can read the run's own recorders after the report is built
     (``fabric`` is None for direct submit)."""
+    if trace_file is None and cfg.trace_out is not None:
+        # Everything that makes the run, but not the knobs that leave it
+        # unchanged (the trace path itself, the worker count).
+        identity = repr((system_name, cfg.scaled(trace_out=None, jobs=1),
+                         l_specs, b_specs, bus_sensitivity, caladan_bw_cap,
+                         vessel_bw_cap, admission, trace, churn, fault_plan,
+                         track_queues, rng_namespace))
+        trace_file = run_trace_path(cfg.trace_out, system_name, identity)
     sim = Simulator()
     # Observability must be wired before the system is built: layers
     # capture the machine's ledger at construction time.
     ledger = None
     tracer = None
-    if cfg.observability:
-        tracer = Tracer(sim) if cfg.trace_out is not None else None
+    if cfg.op_breakdown or trace_file is not None:
+        tracer = Tracer(sim) if trace_file is not None else None
         ledger = OpLedger(sim=sim, tracer=tracer,
-                          capture_events=cfg.trace_out is not None)
+                          capture_events=trace_file is not None)
     flight = None
     gauges = None
     if cfg.flight_on:
@@ -347,10 +374,10 @@ def _run_colocation(system_name: str, cfg: ExperimentConfig,
             print(f"\n[{system_name}] per-op breakdown "
                   f"(measurement window)")
             print(ledger.breakdown_table())
-        if cfg.trace_out is not None:
-            ledger.write_chrome_trace(cfg.trace_out, flight=flight,
+        if trace_file is not None:
+            ledger.write_chrome_trace(trace_file, flight=flight,
                                       gauges=gauges)
-            print(f"[{system_name}] wrote Chrome trace to {cfg.trace_out}")
+            print(f"[{system_name}] wrote Chrome trace to {trace_file}")
     report = system.report()
     for component in components:
         component.contribute(report)

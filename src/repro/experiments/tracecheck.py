@@ -23,8 +23,8 @@ the recorder's invariants instead of trusting them:
 Any violated gate raises ``RuntimeError`` (non-zero exit), which the
 CI ``trace-smoke`` job keys on.  ``--trace-out FILE`` additionally
 writes the chaos arm's merged Perfetto/Chrome trace (core spans, op
-events, slowest-request stage spans, gauge counter tracks) for the CI
-artifact; no other arm writes one.
+events, slowest-request stage spans, gauge counter tracks) to FILE
+itself for the CI artifact; no other arm writes one.
 
 Usage::
 
@@ -207,7 +207,7 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print("[tracecheck] --jobs 2 determinism gate passed")
     if cfg.trace_out is not None:
         _, _, chaos_cfg, chaos_kwargs = arms(cfg)[1]
-        run_colocation("vessel", chaos_cfg.scaled(trace_out=cfg.trace_out),
+        run_colocation("vessel", chaos_cfg, trace_file=cfg.trace_out,
                        **chaos_kwargs)
         print(f"[tracecheck] wrote merged trace to {cfg.trace_out}")
     return results

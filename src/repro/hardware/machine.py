@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, List, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stats import BusyAccounter
 from repro.hardware.mpk import PkruRegister
 from repro.hardware.timing import CostModel
@@ -44,9 +44,11 @@ class Core:
         self.acct = BusyAccounter()
         self._category = "idle"
         self._since = sim.now
-        self._segment_event: Optional[Event] = None
-        self._segment_end = 0
-        self._on_done: Optional[Callable[[], None]] = None
+        #: the one completion handle, re-armed for every segment (pending
+        #: exactly while a segment runs; its ``time`` is the segment end)
+        self._completion = sim.handle(self._complete)
+        self._on_done: Optional[Callable[..., None]] = None
+        self._on_done_args: tuple = ()
         #: opaque scheduler-owned state (current thread, app, ...)
         self.context: Any = None
         #: optional execution tracer (repro.sim.trace.Tracer)
@@ -85,18 +87,22 @@ class Core:
     # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
-        return self._segment_event is not None
+        return self._completion.seq != 0
 
     def run(self, category: str, duration_ns: int,
-            on_done: Optional[Callable[[], None]] = None) -> None:
+            on_done: Optional[Callable[..., None]] = None, *args: Any) -> None:
         """Execute ``duration_ns`` of work attributed to ``category``.
 
-        ``on_done`` fires when the segment completes (not if preempted).
-        Starting a segment while one is in flight is a scheduler bug.
+        ``on_done(*args)`` fires when the segment completes (not if
+        preempted).  Passing the callback's arguments here, rather than
+        a closure over them, lets a hot caller hand over a bound method
+        without allocating a function per segment.  Starting a segment
+        while one is in flight is a scheduler bug.
         """
         if self.wedged:
             raise SimulationError(f"core {self.id} is wedged")
-        if self._segment_event is not None:
+        completion = self._completion
+        if completion.seq:
             raise SimulationError(f"core {self.id} is already busy")
         if duration_ns < 0:
             raise SimulationError(f"negative duration {duration_ns}")
@@ -109,23 +115,22 @@ class Core:
         else:
             self._switch_category(category)
         self._on_done = on_done
-        self._segment_end = now + duration_ns
-        self._segment_event = self.sim.after(duration_ns, self._complete)
+        self._on_done_args = args
+        self.sim.rearm(completion, duration_ns)
 
     def preempt(self) -> int:
         """Cancel the in-flight segment; returns remaining nanoseconds."""
-        if self._segment_event is None:
+        completion = self._completion
+        if not completion.seq:
             raise SimulationError(f"core {self.id} has no segment to preempt")
-        self._segment_event.cancel()
-        self._segment_event = None
-        self._on_done = None
-        remaining = self._segment_end - self.sim.now
+        completion.cancel()
+        remaining = completion.time - self.sim.now
         self._switch_category("idle")
         return max(0, remaining)
 
     def set_idle(self) -> None:
         """Mark the core idle (UMWAIT); it must not have a running segment."""
-        if self._segment_event is not None:
+        if self._completion.seq:
             raise SimulationError(f"core {self.id} is busy; preempt() first")
         self._switch_category("idle")
         self.mode = CoreMode.IDLE
@@ -138,20 +143,18 @@ class Core:
         Used by fault-injection ablations to make the cost of *missing*
         containment visible in the accounting buckets.
         """
-        if self._segment_event is not None:
-            self._segment_event.cancel()
-            self._segment_event = None
-            self._on_done = None
+        self._completion.cancel()
         self.wedged = True
         self._switch_category("wedged")
         self.mode = CoreMode.KERNEL
 
     def _complete(self) -> None:
-        self._segment_event = None
+        # The engine disarmed the handle before this call, so on_done
+        # may start the next segment at once.
         self._switch_category("idle")
-        callback, self._on_done = self._on_done, None
-        if callback is not None:
-            callback()
+        on_done = self._on_done
+        if on_done is not None:
+            on_done(*self._on_done_args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Core {self.id} {self._category} mode={self.mode.value}>"

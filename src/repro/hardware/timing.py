@@ -27,6 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 import random
 
+#: standard deviation of the userspace switch path's per-switch spread
+#: (cache/TLB state); the uProcess switch draws it inline
+VESSEL_SWITCH_NOISE_SIGMA_NS = 3.0
+
 
 @dataclass
 class CostModel:
@@ -169,7 +173,7 @@ class CostModel:
 
     def vessel_switch_noise_ns(self, rng: random.Random) -> int:
         """Per-switch spread of the userspace path (cache/TLB state)."""
-        return int(abs(rng.gauss(0.0, 3.0)))
+        return int(abs(rng.gauss(0.0, VESSEL_SWITCH_NOISE_SIGMA_NS)))
 
     def caladan_switch_noise_ns(self, rng: random.Random) -> int:
         """Per-switch spread of the kernel-mediated cooperative path."""

@@ -227,7 +227,7 @@ class CfsScheduler:
             remaining = chunk.duration_ns
         thread._cfs_chunk = chunk
         rq.core.run(chunk.category, remaining,
-                    lambda: self._chunk_done(rq, thread, chunk))
+                    self._chunk_done, rq, thread, chunk)
 
     def _chunk_done(self, rq: _Runqueue, thread: KThread, chunk: Chunk) -> None:
         if rq.curr is not thread:
@@ -334,8 +334,7 @@ class CfsScheduler:
             self.ledger.charge("kernel_ctx_switch",
                                self.costs.kernel_ctx_switch_ns,
                                core=rq.core.id, domain="kernel")
-        rq.core.run("kernel", self.costs.kernel_ctx_switch_ns,
-                    lambda: cont(rq))
+        rq.core.run("kernel", self.costs.kernel_ctx_switch_ns, cont, rq)
 
     # The chunk currently running on a thread: stored at dispatch time.
     def _current_chunk_of(self, thread: KThread) -> Optional[Chunk]:

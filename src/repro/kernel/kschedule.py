@@ -87,4 +87,4 @@ class KernelReallocPipeline:
             self.ledger.charge(f"realloc:{phase.name}", phase.duration_ns,
                                core=core.id, domain="kernel")
         core.run(phase.category, phase.duration_ns,
-                 lambda: self._run_phase(core, phases, index + 1, on_done))
+                 self._run_phase, core, phases, index + 1, on_done)

@@ -16,7 +16,7 @@ a simulation with a fixed RNG seed replays identically.
 
 Performance: this module is the hottest code in the repository — every
 modeled request, switch, and timer passes through here, and experiment
-sweeps retire hundreds of millions of events.  Three choices keep the
+sweeps retire hundreds of millions of events.  Four choices keep the
 inner loop fast; ``benchmarks/e2e`` measures them as its ``sim`` layer
 (see ``benchmarks/e2e/README.md``):
 
@@ -29,7 +29,14 @@ inner loop fast; ``benchmarks/e2e`` measures them as its ``sim`` layer
   :class:`Event` allocation entirely for the majority of schedules that
   are never cancelled (its heap entry is ``(time, seq, None, fn,
   args)``; mixed-width entries still compare correctly because ``(time,
-  seq)`` always decides).
+  seq)`` always decides);
+* an owner with at most one pending callback (a core's segment
+  completion, the scheduler scan, a per-core watchdog) keeps one
+  :class:`Event` and re-arms it with :meth:`Simulator.rearm` instead of
+  allocating a handle per schedule.  An entry ``(time, seq, event)`` is
+  live iff ``event.seq == seq``: firing or cancelling zeroes the
+  handle's ``seq`` and re-arming gives it a fresh one, so an entry a
+  cancelled arming left in the heap stays dead.
 
 :class:`RunComponent` lives here, beside the engine, so every opt-in run
 layer can implement it without an import cycle.
@@ -50,14 +57,17 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, and a handle that can be re-armed.
 
     Instances are returned by :meth:`Simulator.at` / :meth:`Simulator.after`
-    and can be cancelled with :meth:`cancel`.  The callback fires at
-    ``time`` with the positional arguments given at scheduling time.
+    (armed) or :meth:`Simulator.handle` (unarmed) and can be cancelled
+    with :meth:`cancel`.  The callback fires at ``time`` with the
+    positional arguments given when the handle was made.  ``seq`` is the
+    tie-breaking sequence number of the pending arming, or 0 when nothing
+    is pending (fired, cancelled or never armed).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "_alive", "_owner")
+    __slots__ = ("time", "seq", "fn", "args", "_owner")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple,
                  owner: Optional["Simulator"] = None):
@@ -65,19 +75,18 @@ class Event:
         self.seq = seq
         self.fn = fn
         self.args = args
-        self._alive = True
         self._owner = owner
 
     @property
     def alive(self) -> bool:
         """Whether the event is still pending (not fired, not cancelled)."""
-        return self._alive
+        return self.seq != 0
 
     def cancel(self) -> None:
         """Cancel the event; cancelling a dead event is a no-op."""
-        if not self._alive:
+        if not self.seq:
             return
-        self._alive = False
+        self.seq = 0
         owner = self._owner
         if owner is not None:
             owner._live -= 1
@@ -85,11 +94,8 @@ class Event:
             if owner._dead > _COMPACT_THRESHOLD and owner._dead > owner._live:
                 owner._compact()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "pending" if self._alive else "dead"
+        state = "pending" if self.seq else "dead"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time} {name} {state}>"
 
@@ -142,9 +148,27 @@ class Simulator:
         self._live += 1
         return event
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current time (after pending events)."""
-        return self.after(0, fn, *args)
+    def handle(self, fn: Callable[..., Any], *args: Any) -> Event:
+        """An unarmed handle for ``fn(*args)``, to be armed by :meth:`rearm`."""
+        return Event(0, 0, fn, args, self)
+
+    def rearm(self, event: Event, delay: int) -> None:
+        """Arm the dead handle ``event`` to fire ``delay`` ns from now.
+
+        The handle gets a fresh ``seq`` here, exactly where :meth:`after`
+        would take one, so firing order matches a new :class:`Event`.
+        Re-arming a pending handle is an error: an owner has at most one
+        pending callback per handle (cancel it first).
+        """
+        if event.seq:
+            raise SimulationError(f"re-arming pending {event!r}")
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        self._seq = seq = self._seq + 1
+        event.time = time = self.now + int(delay)
+        event.seq = seq
+        heapq.heappush(self._heap, (time, seq, event))
+        self._live += 1
 
     def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`after`: no :class:`Event` handle.
@@ -183,7 +207,7 @@ class Simulator:
         if event is None:
             fn, args = entry[3], entry[4]
         else:
-            event._alive = False
+            event.seq = 0
             fn, args = event.fn, event.args
         self._live -= 1
         self.events_fired += 1
@@ -218,16 +242,16 @@ class Simulator:
                     self._live -= 1
                     self.events_fired += 1
                     entry[3](*entry[4])
-                elif event._alive:
+                elif event.seq == entry[1]:
                     if until is not None and entry[0] > until:
                         break
                     pop(heap)
                     self.now = entry[0]
-                    event._alive = False
+                    event.seq = 0
                     self._live -= 1
                     self.events_fired += 1
                     event.fn(*event.args)
-                else:                              # lazily-deleted entry
+                else:              # cancelled (or since re-armed) entry
                     pop(heap)
                     self._dead -= 1
         finally:
@@ -251,8 +275,9 @@ class Simulator:
     def _drop_dead(self) -> None:
         heap = self._heap
         while heap:
-            event = heap[0][2]
-            if event is None or event._alive:
+            entry = heap[0]
+            event = entry[2]
+            if event is None or event.seq == entry[1]:
                 return
             heapq.heappop(heap)
             self._dead -= 1
@@ -267,7 +292,7 @@ class Simulator:
         """
         heap = self._heap
         heap[:] = [entry for entry in heap
-                   if entry[2] is None or entry[2]._alive]
+                   if entry[2] is None or entry[2].seq == entry[1]]
         heapq.heapify(heap)
         self._dead = 0
 

@@ -17,10 +17,10 @@ performance layer.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.hardware.machine import Core, CoreMode
-from repro.hardware.timing import CostModel
+from repro.hardware.timing import VESSEL_SWITCH_NOISE_SIGMA_NS, CostModel
 from repro.obs.ledger import NULL_LEDGER, OpLedger
 from repro.uprocess.smas import Smas
 from repro.uprocess.threads import UThread, UThreadState
@@ -41,6 +41,12 @@ class UserspaceSwitch:
         # One runtime-mode PKRU reused for pipe writes (never mutated;
         # allocating a fresh one per switch showed up in profiles).
         self._runtime_pkru = Smas.runtime_pkru()
+        #: pkey -> the app-mode PKRU value a core loads for it (a pure
+        #: function of the pkey; see Smas.app_pkru)
+        self._app_pkru: Dict[int, int] = {}
+        # The composite path costs are constant for one cost model.
+        self._park_ns = costs.vessel_park_switch_ns()
+        self._preempt_ns = costs.vessel_preempt_switch_ns()
         #: precomputed (domain, op) charge handles; rebuilt if the
         #: ledger is swapped (see _switch_handles)
         self._handles = None
@@ -57,7 +63,7 @@ class UserspaceSwitch:
             )
         pipe = self.smas.pipe
         pipe.set_task(self._runtime_pkru, core.id, thread)
-        core.pkru.wrpkru(thread.uproc.pkru().value)
+        core.pkru.wrpkru(self._app_pkru_value(thread.uproc.slot.pkey))
         core.mode = CoreMode.USER
         thread.state = UThreadState.RUNNING
         thread.core_id = core.id
@@ -95,21 +101,37 @@ class UserspaceSwitch:
 
         # Resume at the saved return address (Line 7 of Listing 1) with
         # the target's stack, then drop privilege to the target's PKRU.
-        target_pkru = to_thread.uproc.pkru().value
+        pkey = to_thread.uproc.slot.pkey
+        target_pkru = self._app_pkru.get(pkey)
+        if target_pkru is None:
+            target_pkru = self._app_pkru_value(pkey)
         core.pkru.wrpkru(target_pkru)
         core.mode = CoreMode.USER
 
         if preempt:
             self.preempt_switches += 1
-            cost = self.costs.vessel_preempt_switch_ns()
+            cost = self._preempt_ns
         else:
             self.park_switches += 1
-            cost = self.costs.vessel_park_switch_ns()
-        noise = self.costs.vessel_switch_noise_ns(self.rng)
-        jitter = self.costs.jitter_ns(self.rng)
+            cost = self._park_ns
+        # CostModel.vessel_switch_noise_ns then CostModel.jitter_ns,
+        # drawn inline in the same order.
+        rng = self.rng
+        costs = self.costs
+        noise = int(abs(rng.gauss(0.0, VESSEL_SWITCH_NOISE_SIGMA_NS)))
+        if rng.random() < costs.jitter_probability:
+            jitter = rng.randint(costs.jitter_min_ns, costs.jitter_max_ns)
+        else:
+            jitter = 0
         if self.ledger.enabled:
             self._charge_switch_ops(core.id, preempt, noise, jitter)
         return cost + noise + jitter
+
+    def _app_pkru_value(self, pkey: int) -> int:
+        value = self._app_pkru.get(pkey)
+        if value is None:
+            value = self._app_pkru[pkey] = Smas.app_pkru(pkey).value
+        return value
 
     _SWITCH_OPS = ("uctx_save", "callgate_enter", "runtime_queue",
                    "uctx_restore", "callgate_exit", "uiret",

@@ -32,10 +32,12 @@ HEARTBEAT_INTERVAL_NS = 50_000
 
 
 class _PendingPreempt(NamedTuple):
-    """One unacknowledged preemption command awaiting its deadline."""
+    """One unacknowledged preemption command.  Its core's deadline
+    handle is armed for ``attempt`` until the kernel-IPI escalation,
+    which leaves the entry waiting on the IPI with no deadline."""
 
     thread: UThread
-    event: Optional[Event]
+    attempt: int
     sent_at: int
 
 
@@ -46,6 +48,9 @@ class Containment:
         self.system = system
         self.enabled = enabled
         self._pending: Dict[int, _PendingPreempt] = {}
+        #: per-core deadline handle, made on the core's first preemption
+        #: and re-armed by every later one
+        self._deadlines: Dict[int, Event] = {}
         self.fallback_retries = 0
         self.fallback_ipis = 0
         self.contained_crashes = 0
@@ -89,9 +94,7 @@ class Containment:
         """
         system = self.system
         system._sched_stalled = True
-        if system._scan_event is not None:
-            system._scan_event.cancel()
-        system._scan_event = None
+        system._scan_handle.cancel()
         system.ledger.count_op("fault:sched_stall",
                                core=system._scheduler_core_id, domain="fault")
 
@@ -110,7 +113,10 @@ class Containment:
                                           "watchdog_restart")
             system._sched_stalled = False
             system._last_scan_ns = now
-            system._scan_event = system.sim.call_soon(system._scan)
+            # Restart the one scan chain now; a pending pass (the scan
+            # ran late but never stalled) is replaced, not doubled.
+            system._scan_handle.cancel()
+            system.sim.rearm(system._scan_handle, 0)
         system.sim.post(HEARTBEAT_INTERVAL_NS, self._heartbeat)
 
     # ------------------------------------------------------------------
@@ -121,27 +127,33 @@ class Containment:
         """Arm the deadline for a preemption sent to ``state.core``."""
         if not self.enabled:
             return
-        pending = self._pending.get(state.core.id)
-        sent_at = pending.sent_at if pending is not None \
-            else self.system.sim.now
-        event = self.system.sim.after(PREEMPT_ACK_NS, self._preempt_deadline,
-                                      state, thread, attempt)
-        self._pending[state.core.id] = _PendingPreempt(thread, event,
-                                                       sent_at)
-
-    def ack(self, core_id: int) -> None:
-        """The preemption pending on ``core_id`` was acted on."""
-        pending = self._pending.pop(core_id, None)
-        if pending is not None and pending.event is not None:
-            pending.event.cancel()
-
-    def _preempt_deadline(self, state: "CoreState", thread: UThread,
-                          attempt: int) -> None:
-        system = self.system
+        sim = self.system.sim
         core_id = state.core.id
         pending = self._pending.get(core_id)
-        if pending is None or pending.thread is not thread:
-            return
+        sent_at = pending.sent_at if pending is not None else sim.now
+        deadline = self._deadlines.get(core_id)
+        if deadline is None:
+            deadline = self._deadlines[core_id] = sim.handle(
+                self._preempt_deadline, state)
+        if deadline.seq:
+            # One deadline per core: a newer preemption replaces it.
+            deadline.cancel()
+        sim.rearm(deadline, PREEMPT_ACK_NS)
+        self._pending[core_id] = _PendingPreempt(thread, attempt, sent_at)
+
+    def ack(self, core_id: int) -> Optional[_PendingPreempt]:
+        """The preemption pending on ``core_id`` was acted on (or the
+        kernel IPI took it over): drop it and disarm its deadline."""
+        pending = self._pending.pop(core_id, None)
+        if pending is not None:
+            self._deadlines[core_id].cancel()
+        return pending
+
+    def _preempt_deadline(self, state: "CoreState") -> None:
+        system = self.system
+        core_id = state.core.id
+        pending = self._pending[core_id]
+        thread = pending.thread
         if thread.gone:
             # The target vanished (its app was torn down); release the
             # core reservation so the scan can refill it.
@@ -150,7 +162,7 @@ class Containment:
                     and not state.core.busy:
                 system._fill_core(state)
             return
-        if attempt == 1:
+        if pending.attempt == 1:
             # First escalation: the notification may have been lost in
             # flight, but the vector is still posted in the PIR, so a
             # fresh senduipi re-raises it at Uintr cost.
@@ -163,21 +175,22 @@ class Containment:
             return
         # Second escalation: give up on the userspace path; trap into the
         # kernel and interrupt the victim core with an IPI (~15x the
-        # Uintr cost — visible in the fallback breakdown rows).
+        # Uintr cost — visible in the fallback breakdown rows).  The
+        # entry waits on the IPI with no deadline, re-entered last (the
+        # audit lists pending preemptions in entry order).
         del self._pending[core_id]
+        self._pending[core_id] = pending
         self.fallback_ipis += 1
         system.ledger.count_op("fallback:kernel_ipi", core=core_id,
                                domain="fallback")
         system.manager.syscalls.ioctl(system.manager.kprocess, "vessel_kick")
-        self._pending[core_id] = _PendingPreempt(thread, None,
-                                                 pending.sent_at)
         system.machine.ipi.send(core_id, op="fallback:ipi_deliver",
                                 domain="fallback")
 
     def _on_fallback_ipi(self, core_id: int) -> None:
         """Kernel IPI handler: forcibly evict the occupant and install
         the stuck preemption's target thread via a kernel context switch."""
-        pending = self._pending.pop(core_id, None)
+        pending = self.ack(core_id)
         if pending is None:
             return  # the Uintr path won the race after all
         system = self.system
@@ -214,8 +227,7 @@ class Containment:
         cost = system.costs.kernel_ctx_switch_ns
         system.ledger.charge("fallback:forced_switch", cost, core=core_id,
                              domain="fallback")
-        state.core.run("kernel", cost,
-                       lambda: self._forced_switch_done(state, thread))
+        state.core.run("kernel", cost, self._forced_switch_done, state, thread)
 
     def _forced_switch_done(self, state: "CoreState",
                             thread: UThread) -> None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Union
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.hardware.machine import Core, Machine
 from repro.kernel.signals import KernelSignals
@@ -189,17 +189,26 @@ class VesselSystem(ColocationSystem):
         #: decisions the mechanism refused to execute (buggy policy)
         self.policy_rejects = 0
         self._started = False
-        #: delay from an arrival to the scheduler core acting on it: at
-        #: least half a scan, stretched by scheduler-core congestion.
-        #: Fixed by the worker count and cost model, so derived once
-        #: here (arrivals may be submitted before ``start``).
+        #: the scan interval, and the delay from an arrival to the
+        #: scheduler core acting on it: at least half a scan, stretched
+        #: by scheduler-core congestion.  Fixed by the worker count and
+        #: cost model, so derived once here (arrivals may be submitted
+        #: before ``start``).
+        self._scan_ns = self.effective_scan_ns
         self._react_ns = int(max(self.costs.sched_react_ns,
-                                 self.effective_scan_ns // 2)
+                                 self._scan_ns // 2)
                              * self.control_plane_factor)
         # Scan-loop liveness, stalled and restarted by containment.
         self._sched_stalled = False
         self._last_scan_ns = 0
-        self._scan_event: Optional[Event] = None
+        #: the scan loop's one handle, re-armed by every pass
+        self._scan_handle = sim.handle(self._scan)
+        #: decision type -> executor (see _execute)
+        self._executors = {
+            Place: self._exec_place, Preempt: self._exec_preempt,
+            Enqueue: self._exec_enqueue, Run: self._exec_run,
+            Steal: self._exec_steal, Idle: self._exec_idle,
+        }
 
     # ------------------------------------------------------------------
     # Setup
@@ -258,7 +267,7 @@ class VesselSystem(ColocationSystem):
         for state in self._cores.values():
             self._fill_core(state)
         self._last_scan_ns = self.sim.now
-        self._scan_event = self.sim.after(self.effective_scan_ns, self._scan)
+        self.sim.rearm(self._scan_handle, self._scan_ns)
         self.containment.start()
 
     def report(self) -> SystemReport:
@@ -328,21 +337,12 @@ class VesselSystem(ColocationSystem):
 
     def _execute(self, decision: Decision) -> bool:
         """Validate + execute one decision; False if it was rejected."""
-        if isinstance(decision, Place):
-            return self._exec_place(decision)
-        if isinstance(decision, Preempt):
-            return self._exec_preempt(decision)
-        if isinstance(decision, Enqueue):
-            return self._exec_enqueue(decision)
-        if isinstance(decision, Run):
-            return self._exec_run(decision)
-        if isinstance(decision, Steal):
-            return self._exec_steal(decision)
-        if isinstance(decision, Idle):
-            return self._exec_idle(decision)
-        # Rotate is only meaningful at a request boundary; the serving
-        # loop consumes it directly (see _serve_next).
-        return self._reject(decision)
+        executor = self._executors.get(type(decision))
+        if executor is None:
+            # Rotate is only meaningful at a request boundary; the
+            # serving loop consumes it directly (see _serve_next).
+            return self._reject(decision)
+        return executor(decision)
 
     def _take_parked(self, thread: UThread) -> Optional[AppState]:
         """Claim a parked latency thread for placement, or None."""
@@ -462,7 +462,7 @@ class VesselSystem(ColocationSystem):
             return
         self._last_scan_ns = self.sim.now
         self._run_decisions(self.policy.on_tick())
-        self._scan_event = self.sim.after(self.effective_scan_ns, self._scan)
+        self.sim.rearm(self._scan_handle, self._scan_ns)
 
     def _exec_l_preempt(self, state: CoreState, decision: Preempt) -> bool:
         """§4.4 preemption: a long request is hogging a core other
@@ -514,7 +514,7 @@ class VesselSystem(ColocationSystem):
                                core=state.core.id, domain="vessel")
         cost = self.costs.umwait_wake_ns + self.switcher.switch(
             state.core, thread, preempt=False)
-        state.core.run("runtime", cost, lambda: self._begin_run(state))
+        state.core.run("runtime", cost, self._begin_run, state)
 
     def _preempt_for(self, state: CoreState, thread: UThread) -> None:
         """Preempt the BE thread on ``state.core`` in favour of ``thread``.
@@ -611,7 +611,7 @@ class VesselSystem(ColocationSystem):
             # senduipi + delivery already elapsed as event time.
             cost = max(1, cost - self.costs.uintr_send_ns
                        - self.costs.uintr_deliver_ns)
-        state.core.run("runtime", cost, lambda: self._begin_run(state))
+        state.core.run("runtime", cost, self._begin_run, state)
 
     def _begin_run(self, state: CoreState) -> None:
         thread = state.thread
@@ -659,7 +659,7 @@ class VesselSystem(ColocationSystem):
         state.request = request
         self.begin_service(request, core_id=state.core.id)
         state.core.run(app.category, self.effective_service_ns(request),
-                       lambda: self._request_done(state, request))
+                       self._request_done, state, request)
 
     def _request_done(self, state: CoreState, request: Request) -> None:
         state.request = None

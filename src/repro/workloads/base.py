@@ -154,19 +154,15 @@ class OpenLoopSource:
         if rate_mops > 0:
             sim.at(start_ns, self._tick)
 
-    @property
-    def mean_gap_ns(self) -> float:
-        # rate in Mops/s == ops/µs; gap in ns = 1000 / rate
-        return 1000.0 / self.rate_mops
-
     def stop(self) -> None:
         """Stop generating as of now (the pending tick self-cancels)."""
         self.stop_ns = self.sim.now
 
     def _tick(self) -> None:
         # Hot path: one call per generated request across every sweep.
-        # ``1.0 / (1000.0 / rate)`` repeats mean_gap_ns's exact float ops
-        # so the drawn gaps stay bit-identical to the property version.
+        # The rate is in Mops/s == ops/µs, so the mean gap is 1000 / rate
+        # ns; ``1.0 / (1000.0 / rate)`` keeps those exact float ops (not
+        # ``rate / 1000.0``), which the seeded gap draws depend on.
         sim = self.sim
         if self.stop_ns is not None and sim.now >= self.stop_ns:
             return

@@ -48,15 +48,16 @@ class LinpackWork:
               on_done: Optional[Callable[[], None]] = None) -> BatchRun:
         """Run one chunk on ``core``; ``on_done`` fires if not preempted."""
         run = BatchRun(core, self)
-
-        def _complete() -> None:
-            run.active = False
-            self.app.useful_ns += self.chunk_ns
-            if on_done is not None:
-                on_done()
-
-        core.run(self.app.category, self.chunk_ns, _complete)
+        core.run(self.app.category, self.chunk_ns, self._chunk_done, run,
+                 on_done)
         return run
+
+    def _chunk_done(self, run: BatchRun,
+                    on_done: Optional[Callable[[], None]]) -> None:
+        run.active = False
+        self.app.useful_ns += self.chunk_ns
+        if on_done is not None:
+            on_done()
 
 
 def linpack_app(name: str = "linpack",

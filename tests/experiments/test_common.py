@@ -14,6 +14,7 @@ from repro.experiments.common import (
     l_capacity_mops,
     normalized_total,
     run_colocation,
+    run_colocation_batch,
     system_factory,
 )
 from repro.sched.base import SystemReport
@@ -92,6 +93,53 @@ def test_scaled_returns_modified_copy():
     other = cfg.scaled(num_workers=2)
     assert other.num_workers == 2
     assert cfg.num_workers == 8
+
+
+# ----------------------------------------------------------------------
+# --trace-out: one file per run
+# ----------------------------------------------------------------------
+def _traced_sweep(directory, jobs):
+    cfg = ExperimentConfig(num_workers=2, sim_ms=2, warmup_ms=1,
+                           trace_out=str(directory / "t.json"))
+    tasks = [("vessel", cfg, dict(l_specs=[("memcached", "mc", rate)],
+                                  b_specs=()))
+             for rate in (0.3, 0.6)]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        run_colocation_batch(tasks, jobs=jobs)
+    return {path.name: path.read_bytes()
+            for path in sorted(directory.iterdir())}, buffer.getvalue()
+
+
+def test_trace_out_writes_one_file_per_run_of_a_sweep(tmp_path):
+    """Regression: every run used to rewrite ``trace_out`` itself, so a
+    sweep kept only its last run's trace."""
+    (tmp_path / "a").mkdir()
+    files, stdout = _traced_sweep(tmp_path / "a", jobs=1)
+    assert len(files) == 2
+    for name, data in files.items():
+        assert name.startswith("t.vessel-") and name.endswith(".json")
+        assert json.loads(data)["traceEvents"]
+        assert f"wrote Chrome trace to {tmp_path / 'a' / name}" in stdout
+    assert len(set(files.values())) == 2
+
+
+def test_trace_out_names_match_across_jobs(tmp_path):
+    (tmp_path / "one").mkdir()
+    (tmp_path / "two").mkdir()
+    serial, _ = _traced_sweep(tmp_path / "one", jobs=1)
+    fanned, _ = _traced_sweep(tmp_path / "two", jobs=2)
+    assert serial == fanned
+
+
+def test_trace_file_writes_exactly_that_path(tmp_path):
+    path = tmp_path / "exact.json"
+    cfg = ExperimentConfig(num_workers=2, sim_ms=2, warmup_ms=1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_colocation("vessel", cfg, l_specs=[("memcached", "mc", 0.3)],
+                       b_specs=(), trace_file=str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["exact.json"]
+    assert json.loads(path.read_text())["traceEvents"]
 
 
 # ----------------------------------------------------------------------

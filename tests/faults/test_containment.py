@@ -196,6 +196,32 @@ def test_scheduler_stall_restarted_by_heartbeat():
     assert system.uncontained() == []
 
 
+def test_heartbeat_restart_keeps_one_scan_chain():
+    """A scan interval past the heartbeat period makes every heartbeat
+    see a late scan and restart it.  The restart replaces the pending
+    pass rather than starting a second chain beside it."""
+    sim = Simulator()
+    slow_scan = CostModel().copy(vessel_scan_interval_ns=120_000)
+    machine = Machine(sim, slow_scan, 3)
+    system = VesselSystem(sim, machine, RngStreams(3),
+                          worker_cores=machine.cores[1:])
+    system.add_app(linpack_app())
+    system.start()
+    scans = []
+    on_tick = system.policy.on_tick
+
+    def counting_on_tick():
+        scans.append(sim.now)
+        return on_tick()
+
+    system.policy.on_tick = counting_on_tick
+    sim.run(until=1 * MS)
+    assert system.containment.sched_restarts >= 5
+    # One chain: each pass is a restart, 100 µs after the one before
+    # (the heartbeat that follows a 50 µs-old scan passes it by).
+    assert scans == list(range(100_000, 1 * MS + 1, 100_000))
+
+
 def test_scheduler_stall_starves_without_containment():
     sim, machine, system, apps, _ = build(rate=1.2, containment=False)
     inject(system, FaultPlan(seed=4).stall_scheduler(2 * MS + 7_000))

@@ -109,13 +109,14 @@ def test_chained_segments_account_fully(sim):
 
 
 class _SwitchEveryRunCore(Core):
-    """Reference core: every ``run`` goes through ``_switch_category``."""
+    """Reference core: every ``run`` goes through ``_switch_category``.
 
-    def run(self, category, duration_ns, on_done=None):
+    After the explicit switch nothing has accrued, so ``Core.run`` only
+    sets the category it already holds and arms the segment."""
+
+    def run(self, category, duration_ns, on_done=None, *args):
         self._switch_category(category)
-        self._on_done = on_done
-        self._segment_end = self.sim.now + duration_ns
-        self._segment_event = self.sim.after(duration_ns, self._complete)
+        super().run(category, duration_ns, on_done, *args)
 
 
 def _drive(core_cls):

@@ -102,17 +102,6 @@ def test_events_scheduled_during_run_fire(sim):
     assert seen == [150]
 
 
-def test_call_soon_fires_at_current_time(sim):
-    seen = []
-
-    def now_handler():
-        sim.call_soon(lambda: seen.append(sim.now))
-
-    sim.after(42, now_handler)
-    sim.run()
-    assert seen == [42]
-
-
 def test_stop_halts_run(sim):
     seen = []
     sim.after(10, lambda: (seen.append(1), sim.stop()))
@@ -294,3 +283,140 @@ def test_cancel_storm_inside_handler_keeps_running_loop_valid(sim):
     sim.after(20_000, lambda: seen.append("survivor"))
     sim.run()
     assert seen == ["massacre", "survivor"]
+
+
+# ----------------------------------------------------------------------
+# Re-armable handles (handle() + rearm())
+# ----------------------------------------------------------------------
+def test_handle_starts_unarmed(sim):
+    seen = []
+    handle = sim.handle(seen.append, "x")
+    assert not handle.alive
+    handle.cancel()  # a no-op on an unarmed handle
+    sim.run()
+    assert seen == [] and sim.pending() == 0
+
+
+def test_rearm_fires_with_the_handle_args(sim):
+    seen = []
+    handle = sim.handle(lambda a: seen.append((sim.now, a)), "x")
+    sim.rearm(handle, 40)
+    assert handle.alive and handle.time == 40
+    assert sim.pending() == 1
+    sim.run()
+    sim.rearm(handle, 10)
+    sim.run()
+    assert seen == [(40, "x"), (50, "x")]
+    assert sim.events_fired == 2
+
+
+def test_rearming_a_pending_handle_raises(sim):
+    handle = sim.handle(lambda: None)
+    sim.rearm(handle, 10)
+    with pytest.raises(SimulationError):
+        sim.rearm(handle, 20)
+    assert sim.pending() == 1
+
+
+def test_rearm_negative_delay_rejected(sim):
+    handle = sim.handle(lambda: None)
+    with pytest.raises(SimulationError):
+        sim.rearm(handle, -1)
+    assert not handle.alive
+
+
+def test_rearm_takes_its_seq_where_after_would(sim):
+    """Same-time ties break by arming order, as for fresh Events."""
+    seen = []
+    handle = sim.handle(seen.append, "handle")
+    sim.after(50, seen.append, "first")
+    sim.rearm(handle, 50)
+    sim.post(50, seen.append, "last")
+    sim.run()
+    assert seen == ["first", "handle", "last"]
+
+
+def test_stale_entry_of_a_rearmed_handle_never_fires(sim):
+    seen = []
+    handle = sim.handle(lambda: seen.append(sim.now))
+    sim.rearm(handle, 100)
+    handle.cancel()
+    sim.rearm(handle, 300)
+    # The cancelled arming's entry is still in the heap, counted dead.
+    assert len(sim._heap) == 2 and sim._dead == 1
+    assert sim.pending() == 1
+    assert sim.peek() == 300
+    sim.run()
+    assert seen == [300]
+    assert sim.events_fired == 1
+    assert sim._dead == 0 and not sim._heap
+
+
+def test_stale_entry_skipped_by_step(sim):
+    seen = []
+    handle = sim.handle(lambda: seen.append(sim.now))
+    sim.rearm(handle, 5)
+    handle.cancel()
+    sim.rearm(handle, 7)
+    assert sim.step() is True
+    assert seen == [7]
+    assert sim.step() is False
+
+
+def test_stale_entry_is_earlier_than_the_live_one(sim):
+    """Re-arming earlier than the cancelled arming: the live entry fires
+    first and the stale one, popped later, is dropped."""
+    seen = []
+    handle = sim.handle(lambda: seen.append(sim.now))
+    sim.rearm(handle, 500)
+    handle.cancel()
+    sim.rearm(handle, 100)
+    sim.run()
+    assert seen == [100]
+    sim.rearm(handle, 1000)  # the stale t=500 entry was dropped, not fired
+    sim.run()
+    assert seen == [100, 1100]
+
+
+def test_cancel_inside_own_callback(sim):
+    seen = []
+
+    def fire():
+        seen.append(sim.now)
+        handle.cancel()  # already disarmed: a no-op
+        sim.rearm(handle, 10)
+        handle.cancel()  # cancels the arming just made
+
+    handle = sim.handle(fire)
+    sim.rearm(handle, 5)
+    sim.run()
+    assert seen == [5]
+    assert sim.pending() == 0 and sim.events_fired == 1
+
+
+def test_rearm_inside_own_callback_chains(sim):
+    seen = []
+
+    def tick():
+        seen.append(sim.now)
+        if len(seen) < 4:
+            sim.rearm(handle, 10)
+
+    handle = sim.handle(tick)
+    sim.rearm(handle, 0)
+    sim.run()
+    assert seen == [0, 10, 20, 30]
+
+
+def test_compaction_drops_stale_entries_of_rearmed_handles(sim):
+    seen = []
+    handle = sim.handle(lambda: seen.append(sim.now))
+    for i in range(500):
+        sim.rearm(handle, 1_000 + i)
+        handle.cancel()
+    sim.rearm(handle, 5)
+    # Bounded by compaction: 2x live + the threshold.
+    assert len(sim._heap) <= 2 * sim.pending() + 64
+    sim.run()
+    assert seen == [5]
+    assert sim.events_fired == 1
