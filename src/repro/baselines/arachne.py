@@ -177,12 +177,12 @@ class ArachneSystem(ColocationSystem):
             return
         state.kind = "serve"
         state.request = request
-        self.begin_service(request, core_id=state.core.id)
+        service_ns = self.begin_service(request, state.core.id)
         self._window_busy[app.name] = (
             self._window_busy.get(app.name, 0) + request.service_ns
         )
-        state.core.run(app.category, self.effective_service_ns(request),
-                       self._request_done, state, request)
+        state.core.run(app.category, service_ns, self._request_done, state,
+                       request)
 
     def _request_done(self, state: _CoreState, request: Request) -> None:
         request.app.complete(request, self.sim.now)
@@ -195,7 +195,7 @@ class ArachneSystem(ColocationSystem):
     def _run_batch_chunk(self, state: _CoreState) -> None:
         app = state.owner
         state.batch_run = app.batch_work.start(
-            state.core, on_done=lambda: self._batch_chunk_done(state))
+            state.core, self._batch_chunk_done, state)
 
     def _batch_chunk_done(self, state: _CoreState) -> None:
         state.batch_run = None

@@ -320,9 +320,9 @@ class CaladanSystem(ColocationSystem):
         request = app.queue.popleft()
         state.kind = "serve"
         state.request = request
-        self.begin_service(request, core_id=state.core.id)
-        state.core.run(app.category, self.effective_service_ns(request),
-                       self._request_done, state, request)
+        service_ns = self.begin_service(request, state.core.id)
+        state.core.run(app.category, service_ns, self._request_done, state,
+                       request)
 
     def _request_done(self, state: _CoreState, request: Request) -> None:
         state.request = None
@@ -364,7 +364,7 @@ class CaladanSystem(ColocationSystem):
     def _run_batch_chunk(self, state: _CoreState) -> None:
         app = state.owner
         state.batch_run = app.batch_work.start(
-            state.core, on_done=lambda: self._batch_chunk_done(state))
+            state.core, self._batch_chunk_done, state)
 
     def _batch_chunk_done(self, state: _CoreState) -> None:
         state.batch_run = None

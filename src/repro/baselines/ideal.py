@@ -85,10 +85,9 @@ class IdealSystem(ColocationSystem):
         if self._pending:
             request = self._pending.popleft()
             state.kind = "L"
-            self.begin_service(request, core_id=state.core.id)
-            state.core.run(request.app.category,
-                           self.effective_service_ns(request),
-                           self._done, state, request)
+            service_ns = self.begin_service(request, state.core.id)
+            state.core.run(request.app.category, service_ns, self._done,
+                           state, request)
             return
         if self.batch_apps:
             app = self.batch_apps[self._batch_rr % len(self.batch_apps)]
@@ -96,7 +95,7 @@ class IdealSystem(ColocationSystem):
             state.kind = "B"
             state.batch_app = app
             state.batch_run = app.batch_work.start(
-                state.core, on_done=lambda: self._batch_done(state))
+                state.core, self._batch_done, state)
             return
         state.kind = None
         state.core.set_idle()

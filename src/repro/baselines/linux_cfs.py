@@ -40,8 +40,7 @@ class _WorkerTask(CfsTask):
         if self._staged is not None:
             request = self._staged
             self._staged = None
-            self.system.begin_service(request)
-            return Chunk(self.system.effective_service_ns(request),
+            return Chunk(self.system.begin_service(request),
                          self.app.category,
                          lambda: self._complete(request))
         request = self.app.pop_request()

@@ -150,8 +150,18 @@ class Core:
 
     def _complete(self) -> None:
         # The engine disarmed the handle before this call, so on_done
-        # may start the next segment at once.
-        self._switch_category("idle")
+        # may start the next segment at once.  The switch to "idle" is
+        # _switch_category's body, inlined: this runs once per segment.
+        now = self.sim.now
+        elapsed = now - self._since
+        if elapsed > 0:
+            buckets = self.acct.buckets
+            previous = self._category
+            buckets[previous] = buckets.get(previous, 0) + elapsed
+            if self.tracer is not None:
+                self.tracer.record(self.id, self._since, now, previous)
+        self._category = "idle"
+        self._since = now
         on_done = self._on_done
         if on_done is not None:
             on_done(*self._on_done_args)

@@ -31,6 +31,7 @@ from repro.sim.units import MS, US
 from repro.uprocess.smas import MAX_UPROCESSES
 from repro.workloads.base import OpenLoopSource
 from repro.workloads.memcached import UsrServiceSampler, memcached_app
+from repro.workloads.synthetic import exponential_ns
 
 #: retry delay when the domain has no free slot for a spawn
 _FULL_RETRY_NS = 20 * US
@@ -94,8 +95,8 @@ class ChurnDriver(RunComponent):
             start_ns=self.sim.now)
         self._active[name] = source
         self.created += 1
-        lifetime = max(1, int(self.rng.expovariate(
-            1.0 / (self.cfg.lifetime_us * 1_000))))
+        lifetime = exponential_ns(self.rng.random,
+                                  1.0 / (self.cfg.lifetime_us * 1_000))
         self.sim.after(lifetime, self._retire, name)
 
     def _retire(self, name: str) -> None:
@@ -106,8 +107,8 @@ class ChurnDriver(RunComponent):
         if self.system.has_app(name):
             self.system.remove_app(name)
         self.destroyed += 1
-        gap = max(1, int(self.rng.expovariate(
-            1.0 / (self.cfg.respawn_gap_us * 1_000))))
+        gap = exponential_ns(self.rng.random,
+                             1.0 / (self.cfg.respawn_gap_us * 1_000))
         self.sim.after(gap, self._spawn)
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ fixed-size compute chunks whose executed nanoseconds accrue to
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.hardware.machine import Core
 from repro.workloads.base import App, AppKind
@@ -45,19 +45,23 @@ class LinpackWork:
         self.chunk_ns = chunk_ns
 
     def start(self, core: Core,
-              on_done: Optional[Callable[[], None]] = None) -> BatchRun:
-        """Run one chunk on ``core``; ``on_done`` fires if not preempted."""
+              on_done: Optional[Callable[..., None]] = None,
+              *args: Any) -> BatchRun:
+        """Run one chunk on ``core``; ``on_done(*args)`` fires if not
+        preempted (a bound method plus its arguments, so a scheduler
+        builds no closure per chunk)."""
         run = BatchRun(core, self)
         core.run(self.app.category, self.chunk_ns, self._chunk_done, run,
-                 on_done)
+                 on_done, args)
         return run
 
     def _chunk_done(self, run: BatchRun,
-                    on_done: Optional[Callable[[], None]]) -> None:
+                    on_done: Optional[Callable[..., None]],
+                    args: tuple) -> None:
         run.active = False
         self.app.useful_ns += self.chunk_ns
         if on_done is not None:
-            on_done()
+            on_done(*args)
 
 
 def linpack_app(name: str = "linpack",

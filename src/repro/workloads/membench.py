@@ -20,7 +20,7 @@ at tens of microseconds) would otherwise be charged phantom losses.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.hardware.machine import Core
 from repro.hardware.membus import MemoryBus
@@ -48,11 +48,12 @@ class MembenchRun:
     """In-flight membench iteration (memory phase, then compute phase)."""
 
     def __init__(self, work: "MembenchWork", core: Core,
-                 on_done: Optional[Callable[[], None]],
+                 on_done: Optional[Callable[..., None]], args: tuple,
                  state: _IterationState) -> None:
         self.work = work
         self.core = core
         self.on_done = on_done
+        self.args = args
         self.active = True
         self.state = state
         self._transfer = None
@@ -98,7 +99,7 @@ class MembenchRun:
         work.app.useful_ns += self.state.remaining_compute
         work.iterations += 1
         if self.on_done is not None:
-            self.on_done()
+            self.on_done(*self.args)
 
     # ------------------------------------------------------------------
     def preempt(self) -> None:
@@ -157,13 +158,15 @@ class MembenchWork:
         return self.demand_gbps * mem_ns / (mem_ns + self.compute_ns)
 
     def start(self, core: Core,
-              on_done: Optional[Callable[[], None]] = None) -> MembenchRun:
-        """Run (or resume) one iteration on ``core``."""
+              on_done: Optional[Callable[..., None]] = None,
+              *args: Any) -> MembenchRun:
+        """Run (or resume) one iteration on ``core``; ``on_done(*args)``
+        fires when it completes (not if preempted)."""
         if self._interrupted:
             state = self._interrupted.pop()
         else:
             state = _IterationState(float(self.phase_bytes), self.compute_ns)
-        return MembenchRun(self, core, on_done, state)
+        return MembenchRun(self, core, on_done, args, state)
 
 
 def membench_app(bus: MemoryBus, name: str = "membench",

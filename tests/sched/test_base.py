@@ -64,21 +64,27 @@ def test_duplicate_app_rejected(sim, machine, rngs):
         system.add_app(memcached_app("a"))
 
 
-def test_effective_service_identity_when_decoupled(sim, machine, rngs):
+def test_begin_service_returns_service_when_decoupled(sim, machine, rngs):
     system = ColocationSystem(sim, machine, rngs)
     app = memcached_app()
     request = Request(app, 0, 1234)
-    assert system.effective_service_ns(request) == 1234
+    sim.run(until=77)
+    assert request.start_ns is None
+    assert system.begin_service(request, 3) == 1234
+    assert request.start_ns == 77
 
 
-def test_effective_service_inflates_with_bus(sim, machine, rngs):
+def test_begin_service_inflates_with_bus(sim, machine, rngs):
     system = ColocationSystem(sim, machine, rngs)
     system.bus_sensitivity = 2.0
     app = memcached_app()
     request = Request(app, 0, 1000)
     machine.membus.start_transfer("x", 1e12, machine.membus.capacity * 2)
-    inflated = system.effective_service_ns(request)
+    inflated = system.begin_service(request)
     assert inflated == pytest.approx(1000 * (1 + 2.0 * 0.5), abs=2)
+    assert request.start_ns == sim.now
+    # The request keeps its own service time; only the run is inflated.
+    assert request.service_ns == 1000
 
 
 def test_begin_measurement_resets(sim, machine, rngs):

@@ -43,6 +43,31 @@ def test_linpack_preempt_twice_safe(sim, costs):
     assert app.useful_ns == 10
 
 
+def test_batch_start_passes_callback_arguments(sim, costs):
+    """``start(core, on_done, *args)`` calls ``on_done(*args)`` when the
+    chunk or iteration completes, and never after a preemption."""
+    machine = Machine(sim, costs, 2, membus_gbps=40.0)
+    linpack = linpack_app(chunk_ns=50_000)
+    membench = membench_app(machine.membus, phase_bytes=120_000,
+                            demand_gbps=12.0, compute_ns=5_000)
+    done = []
+
+    def record(label, index):
+        done.append((label, index, sim.now))
+
+    linpack.batch_work.start(machine.cores[0], record, "linpack", 1)
+    membench.batch_work.start(machine.cores[1], record, "membench", 2)
+    sim.run()
+    assert [entry[:2] for entry in done] == [("membench", 2),
+                                             ("linpack", 1)]
+    assert done[1][2] == 50_000
+    preempted = linpack.batch_work.start(machine.cores[0], record, "x", 3)
+    sim.run(until=sim.now + 10)
+    preempted.preempt()
+    sim.run()
+    assert len(done) == 2
+
+
 def test_linpack_invalid_chunk():
     with pytest.raises(ValueError):
         linpack_app(chunk_ns=0)

@@ -76,7 +76,7 @@ def test_memcached_usr_mean_about_1us():
 
 
 def test_usr_sampler_draws_what_its_components_draw():
-    """One lognormvariate call with the chosen component's parameters
+    """One lognormal draw with the chosen component's parameters
     gives the values, and leaves the RNG state, of calling the
     component: the coin flip, then ``LognormalService(...)()``."""
     from repro.workloads.memcached import UsrServiceSampler
