@@ -62,12 +62,12 @@ def test_dr_h_grants_later_than_plain():
     app = memcached_app()
     plain.add_app(app)
     from repro.workloads.base import Request
-    app.enqueue(Request(app, arrival_ns=0, service_ns=1000))
+    app.queue.append(Request(app, arrival_ns=0, service_ns=1000))
     sim.now = 2000  # 2 us of queueing delay
     assert plain._congested(app)          # > 0 triggers plain Caladan
     drh_app = memcached_app("mc2")
     drh.add_app(drh_app)
-    drh_app.enqueue(Request(drh_app, arrival_ns=0, service_ns=1000))
+    drh_app.queue.append(Request(drh_app, arrival_ns=0, service_ns=1000))
     assert not drh._congested(drh_app)    # 2 us < the 4 us DR-H bound
     sim.now = 5000
     assert drh._congested(drh_app)

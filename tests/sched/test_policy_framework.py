@@ -4,6 +4,7 @@ takes its policy."""
 
 import random
 from collections import deque
+from types import GeneratorType
 
 import pytest
 
@@ -211,3 +212,24 @@ def test_bounded_count_matches_full_count(policy_name):
     # The seeds reach every branch of the bounded count.
     assert {"nothing to cover", "covered by running threads",
             "placed"} <= outcomes
+
+
+@pytest.mark.parametrize("policy_name", INHERITS_ON_ARRIVAL)
+def test_arrival_with_nothing_to_place_builds_no_generator(policy_name):
+    """The per-arrival path returns ``()`` whenever the bounded count
+    decides that no thread needs activating; a generator is built only
+    when a placement is attempted."""
+    empty = attempted = 0
+    for seed in range(120):
+        policy, state = random_app_state(policy_name, seed)
+        need = len(state.app.queue) - state.queued_servers
+        running = sum(1 for t in state.threads
+                      if t.state is UThreadState.RUNNING)
+        result = policy.on_arrival(state)
+        if not state.parked or need <= 0 or running >= need:
+            assert result == (), f"seed {seed}"
+            empty += 1
+        else:
+            assert isinstance(result, GeneratorType), f"seed {seed}"
+            attempted += 1
+    assert empty and attempted

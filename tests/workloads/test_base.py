@@ -23,8 +23,8 @@ def test_enqueue_and_pop_fifo():
     app = make_app()
     r1 = Request(app, 0, 100)
     r2 = Request(app, 5, 100)
-    app.enqueue(r1)
-    app.enqueue(r2)
+    app.queue.append(r1)
+    app.queue.append(r2)
     assert app.pop_request() is r1
     assert app.pop_request() is r2
     assert app.pop_request() is None
@@ -32,7 +32,7 @@ def test_enqueue_and_pop_fifo():
 
 def test_oldest_wait_tracks_head():
     app = make_app()
-    app.enqueue(Request(app, 100, 50))
+    app.queue.append(Request(app, 100, 50))
     assert app.oldest_wait_ns(250) == 150
     assert make_app().oldest_wait_ns(250) == 0
 
@@ -47,7 +47,7 @@ def test_complete_records_latency():
 
 def test_reset_measurements_preserves_queue():
     app = make_app()
-    app.enqueue(Request(app, 0, 10))
+    app.queue.append(Request(app, 0, 10))
     app.complete(Request(app, 0, 10), 100)
     app.reset_measurements()
     assert app.completed.value == 0
