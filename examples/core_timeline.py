@@ -2,57 +2,29 @@
 """Figure-7-style core timelines: watch the schedulers fill (or waste)
 cores.
 
-Attaches an execution tracer to identical VESSEL and Caladan runs
-(memcached + Linpack, two worker cores) and renders what each core did
-over a 200 µs window: ``M`` = memcached, ``L`` = Linpack, ``r`` =
-userspace runtime (spins, stealing, switches), ``K`` = kernel
-(rebinds, the 5.3 µs reallocation pipeline), ``.`` = idle.
+Prints the occupancy strips of ``python -m repro fig07`` at seed 7:
+identical VESSEL and Caladan runs (memcached + Linpack, two worker
+cores) traced over a 200 µs window, with ``M`` = memcached, ``L`` =
+Linpack, ``r`` = userspace runtime (spins, stealing, switches), ``K`` =
+kernel (rebinds, the 5.3 µs reallocation pipeline), ``.`` = idle.
 
 Run:  python examples/core_timeline.py
 """
 
-from repro.sim import Simulator, RngStreams, Tracer, render_timeline, MS, US
-from repro.hardware import CostModel, Machine
-from repro.vessel import VesselSystem
-from repro.baselines import CaladanSystem
-from repro.workloads import memcached_app, linpack_app, OpenLoopSource
-from repro.workloads.memcached import UsrServiceSampler
+from repro.experiments import fig07_timeline
+from repro.experiments.common import ExperimentConfig
 
-WINDOW_START = 4 * MS
-WINDOW = 200 * US
-
-
-def run(system_cls):
-    sim = Simulator()
-    machine = Machine(sim, CostModel(), 3)  # scheduler + 2 workers
-    tracer = Tracer(sim)
-    machine.attach_tracer(tracer)
-    rngs = RngStreams(7)
-    system = system_cls(sim, machine, rngs,
-                        worker_cores=machine.cores[1:])
-    mc, lp = memcached_app(), linpack_app()
-    system.add_app(mc)
-    system.add_app(lp)
-    system.start()
-    OpenLoopSource(sim, mc, system.submit, rate_mops=0.9,
-                   service_sampler=UsrServiceSampler(rngs.stream("svc")),
-                   rng=rngs.stream("arr"))
-    sim.run(until=WINDOW_START + WINDOW)
-    machine.settle_all()
-    return tracer
+BLURBS = {
+    "vessel": "VESSEL (one-level): 0.16 us switches pack the cores",
+    "caladan": "Caladan (two-level): 2 us spins, kernel rebinds, idle gaps",
+}
 
 
 def main() -> None:
-    for system_cls, blurb in (
-        (VesselSystem,
-         "VESSEL (one-level): 0.16 us switches pack the cores"),
-        (CaladanSystem,
-         "Caladan (two-level): 2 us spins, kernel rebinds, idle gaps"),
-    ):
-        tracer = run(system_cls)
+    results = fig07_timeline.run(ExperimentConfig(seed=7))
+    for system_name, blurb in BLURBS.items():
         print(f"== {blurb} ==")
-        print(render_timeline(tracer, WINDOW_START, WINDOW_START + WINDOW,
-                              cores=[1, 2], width=96))
+        print(results[system_name]["strip"])
         print()
 
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 from repro.experiments.common import (
     ExperimentConfig,
     format_table,
+    report_fingerprint,
     run_colocation_batch,
 )
 from repro.overload.churn import ChurnConfig
@@ -92,19 +93,6 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     return results
 
 
-def _fingerprint(results: Dict) -> str:
-    """Deterministic digest of everything the scenario measures."""
-    churned = results["churned"]
-    return repr((
-        sorted(churned.completed.items()),
-        sorted((k, round(v.get("p99_us", 0.0), 6))
-               for k, v in churned.latency.items()),
-        sorted(churned.churn.items()),
-        churned.uncontained,
-        churned.events_fired,
-    ))
-
-
 def gate(cfg: ExperimentConfig, results: Dict) -> None:
     """``--smoke`` gates: turnover, zero leaks, byte-identical rerun."""
     churned = results["churned"]
@@ -121,8 +109,8 @@ def gate(cfg: ExperimentConfig, results: Dict) -> None:
         raise RuntimeError(
             f"{len(churned.uncontained)} teardown leak(s): "
             f"{churned.uncontained}")
-    rerun = run(cfg)
-    if _fingerprint(rerun) != _fingerprint(results):
+    if report_fingerprint(run(cfg).values()) \
+            != report_fingerprint(results.values()):
         raise RuntimeError("rerun was not byte-identical")
     print("[churn --smoke] gates passed: turnover, zero leaks, "
           "deterministic rerun")

@@ -14,9 +14,11 @@ EXPERIMENTS.md).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.sim.engine import RunComponent, Simulator
 from repro.sim.rng import RngStreams
@@ -24,6 +26,7 @@ from repro.sim.trace import Tracer
 from repro.sim.units import MS
 from repro.hardware.machine import Machine
 from repro.net import NetConfig, NetFabric
+from repro.obs import write_chrome_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.ledger import OpLedger
 from repro.obs.timeseries import GaugeSeries, QueueTracker
@@ -145,8 +148,7 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
                    l_specs: Sequence[Tuple[str, str, float]],
                    b_specs: Sequence[str] = ("linpack",),
                    bus_sensitivity: float = 0.0,
-                   caladan_bw_cap: Optional[Tuple[str, float]] = None,
-                   vessel_bw_cap: Optional[Tuple[str, float]] = None,
+                   bw_cap: Optional[Tuple[str, float]] = None,
                    admission=None, trace=None, churn=None,
                    fault_plan=None,
                    track_queues: bool = False,
@@ -155,9 +157,10 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     """Build and run one colocation simulation.
 
     ``l_specs`` rows are ``(kind, name, rate_mops)``; ``b_specs`` are
-    B-app kinds ("linpack" / "membench").  Bandwidth caps (Figure 13) are
-    ``(app_name, gbps)`` and are applied with each system's native
-    mechanism: core-granular ticks for Caladan, duty-cycling for VESSEL.
+    B-app kinds ("linpack" / "membench").  A bandwidth cap (Figure 13)
+    is ``bw_cap=(app_name, gbps)``, applied with the system's native
+    mechanism: core-granular ticks for Caladan, duty-cycling for VESSEL;
+    any other system raises ``ValueError``.
 
     Every opt-in layer is a :class:`~repro.sim.engine.RunComponent`,
     built explicitly into one ordered list:
@@ -175,7 +178,7 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     * ``trace`` (a ``LoadTrace``) — shapes every generator's offered rate;
     * ``track_queues`` — a :class:`~repro.obs.timeseries.QueueTracker`
       of L-app queue depth (``queue_peak`` / ``queue_final``);
-    * ``vessel_bw_cap`` — VESSEL's duty-cycling bandwidth regulator;
+    * ``bw_cap`` on VESSEL — its duty-cycling bandwidth regulator;
     * ``cfg.flight_on`` again — a
       :class:`~repro.obs.timeseries.GaugeSeries` of system state.
 
@@ -198,9 +201,9 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     run is the point of its ``--trace-out``).
     """
     return _run_colocation(system_name, cfg, l_specs, b_specs,
-                           bus_sensitivity, caladan_bw_cap, vessel_bw_cap,
-                           admission, trace, churn, fault_plan,
-                           track_queues, rng_namespace, trace_file)[0]
+                           bus_sensitivity, bw_cap, admission, trace,
+                           churn, fault_plan, track_queues, rng_namespace,
+                           trace_file)[0]
 
 
 def run_trace_path(trace_out: str, system_name: str, identity: str) -> str:
@@ -221,8 +224,7 @@ def _run_colocation(system_name: str, cfg: ExperimentConfig,
                     l_specs: Sequence[Tuple[str, str, float]],
                     b_specs: Sequence[str] = ("linpack",),
                     bus_sensitivity: float = 0.0,
-                    caladan_bw_cap: Optional[Tuple[str, float]] = None,
-                    vessel_bw_cap: Optional[Tuple[str, float]] = None,
+                    bw_cap: Optional[Tuple[str, float]] = None,
                     admission=None, trace=None, churn=None,
                     fault_plan=None,
                     track_queues: bool = False,
@@ -235,9 +237,9 @@ def _run_colocation(system_name: str, cfg: ExperimentConfig,
         # Everything that makes the run, but not the knobs that leave it
         # unchanged (the trace path itself, the worker count).
         identity = repr((system_name, cfg.scaled(trace_out=None, jobs=1),
-                         l_specs, b_specs, bus_sensitivity, caladan_bw_cap,
-                         vessel_bw_cap, admission, trace, churn, fault_plan,
-                         track_queues, rng_namespace))
+                         l_specs, b_specs, bus_sensitivity, bw_cap,
+                         admission, trace, churn, fault_plan, track_queues,
+                         rng_namespace))
         trace_file = run_trace_path(cfg.trace_out, system_name, identity)
     sim = Simulator()
     # Observability must be wired before the system is built: layers
@@ -246,8 +248,7 @@ def _run_colocation(system_name: str, cfg: ExperimentConfig,
     tracer = None
     if cfg.op_breakdown or trace_file is not None:
         tracer = Tracer(sim) if trace_file is not None else None
-        ledger = OpLedger(sim=sim, tracer=tracer,
-                          capture_events=trace_file is not None)
+        ledger = OpLedger(sim=sim, capture_events=trace_file is not None)
     flight = None
     gauges = None
     if cfg.flight_on:
@@ -269,13 +270,10 @@ def _run_colocation(system_name: str, cfg: ExperimentConfig,
     if system_name == "vessel" and cfg.policy is not None:
         from repro.sched.policy import make_policy
         kwargs["policy"] = make_policy(cfg.policy, **cfg.policy_params)
-    if system_name in ("caladan", "caladan-dr-l", "caladan-dr-h") \
-            and caladan_bw_cap is not None:
-        if system_name == "caladan":
-            kwargs = {"bw_cap_app": caladan_bw_cap[0],
-                      "bw_cap_gbps": caladan_bw_cap[1]}
-        else:
-            raise ValueError("bandwidth caps only wired for plain caladan")
+    if bw_cap is not None and system_name not in ("vessel", "caladan"):
+        raise ValueError(f"no bandwidth-cap mechanism for {system_name!r}")
+    if system_name == "caladan" and bw_cap is not None:
+        kwargs = {"bw_cap_app": bw_cap[0], "bw_cap_gbps": bw_cap[1]}
     system = factory(sim, machine, rngs, worker_cores=workers, **kwargs)
     system.bus_sensitivity = bus_sensitivity
 
@@ -347,11 +345,11 @@ def _run_colocation(system_name: str, cfg: ExperimentConfig,
         components.append(shaper)
     if track_queues:
         components.append(QueueTracker(sim, system, cfg.warmup_ms * MS))
-    if vessel_bw_cap is not None and system_name == "vessel":
+    if system_name == "vessel" and bw_cap is not None:
         from repro.vessel.regulation import VesselBandwidthRegulator
         components.append(VesselBandwidthRegulator(
             sim, system, machine.membus,
-            app_name=vessel_bw_cap[0], target_gbps=vessel_bw_cap[1]))
+            app_name=bw_cap[0], target_gbps=bw_cap[1]))
     if gauges is not None:
         _wire_gauges(gauges, system, workers, fabric, admission_ctl)
         components.append(gauges)
@@ -375,8 +373,9 @@ def _run_colocation(system_name: str, cfg: ExperimentConfig,
                   f"(measurement window)")
             print(ledger.breakdown_table())
         if trace_file is not None:
-            ledger.write_chrome_trace(trace_file, flight=flight,
-                                      gauges=gauges)
+            write_chrome_trace(trace_file, [
+                r for r in (tracer, ledger, flight, gauges)
+                if r is not None])
             print(f"[{system_name}] wrote Chrome trace to {trace_file}")
     report = system.report()
     for component in components:
@@ -506,6 +505,37 @@ def normalized_total(report: SystemReport, cfg: ExperimentConfig,
         if alone > 0:
             total += useful / alone
     return total
+
+
+# ----------------------------------------------------------------------
+# Rerun gates
+# ----------------------------------------------------------------------
+def report_fields(report: SystemReport) -> Dict:
+    """Every :class:`SystemReport` field as a JSON-ready dict, latency
+    histograms through their ``__getstate__``."""
+    out = {}
+    for spec in fields(report):
+        value = getattr(report, spec.name)
+        if spec.name in ("latency_hist", "client_hist"):
+            value = {name: hist.__getstate__()
+                     for name, hist in value.items()}
+        out[spec.name] = value
+    return out
+
+
+def report_fingerprint(reports: Iterable[SystemReport]) -> str:
+    """Sorted-key JSON of every field of ``reports``: two runs are the
+    same run exactly when their fingerprints are equal."""
+    return json.dumps([report_fields(report) for report in reports],
+                      sort_keys=True)
+
+
+def check_gate(ok: bool, message: str, failures: List[str]) -> None:
+    """Print one ``[PASS]``/``[FAIL]`` gate line; a failure's message
+    joins ``failures``."""
+    print(f"  [{'PASS' if ok else 'FAIL'}] {message}")
+    if not ok:
+        failures.append(message)
 
 
 # ----------------------------------------------------------------------

@@ -68,18 +68,10 @@ def run_colocation_part(cfg: Optional[ExperimentConfig] = None,
     alone = _membench_alone_useful(cfg)
     points = [(load, system) for load in loads
               for system in ("vessel", "caladan")]
-    tasks = []
-    for load, system in points:
-        kwargs: Dict = {}
-        if system == "vessel":
-            kwargs["vessel_bw_cap"] = ("membench", cap_gbps)
-        else:
-            kwargs["caladan_bw_cap"] = ("membench", cap_gbps)
-        kwargs.update(
-            l_specs=[("memcached", "memcached", load * capacity)],
-            b_specs=("membench",),
-            bus_sensitivity=BUS_SENSITIVITY)
-        tasks.append((system, cfg, kwargs))
+    tasks = [(system, cfg, dict(
+        l_specs=[("memcached", "memcached", load * capacity)],
+        b_specs=("membench",), bus_sensitivity=BUS_SENSITIVITY,
+        bw_cap=("membench", cap_gbps))) for load, system in points]
     reports = run_colocation_batch(tasks, jobs=cfg.jobs)
     rows: List[Dict] = []
     for (load, system), report in zip(points, reports):

@@ -36,6 +36,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     format_table,
     l_capacity_mops,
+    report_fingerprint,
     run_colocation_batch,
 )
 from repro.overload.admission import AdmissionConfig
@@ -128,19 +129,9 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     return results
 
 
-def _fingerprint(results: Dict) -> str:
-    return repr([(label,
-                  sorted(report.net_ops.get("mc", {}).items()),
-                  sorted(report.queue_peak.items()),
-                  sorted(report.queue_final.items()),
-                  report.completed.get("mc", 0),
-                  round(report.client_p99_us("mc"), 9),
-                  report.events_fired)
-                 for label, report in results["arms"]])
-
-
 def gate(cfg: ExperimentConfig, results: Dict) -> None:
     """``--smoke`` gate: a rerun must be byte-identical."""
-    if _fingerprint(run(cfg)) != _fingerprint(results):
+    if report_fingerprint(r for _, r in run(cfg)["arms"]) \
+            != report_fingerprint(r for _, r in results["arms"]):
         raise RuntimeError("rerun was not byte-identical")
     print("[flashcrowd --smoke] deterministic rerun gate passed")

@@ -89,7 +89,6 @@ def main(cfg: Optional[ExperimentConfig] = None) -> None:
     print(f"\nLossy link (drop {DROP_P:.0%}, "
           f"+{DELAY_NS / 1000:.0f} us delay on {DELAY_P:.0%}):")
     print(f"  injected faults : {report.fault_injected}")
-    print(f"  fault ops       : {report.fault_ops}")
     print(f"  client counters : {counters}")
     print(f"  client p99      : "
           f"{report.client_p99_us('memcached'):.1f} us")

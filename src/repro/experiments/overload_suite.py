@@ -37,7 +37,9 @@ from repro.faults.plan import FaultPlan
 from repro.experiments import flashcrowd
 from repro.experiments.common import (
     ExperimentConfig,
+    check_gate,
     l_capacity_mops,
+    report_fingerprint,
     run_colocation,
 )
 from repro.experiments.flashcrowd import FLAGSHIP, SLO_P99_US
@@ -73,21 +75,6 @@ def chaos_run(cfg: ExperimentConfig):
         track_queues=True)
 
 
-def _chaos_fingerprint(report) -> str:
-    return repr((sorted(report.net_ops.get("mc", {}).items()),
-                 sorted(report.net_conservation.items()),
-                 sorted(report.fault_injected.items()),
-                 report.uncontained,
-                 report.completed.get("mc", 0),
-                 report.events_fired))
-
-
-def _gate(ok: bool, message: str, failures: List[str]) -> None:
-    print(f"  [{'PASS' if ok else 'FAIL'}] {message}")
-    if not ok:
-        failures.append(message)
-
-
 def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
     failures: List[str] = []
@@ -99,11 +86,11 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print("\nGates:")
     p99 = flagship.client_p99_us("mc")
     shed = flagship.net_ops.get("mc", {}).get("sheds", 0)
-    _gate(p99 <= SLO_P99_US,
-          f"{FLAGSHIP} admitted-request p99 {p99:.1f} us within the "
-          f"{SLO_P99_US:.0f} us SLO", failures)
-    _gate(shed > 0, f"{FLAGSHIP} shed the excess ({shed} rejections)",
-          failures)
+    check_gate(p99 <= SLO_P99_US,
+               f"{FLAGSHIP} admitted-request p99 {p99:.1f} us within the "
+               f"{SLO_P99_US:.0f} us SLO", failures)
+    check_gate(shed > 0, f"{FLAGSHIP} shed the excess ({shed} rejections)",
+               failures)
     flag_peak = max(flagship.queue_peak.values(), default=0)
     collapse = []
     for label, report in results["arms"]:
@@ -114,43 +101,45 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
         flag_retries = flagship.net_ops.get("mc", {}).get("retries", 0)
         if peak > 5 * max(1, flag_peak) or retries > 5 * (flag_retries + 1):
             collapse.append(f"{label} (q peak {peak}, retries {retries})")
-    _gate(bool(collapse),
-          "unprotected baseline collapses under the same trace: "
-          + (", ".join(collapse) or "none"), failures)
+    check_gate(bool(collapse),
+               "unprotected baseline collapses under the same trace: "
+               + (", ".join(collapse) or "none"), failures)
 
     # ---- part 3: chaos during the spike -------------------------------
     print("\nFaults x overload: Uintr drops + packet delays through the "
           "spike, protected arm")
     report = chaos_run(cfg)
     print(f"  injected: {report.fault_injected}")
-    _gate(sum(report.fault_injected.values()) > 0,
-          "chaos plan actually fired during the spike", failures)
-    _gate(not report.uncontained,
-          "containment audit empty under overload + chaos "
-          + (f"(violations: {report.uncontained})"
-             if report.uncontained else ""), failures)
+    check_gate(sum(report.fault_injected.values()) > 0,
+               "chaos plan actually fired during the spike", failures)
+    check_gate(not report.uncontained,
+               "containment audit empty under overload + chaos "
+               + (f"(violations: {report.uncontained})"
+                  if report.uncontained else ""), failures)
     imbalance = {name: row["balance"]
                  for name, row in report.net_conservation.items()
                  if row["balance"] != 0}
-    _gate(not imbalance,
-          "request conservation exact: offered == completed + losses "
-          "+ in-flight" + (f" (imbalance: {imbalance})"
-                           if imbalance else ""), failures)
+    check_gate(not imbalance,
+               "request conservation exact: offered == completed + losses "
+               "+ in-flight" + (f" (imbalance: {imbalance})"
+                                if imbalance else ""), failures)
     fabric_sheds = report.net_ops.get("mc", {}).get("sheds", 0)
     admitted_sheds = sum(sum(per.values()) for per in
                          report.admission.get("shed", {}).values())
-    _gate(fabric_sheds == admitted_sheds,
-          f"shed accounting consistent across layers "
-          f"(fabric {fabric_sheds} == admission {admitted_sheds})",
-          failures)
+    check_gate(fabric_sheds == admitted_sheds,
+               f"shed accounting consistent across layers "
+               f"(fabric {fabric_sheds} == admission {admitted_sheds})",
+               failures)
 
     # ---- part 4: determinism ------------------------------------------
-    _gate(_chaos_fingerprint(chaos_run(cfg)) == _chaos_fingerprint(report),
-          "chaos run byte-identical across reruns", failures)
+    check_gate(report_fingerprint([chaos_run(cfg)])
+               == report_fingerprint([report]),
+               "chaos run byte-identical across reruns", failures)
     jobs_cfg = replace(cfg, jobs=2)
-    _gate(flashcrowd._fingerprint(flashcrowd.run(jobs_cfg))
-          == flashcrowd._fingerprint(results),
-          "flash-crowd arms byte-identical under --jobs 2", failures)
+    check_gate(report_fingerprint(
+                   r for _, r in flashcrowd.run(jobs_cfg)["arms"])
+               == report_fingerprint(r for _, r in results["arms"]),
+               "flash-crowd arms byte-identical under --jobs 2", failures)
 
     if failures:
         raise RuntimeError(

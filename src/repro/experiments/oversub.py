@@ -30,6 +30,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     format_table,
     l_capacity_mops,
+    report_fingerprint,
     run_colocation_batch,
 )
 from repro.overload.admission import AdmissionConfig
@@ -102,20 +103,9 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     return results
 
 
-def _fingerprint(results: Dict) -> str:
-    return repr([(label,
-                  sorted(report.completed.items()),
-                  sorted(report.queue_peak.items()),
-                  sorted(report.queue_final.items()),
-                  sorted((k, round(v.get("p99_us", 0.0), 9))
-                         for k, v in report.latency.items()),
-                  report.admission.get("by_stage", {}),
-                  report.events_fired)
-                 for label, report in results["arms"]])
-
-
 def gate(cfg: ExperimentConfig, results: Dict) -> None:
     """``--smoke`` gate: a rerun must be byte-identical."""
-    if _fingerprint(run(cfg)) != _fingerprint(results):
+    if report_fingerprint(r for _, r in run(cfg)["arms"]) \
+            != report_fingerprint(r for _, r in results["arms"]):
         raise RuntimeError("rerun was not byte-identical")
     print("[oversub --smoke] deterministic rerun gate passed")

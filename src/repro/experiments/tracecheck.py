@@ -42,8 +42,10 @@ from repro.net import NetConfig
 from repro.experiments import flashcrowd
 from repro.experiments.common import (
     ExperimentConfig,
+    check_gate,
     format_table,
     l_capacity_mops,
+    report_fingerprint,
     run_colocation,
     run_colocation_batch,
 )
@@ -123,26 +125,6 @@ def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
                      for (label, _, _, _), report in zip(rows, reports)]}
 
 
-def _fingerprint(results: Dict) -> str:
-    return repr([(label,
-                  sorted(report.flight_counts.items()),
-                  report.flight_audit,
-                  sorted((app, summary["stage_sum_ns"],
-                          summary["total_sum_ns"],
-                          sorted(summary["stages"]))
-                         for app, summary in
-                         report.latency_stages.items()),
-                  sorted(report.completed.items()),
-                  report.events_fired)
-                 for label, report in results["arms"]])
-
-
-def _gate(ok: bool, message: str, failures: List[str]) -> None:
-    print(f"  [{'PASS' if ok else 'FAIL'}] {message}")
-    if not ok:
-        failures.append(message)
-
-
 def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
     results = run(cfg)
@@ -173,36 +155,37 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print("\nGates:")
     failures: List[str] = []
     for label, report in results["arms"]:
-        _gate(not report.flight_audit,
-              f"{label}: trace-invariant audit clean"
-              + ("" if not report.flight_audit
-                 else f" — {report.flight_audit[:3]}"), failures)
+        check_gate(not report.flight_audit,
+                   f"{label}: trace-invariant audit clean"
+                   + ("" if not report.flight_audit
+                      else f" — {report.flight_audit[:3]}"), failures)
         for app, summary in sorted(report.latency_stages.items()):
-            _gate(summary["stage_sum_ns"] == summary["total_sum_ns"],
-                  f"{label}/{app}: stage sums telescope to measured "
-                  f"latency exactly", failures)
+            check_gate(summary["stage_sum_ns"] == summary["total_sum_ns"],
+                       f"{label}/{app}: stage sums telescope to measured "
+                       f"latency exactly", failures)
         done = sum(per.get("done", 0)
                    for per in report.flight_counts.values())
-        _gate(done > 0, f"{label}: recorded completed flights ({done})",
-              failures)
+        check_gate(done > 0, f"{label}: recorded completed flights ({done})",
+                   failures)
     missing_stages = [s for s in REQUIRED_STAGES if s not in seen_stages]
-    _gate(not missing_stages,
-          "stage coverage across arms: "
-          + (", ".join(sorted(seen_stages)) or "none")
-          + (f" (missing {missing_stages})" if missing_stages else ""),
-          failures)
+    check_gate(not missing_stages,
+               "stage coverage across arms: "
+               + (", ".join(sorted(seen_stages)) or "none")
+               + (f" (missing {missing_stages})" if missing_stages else ""),
+               failures)
     missing_outcomes = [o for o in REQUIRED_OUTCOMES
                         if o not in seen_outcomes]
-    _gate(not missing_outcomes,
-          "outcome coverage across arms: "
-          + (", ".join(sorted(seen_outcomes)) or "none")
-          + (f" (missing {missing_outcomes})" if missing_outcomes
-             else ""), failures)
+    check_gate(not missing_outcomes,
+               "outcome coverage across arms: "
+               + (", ".join(sorted(seen_outcomes)) or "none")
+               + (f" (missing {missing_outcomes})" if missing_outcomes
+                  else ""), failures)
 
     if failures:
         raise RuntimeError("tracecheck gates failed: "
                            + "; ".join(failures))
-    if _fingerprint(run(cfg.scaled(jobs=2))) != _fingerprint(results):
+    if report_fingerprint(r for _, r in run(cfg.scaled(jobs=2))["arms"]) \
+            != report_fingerprint(r for _, r in results["arms"]):
         raise RuntimeError("--jobs 2 rerun was not byte-identical")
     print("[tracecheck] --jobs 2 determinism gate passed")
     if cfg.trace_out is not None:

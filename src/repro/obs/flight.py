@@ -411,7 +411,7 @@ class FlightRecorder(RunComponent):
                 print(f"  {trace['app']} "
                       f"{trace['total_ns'] / 1000.0:.1f}us: {path}")
 
-    def chrome_events(self, pid: int = 2) -> List[Dict[str, Any]]:
+    def chrome_events(self, pid: int) -> List[Dict[str, Any]]:
         """Chrome ``trace_event`` rows for the slowest-flight reservoir.
 
         Each reservoir flight becomes one thread under ``pid``; its

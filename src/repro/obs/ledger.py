@@ -36,15 +36,14 @@ whose ``enabled`` flag lets hot paths skip even argument construction::
         self.ledger.charge(...)
 
 Exports: :meth:`OpLedger.breakdown_table` renders the per-op text table
-(the ``--op-breakdown`` flag), and :meth:`OpLedger.chrome_trace` emits
-Chrome ``trace_event`` JSON — optionally merged with a
-:class:`~repro.sim.trace.Tracer`'s core spans so spans and op counts
-share one event stream loadable in ``chrome://tracing`` / Perfetto.
+(the ``--op-breakdown`` flag), and :meth:`OpLedger.chrome_events`
+gives the captured charges' Chrome ``trace_event`` rows, which
+:func:`repro.obs.write_chrome_trace` merges with the other recorders'
+into one file loadable in ``chrome://tracing`` / Perfetto.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.hist import LogHistogram
@@ -84,16 +83,14 @@ class OpLedger:
 
     ``sim`` (optional) timestamps captured events; ``capture_events``
     additionally records one event per charge (bounded by
-    ``max_events``) for the Chrome trace export.  ``tracer`` links the
-    core-span stream into :meth:`chrome_trace`.
+    ``max_events``) for the Chrome trace export.
     """
 
     enabled = True
 
-    def __init__(self, sim=None, tracer=None, capture_events: bool = False,
+    def __init__(self, sim=None, capture_events: bool = False,
                  max_events: int = 200_000) -> None:
         self.sim = sim
-        self.tracer = tracer
         self.max_events = max_events
         self.capture_events = capture_events
         self._stats: Dict[Tuple[str, str], _OpStat] = {}
@@ -239,53 +236,22 @@ class OpLedger:
                                    for i in range(len(headers))))
         return "\n".join(lines)
 
-    def chrome_trace(self, tracer=None, flight=None,
-                     gauges=None) -> Dict[str, Any]:
-        """Chrome ``trace_event`` JSON (as a dict) of spans and op charges.
-
-        Core spans (from ``tracer`` or the attached one) become complete
-        ("X") events under pid 0; captured ledger charges become "X"
-        events under pid 1, one tid per core (-1 for uncored charges).
-        A :class:`~repro.obs.flight.FlightRecorder` adds its slowest
-        requests' stage spans under pid 2 and a
-        :class:`~repro.obs.timeseries.GaugeSeries` its counter tracks
-        under pid 3, so one Perfetto timeline correlates cores, ops,
-        request decompositions and system gauges.  Timestamps and
-        durations are microseconds, as the format requires.
-        """
-        tracer = tracer if tracer is not None else self.tracer
-        trace_events: List[Dict[str, Any]] = [
-            {"ph": "M", "pid": 0, "name": "process_name",
-             "args": {"name": "cores"}},
-            {"ph": "M", "pid": 1, "name": "process_name",
+    def chrome_events(self, pid: int) -> List[Dict[str, Any]]:
+        """Chrome ``trace_event`` rows for the captured charges: one
+        complete ("X") event each, one tid per core (-1 for uncored
+        charges)."""
+        events: List[Dict[str, Any]] = [
+            {"ph": "M", "pid": pid, "name": "process_name",
              "args": {"name": "ops"}},
         ]
-        if tracer is not None:
-            for core_id in sorted(tracer.spans):
-                for start, end, category in tracer.spans[core_id]:
-                    trace_events.append({
-                        "name": category, "cat": "span", "ph": "X",
-                        "ts": start / 1000.0, "dur": (end - start) / 1000.0,
-                        "pid": 0, "tid": core_id,
-                    })
         for ts, core, dom, op, cost in self.events:
-            trace_events.append({
+            events.append({
                 "name": op, "cat": dom, "ph": "X",
                 "ts": ts / 1000.0, "dur": cost / 1000.0,
-                "pid": 1, "tid": core if core is not None else -1,
+                "pid": pid, "tid": core if core is not None else -1,
                 "args": {"cost_ns": cost},
             })
-        if flight is not None:
-            trace_events.extend(flight.chrome_events(pid=2))
-        if gauges is not None:
-            trace_events.extend(gauges.chrome_events(pid=3))
-        return {"traceEvents": trace_events, "displayTimeUnit": "ns"}
-
-    def write_chrome_trace(self, path: str, tracer=None, flight=None,
-                           gauges=None) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.chrome_trace(tracer, flight=flight,
-                                        gauges=gauges), handle)
+        return events
 
 
 class ChargeHandle:

@@ -74,7 +74,7 @@ class GaugeSeries(RunComponent):
     def names(self) -> List[str]:
         return [name for name, _ in self._probes]
 
-    def chrome_events(self, pid: int = 3) -> List[Dict[str, Any]]:
+    def chrome_events(self, pid: int) -> List[Dict[str, Any]]:
         """Chrome ``trace_event`` counter ("C") rows, one track per gauge."""
         events: List[Dict[str, Any]] = [
             {"ph": "M", "pid": pid, "name": "process_name",

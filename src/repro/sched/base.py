@@ -42,9 +42,12 @@ class SystemReport:
     completed: Dict[str, int] = field(default_factory=dict)
     #: per B-app useful nanoseconds
     useful_ns: Dict[str, int] = field(default_factory=dict)
-    #: injected-fault op counts (ledger "fault" domain), if observed
+    #: injected-fault op counts (ledger "fault" domain); filled only
+    #: when the run has a ledger (``run_colocation`` builds one only
+    #: under ``--op-breakdown`` / ``--trace-out``), else empty
     fault_ops: Dict[str, int] = field(default_factory=dict)
-    #: degraded-path op counts (ledger "fallback" domain), if observed
+    #: degraded-path op counts (ledger "fallback" domain); filled only
+    #: when the run has a ledger, like ``fault_ops``
     fallback_ops: Dict[str, int] = field(default_factory=dict)
     #: client-observed latency summaries per L-app (only when the run
     #: went through a ``repro.net`` fabric; empty for direct submit)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import Simulator
 
@@ -83,6 +83,22 @@ class Tracer:
                    for start, end, cat in self.spans_between(core_id, t0, t1)
                    if cat.startswith(prefix))
         return busy / (t1 - t0)
+
+    def chrome_events(self, pid: int) -> List[Dict[str, Any]]:
+        """Chrome ``trace_event`` rows: one complete ("X") event per
+        span, one tid per core, in microseconds as the format requires."""
+        events: List[Dict[str, Any]] = [
+            {"ph": "M", "pid": pid, "name": "process_name",
+             "args": {"name": "cores"}},
+        ]
+        for core_id in sorted(self.spans):
+            for start, end, category in self.spans[core_id]:
+                events.append({
+                    "name": category, "cat": "span", "ph": "X",
+                    "ts": start / 1000.0, "dur": (end - start) / 1000.0,
+                    "pid": pid, "tid": core_id,
+                })
+        return events
 
 
 def category_glyph(category: str) -> str:

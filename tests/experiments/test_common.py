@@ -1,7 +1,6 @@
 """Tests for the experiment harness infrastructure."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -13,6 +12,8 @@ from repro.experiments.common import (
     format_table,
     l_capacity_mops,
     normalized_total,
+    report_fields,
+    report_fingerprint,
     run_colocation,
     run_colocation_batch,
     system_factory,
@@ -86,6 +87,34 @@ def test_run_colocation_unknown_specs():
         run_colocation("ideal", cfg, l_specs=[("mysql", "m", 1.0)])
     with pytest.raises(ValueError):
         run_colocation("ideal", cfg, l_specs=[], b_specs=("bitcoin",))
+
+
+@pytest.mark.parametrize("system", ["ideal", "caladan-dr-l", "arachne",
+                                    "linux-cfs"])
+def test_bw_cap_needs_a_system_with_a_cap_mechanism(system):
+    """Regression: a cap on a system without the named mechanism used
+    to be silently ignored."""
+    cfg = ExperimentConfig(num_workers=2, sim_ms=2, warmup_ms=1)
+    with pytest.raises(ValueError, match="bandwidth-cap"):
+        run_colocation(system, cfg, l_specs=[("memcached", "mc", 0.3)],
+                       b_specs=("membench",), bw_cap=("membench", 20.0))
+
+
+def _report(**fields):
+    return SystemReport(system="vessel", elapsed_ns=1_000,
+                        num_worker_cores=2, **fields)
+
+
+@pytest.mark.parametrize("field,first,second", [
+    ("useful_ns", {"lp": 500}, {"lp": 501}),
+    ("buckets", {"app:mc": 700, "idle": 300},
+     {"app:mc": 699, "idle": 301}),
+])
+def test_report_fingerprint_reads_efficiency_fields(field, first, second):
+    assert report_fingerprint([_report(**{field: first})]) \
+        != report_fingerprint([_report(**{field: second})])
+    assert report_fingerprint([_report(**{field: first})]) \
+        == report_fingerprint([_report(**{field: dict(first)})])
 
 
 def test_scaled_returns_modified_copy():
@@ -174,10 +203,10 @@ def _golden_cases():
             track_queues=True)),
         "fig13_vessel_cap": ("vessel", small, dict(
             l_specs=[("memcached", "mc", 1.0)], b_specs=("membench",),
-            bus_sensitivity=4.0, vessel_bw_cap=("membench", 20.0))),
+            bus_sensitivity=4.0, bw_cap=("membench", 20.0))),
         "fig13_caladan_cap": ("caladan", small, dict(
             l_specs=[("memcached", "mc", 1.0)], b_specs=("membench",),
-            bus_sensitivity=4.0, caladan_bw_cap=("membench", 20.0))),
+            bus_sensitivity=4.0, bw_cap=("membench", 20.0))),
         "vessel_net_overload_chaos": ("vessel", net_cfg, dict(
             l_specs=[("memcached", "mc", 1.2)],
             admission=flashcrowd.admission_for(net_cfg),
@@ -194,13 +223,7 @@ def _golden_cases():
 
 
 def _serialize(report, stdout):
-    out = {}
-    for spec in dataclasses.fields(report):
-        value = getattr(report, spec.name)
-        if spec.name in ("latency_hist", "client_hist"):
-            value = {name: hist.__getstate__()
-                     for name, hist in value.items()}
-        out[spec.name] = value
+    out = report_fields(report)
     out["stdout"] = stdout
     # Round-trip so int dict keys compare like the stored JSON's.
     return json.loads(json.dumps(out, sort_keys=True))

@@ -3,12 +3,14 @@
 One Perfetto/Chrome timeline holds four processes: pid 0 core spans
 (Tracer), pid 1 op charges (OpLedger events), pid 2 the flight
 recorder's slowest-request stage spans, pid 3 gauge counter tracks.
+``write_chrome_trace`` numbers the recorders it is given in order.
 These tests pin the pid/tid mapping, the per-section event shapes, and
 that the merged document survives a JSON round trip.
 """
 
 import json
 
+from repro.obs import write_chrome_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.ledger import OpLedger
 from repro.obs.timeseries import GaugeSeries
@@ -32,7 +34,7 @@ def _build():
     tracer = Tracer(sim)
     tracer.record(0, 1_000, 2_000, "app:mc")
     tracer.record(1, 1_500, 3_000, "batch:linpack")
-    ledger = OpLedger(sim=sim, tracer=tracer, capture_events=True)
+    ledger = OpLedger(sim=sim, capture_events=True)
     sim.at(1_200, lambda: ledger.charge("uintr_send", 40, core=0,
                                         domain="hw"))
 
@@ -47,12 +49,17 @@ def _build():
     gauges.add_probe("busy_cores", lambda: 2)
     gauges.start()
     sim.run(until=3_000)
-    return ledger, tracer, flight, gauges
+    return tracer, ledger, flight, gauges
 
 
-def test_merged_trace_pid_mapping_and_shapes():
-    ledger, tracer, flight, gauges = _build()
-    doc = ledger.chrome_trace(flight=flight, gauges=gauges)
+def _export(tmp_path, recorders):
+    path = tmp_path / "merged.json"
+    write_chrome_trace(str(path), recorders)
+    return json.loads(path.read_text())
+
+
+def test_merged_trace_pid_mapping_and_shapes(tmp_path):
+    doc = _export(tmp_path, _build())
     events = doc["traceEvents"]
 
     names = {(e["pid"], e.get("name")) for e in events if e["ph"] == "M"}
@@ -84,10 +91,8 @@ def test_merged_trace_pid_mapping_and_shapes():
     assert len(counters) == 3  # ticks at 1000/2000/3000 ns
 
 
-def test_sections_are_ordered_and_spans_time_sorted():
-    ledger, tracer, flight, gauges = _build()
-    events = ledger.chrome_trace(flight=flight, gauges=gauges)[
-        "traceEvents"]
+def test_sections_are_ordered_and_spans_time_sorted(tmp_path):
+    events = _export(tmp_path, _build())["traceEvents"]
     pids = [e["pid"] for e in events if e["ph"] != "M"]
     assert pids == sorted(pids)  # sections merge in pid order
     for pid in (0, 1, 3):
@@ -97,10 +102,7 @@ def test_sections_are_ordered_and_spans_time_sorted():
 
 
 def test_merged_trace_round_trips_through_json(tmp_path):
-    ledger, tracer, flight, gauges = _build()
-    path = tmp_path / "merged.json"
-    ledger.write_chrome_trace(str(path), flight=flight, gauges=gauges)
-    doc = json.loads(path.read_text())
+    doc = _export(tmp_path, _build())
     assert doc["displayTimeUnit"] == "ns"
     assert {e["pid"] for e in doc["traceEvents"]} == {0, 1, 2, 3}
     for event in doc["traceEvents"]:
@@ -109,10 +111,10 @@ def test_merged_trace_round_trips_through_json(tmp_path):
             assert event["dur"] >= 0
 
 
-def test_sections_are_optional():
-    ledger, tracer, flight, gauges = _build()
-    doc = ledger.chrome_trace()  # ops + attached tracer only
+def test_sections_are_optional(tmp_path):
+    tracer, ledger, flight, gauges = _build()
+    doc = _export(tmp_path, (tracer, ledger))  # spans + ops only
     assert {e["pid"] for e in doc["traceEvents"]} <= {0, 1}
-    doc = ledger.chrome_trace(flight=flight)
+    doc = _export(tmp_path, (tracer, ledger, flight))
     assert 2 in {e["pid"] for e in doc["traceEvents"]}
     assert 3 not in {e["pid"] for e in doc["traceEvents"]}

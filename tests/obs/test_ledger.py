@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import write_chrome_trace
 from repro.obs.hist import bucket_index, bucket_upper_ns
 from repro.obs.ledger import NULL_LEDGER, NullLedger, OpLedger
 from repro.sim.engine import Simulator
@@ -175,11 +176,11 @@ def test_chrome_trace_round_trips_through_json(tmp_path):
     sim = Simulator()
     tracer = Tracer(sim)
     tracer.record(0, 1000, 2000, "app:x")
-    ledger = OpLedger(sim=sim, tracer=tracer, capture_events=True)
+    ledger = OpLedger(sim=sim, capture_events=True)
     sim.at(1500, lambda: ledger.charge("op", 40, core=0, domain="d"))
     sim.run()
     path = tmp_path / "trace.json"
-    ledger.write_chrome_trace(str(path))
+    write_chrome_trace(str(path), (tracer, ledger))
     doc = json.loads(path.read_text())
     events = doc["traceEvents"]
     span = [e for e in events if e["ph"] == "X" and e["pid"] == 0]

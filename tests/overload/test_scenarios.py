@@ -6,12 +6,16 @@ the full wiring (admission + trace + churn + chaos through
 """
 
 from repro.experiments import churn, flashcrowd, overload_suite, oversub
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, report_fingerprint
 
 
 def tiny(seed=42, **overrides):
     cfg = ExperimentConfig(num_workers=2, sim_ms=3, warmup_ms=1, seed=seed)
     return cfg.scaled(**overrides) if overrides else cfg
+
+
+def _arms_fingerprint(results):
+    return report_fingerprint(report for _, report in results["arms"])
 
 
 def test_churn_deterministic_and_leak_free():
@@ -23,14 +27,15 @@ def test_churn_deterministic_and_leak_free():
     assert churned.uncontained == []
     # The long-lived tenant kept serving through the turnover.
     assert churned.completed.get("resident", 0) > 0
-    assert churn._fingerprint(results) == churn._fingerprint(
-        churn.run(tiny()))
+    assert report_fingerprint(results.values()) == report_fingerprint(
+        churn.run(tiny()).values())
 
 
 def test_churn_jobs_equality():
     serial = churn.run(tiny())
     fanned = churn.run(tiny(jobs=2))
-    assert churn._fingerprint(serial) == churn._fingerprint(fanned)
+    assert report_fingerprint(serial.values()) \
+        == report_fingerprint(fanned.values())
 
 
 def test_flashcrowd_protected_arm_sheds_and_stays_bounded():
@@ -47,7 +52,7 @@ def test_flashcrowd_protected_arm_sheds_and_stays_bounded():
 def test_flashcrowd_jobs_equality():
     serial = flashcrowd.run(tiny())
     fanned = flashcrowd.run(tiny(jobs=2))
-    assert flashcrowd._fingerprint(serial) == flashcrowd._fingerprint(fanned)
+    assert _arms_fingerprint(serial) == _arms_fingerprint(fanned)
 
 
 def test_oversub_admission_bounds_queues():
@@ -64,8 +69,8 @@ def test_oversub_admission_bounds_queues():
 
 
 def test_oversub_deterministic():
-    assert oversub._fingerprint(oversub.run(tiny())) \
-        == oversub._fingerprint(oversub.run(tiny()))
+    assert _arms_fingerprint(oversub.run(tiny())) \
+        == _arms_fingerprint(oversub.run(tiny()))
 
 
 def test_chaos_overload_contained_and_conserved():
@@ -87,5 +92,4 @@ def test_chaos_overload_contained_and_conserved():
 def test_chaos_run_deterministic():
     first = overload_suite.chaos_run(tiny())
     second = overload_suite.chaos_run(tiny())
-    assert overload_suite._chaos_fingerprint(first) \
-        == overload_suite._chaos_fingerprint(second)
+    assert report_fingerprint([first]) == report_fingerprint([second])
