@@ -89,8 +89,9 @@ class IdealSystem(ColocationSystem):
             state.core.run(request.app.category, service_ns, self._done,
                            state, request)
             return
-        if self.batch_apps:
-            app = self.batch_apps[self._batch_rr % len(self.batch_apps)]
+        batch_apps = self.batch_apps
+        if batch_apps:
+            app = batch_apps[self._batch_rr % len(batch_apps)]
             self._batch_rr += 1
             state.kind = "B"
             state.batch_app = app

@@ -19,7 +19,6 @@ from repro.sim.rng import RngStreams
 from repro.hardware.machine import Core, Machine
 from repro.kernel.cfs import CfsScheduler, CfsTask, Chunk
 from repro.kernel.kprocess import KProcess, KThread, ThreadState
-from repro.sched import queues
 from repro.sched.base import ColocationSystem
 from repro.workloads.base import App, Request
 
@@ -29,20 +28,24 @@ B_CHUNK_NS = 200_000
 
 
 class _WorkerTask(CfsTask):
-    """One L-app server thread: kernel-net chunk, then the service chunk."""
+    """One L-app server thread: kernel-net chunk, then the service chunk.
+
+    The thread serves one request at a time, so the service chunk's
+    completion callback is one bound method reading ``_serving``.
+    """
 
     def __init__(self, system: "LinuxCfsSystem", app: App) -> None:
         self.system = system
         self.app = app
         self._staged: Optional[Request] = None
+        self._serving: Optional[Request] = None
 
     def next_chunk(self) -> Optional[Chunk]:
         if self._staged is not None:
-            request = self._staged
+            request = self._serving = self._staged
             self._staged = None
             return Chunk(self.system.begin_service(request),
-                         self.app.category,
-                         lambda: self._complete(request))
+                         self.app.category, self._complete)
         request = self.app.pop_request()
         if request is None:
             return None  # sleep on epoll
@@ -50,7 +53,8 @@ class _WorkerTask(CfsTask):
         # Kernel network stack + syscall surface per request.
         return Chunk(self.system.costs.kernel_net_ns, "kernel")
 
-    def _complete(self, request: Request) -> None:
+    def _complete(self) -> None:
+        request = self._serving
         request.app.complete(request, self.system.sim.now)
         if self.system.flight.enabled:
             self.system.flight.on_complete(request)
@@ -64,9 +68,10 @@ class _BatchTask(CfsTask):
         self.chunk_ns = chunk_ns
 
     def next_chunk(self) -> Optional[Chunk]:
-        def done() -> None:
-            self.app.useful_ns += self.chunk_ns
-        return Chunk(self.chunk_ns, self.app.category, done)
+        return Chunk(self.chunk_ns, self.app.category, self._done)
+
+    def _done(self) -> None:
+        self.app.useful_ns += self.chunk_ns
 
 
 class LinuxCfsSystem(ColocationSystem):
@@ -115,11 +120,16 @@ class LinuxCfsSystem(ColocationSystem):
 
     # ------------------------------------------------------------------
     def on_arrival(self, app: App, request: Request) -> None:
-        """The softirq path wakes one sleeping server thread."""
+        """The softirq path wakes one sleeping server thread, scanning
+        round-robin from the one after the last thread it woke."""
         threads = self._workers[app.name]
-        index = queues.rr_scan(threads, self._wake_rr[app.name],
-                               lambda t: t.state is ThreadState.SLEEPING)
-        if index is not None:
-            self._wake_rr[app.name] = (index + 1) % len(threads)
-            self.cfs.wake(threads[index])
-        # else: all workers already runnable; the queue drains as they run.
+        count = len(threads)
+        start = self._wake_rr[app.name]
+        for offset in range(count):
+            index = (start + offset) % count
+            thread = threads[index]
+            if thread.state is ThreadState.SLEEPING:
+                self._wake_rr[app.name] = (index + 1) % count
+                self.cfs.wake(thread)
+                return
+        # All workers already runnable; the queue drains as they run.

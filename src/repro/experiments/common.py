@@ -200,10 +200,10 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     writes it to exactly that path instead (a command whose one traced
     run is the point of its ``--trace-out``).
     """
-    return _run_colocation(system_name, cfg, l_specs, b_specs,
-                           bus_sensitivity, bw_cap, admission, trace,
-                           churn, fault_plan, track_queues, rng_namespace,
-                           trace_file)[0]
+    return run_colocation_full(system_name, cfg, l_specs, b_specs,
+                               bus_sensitivity, bw_cap, admission, trace,
+                               churn, fault_plan, track_queues,
+                               rng_namespace, trace_file)[0]
 
 
 def run_trace_path(trace_out: str, system_name: str, identity: str) -> str:
@@ -220,19 +220,20 @@ def run_trace_path(trace_out: str, system_name: str, identity: str) -> str:
     return f"{stem}.{system_name}-{digest}{suffix}"
 
 
-def _run_colocation(system_name: str, cfg: ExperimentConfig,
-                    l_specs: Sequence[Tuple[str, str, float]],
-                    b_specs: Sequence[str] = ("linpack",),
-                    bus_sensitivity: float = 0.0,
-                    bw_cap: Optional[Tuple[str, float]] = None,
-                    admission=None, trace=None, churn=None,
-                    fault_plan=None,
-                    track_queues: bool = False,
-                    rng_namespace: Optional[str] = None,
-                    trace_file: Optional[str] = None):
+def run_colocation_full(system_name: str, cfg: ExperimentConfig,
+                        l_specs: Sequence[Tuple[str, str, float]],
+                        b_specs: Sequence[str] = ("linpack",),
+                        bus_sensitivity: float = 0.0,
+                        bw_cap: Optional[Tuple[str, float]] = None,
+                        admission=None, trace=None, churn=None,
+                        fault_plan=None,
+                        track_queues: bool = False,
+                        rng_namespace: Optional[str] = None,
+                        trace_file: Optional[str] = None):
     """:func:`run_colocation` returning ``(report, system, fabric)``, so
-    a caller can read the run's own recorders after the report is built
-    (``fabric`` is None for direct submit)."""
+    a caller can read the run's own system and recorders after the
+    report is built (``fabric`` is None for direct submit): the chaos
+    experiment's preemption and containment counters, for one."""
     if trace_file is None and cfg.trace_out is not None:
         # Everything that makes the run, but not the knobs that leave it
         # unchanged (the trace path itself, the worker count).
@@ -437,7 +438,8 @@ def run_task_captured(task):
     system_name, cfg, kwargs = task
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        report, system, fabric = _run_colocation(system_name, cfg, **kwargs)
+        report, system, fabric = run_colocation_full(system_name, cfg,
+                                                     **kwargs)
     return report, system, fabric, buffer.getvalue()
 
 

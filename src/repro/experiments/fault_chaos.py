@@ -16,6 +16,12 @@ Two questions the paper's happy-path evaluation never asks:
    uProcesses serving?  The run fails loudly (non-zero exit) if any
    fault escapes containment, which makes it usable as a CI smoke gate.
 
+Every run goes through ``run_colocation``'s harness, so ``chaos`` honours
+``--net``, ``--policy``, ``--trace-out``, ``--latency-breakdown`` and
+``--trace-requests`` like every other experiment.  The recovery line
+reads VESSEL's containment counters, which are always on;
+``--op-breakdown`` adds each run's full ``fault:*``/``fallback:*`` rows.
+
 Usage::
 
     PYTHONPATH=src python -m repro chaos
@@ -24,22 +30,15 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 from repro.sim.units import MS, US
-from repro.hardware.machine import Machine
-from repro.obs.ledger import OpLedger
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.vessel.scheduler import VesselSystem
-from repro.workloads.base import OpenLoopSource
-from repro.workloads.linpack import linpack_app
 from repro.experiments.common import (
     ExperimentConfig,
     format_table,
-    make_l_app,
-    system_factory,
+    run_colocation_full,
 )
 
 #: Uintr drop probabilities swept in part 1
@@ -48,43 +47,17 @@ DROP_RATES = (0.0, 0.02, 0.05)
 L_RATE_MOPS = 0.4
 
 
-def run_chaos(cfg: ExperimentConfig, system_name: str,
-              plan: Optional[FaultPlan] = None) -> Tuple:
-    """One chaos run; returns (report, system, injector, ledger).
-
-    Unlike ``run_colocation`` this always builds a real ledger — the
-    fallback rate it reports comes from the ``fallback`` domain rows.
-    """
-    sim = Simulator()
-    ledger = OpLedger(sim=sim)
-    machine = Machine(sim, cfg.costs, cfg.num_workers + 1,
-                      membus_gbps=cfg.membus_gbps, ledger=ledger)
-    rngs = RngStreams(cfg.seed)
-    workers = machine.cores[1:]
-    system = system_factory(system_name)(sim, machine, rngs,
-                                        worker_cores=workers)
-
-    app, sampler = make_l_app("memcached", "memcached", rngs)
-    system.add_app(app)
-    OpenLoopSource(sim, app, system.submit, L_RATE_MOPS, sampler,
-                   rngs.stream("arrivals/memcached"),
-                   connections=cfg.connections_per_app)
+def _run(cfg: ExperimentConfig, system_name: str,
+         plan: Optional[FaultPlan]):
+    """One chaos run through the colocation harness: memcached (plus
+    silo at half its rate on VESSEL, the crash victim) next to linpack.
+    Returns ``(report, system)``."""
+    l_specs = [("memcached", "memcached", L_RATE_MOPS)]
     if system_name == "vessel":
-        silo, silo_sampler = make_l_app("silo", "silo", rngs)
-        system.add_app(silo)
-        OpenLoopSource(sim, silo, system.submit, L_RATE_MOPS / 2,
-                       silo_sampler, rngs.stream("arrivals/silo"),
-                       connections=cfg.connections_per_app)
-    system.add_app(linpack_app())
-
-    system.start()
-    injector = None
-    if plan is not None:
-        injector = FaultInjector(plan, system)
-        injector.start()
-    sim.at(cfg.warmup_ms * MS, system.begin_measurement)
-    sim.run(until=cfg.sim_ms * MS)
-    return system.report(), system, injector, ledger
+        l_specs.append(("silo", "silo", L_RATE_MOPS / 2))
+    report, system, _ = run_colocation_full(
+        system_name, cfg, l_specs, b_specs=("linpack",), fault_plan=plan)
+    return report, system
 
 
 def _fallback_rate(system) -> float:
@@ -116,8 +89,7 @@ def main(cfg: ExperimentConfig) -> None:
             if drop_p > 0.0:
                 plan = FaultPlan(seed=cfg.seed).drop_uintr(
                     drop_p, at_ns=cfg.warmup_ms * MS)
-            report, system, injector, ledger = run_chaos(
-                cfg, system_name, plan=plan)
+            report, system = _run(cfg, system_name, plan)
             lat = report.latency.get("memcached", {})
             rows.append([
                 system_name,
@@ -127,11 +99,8 @@ def main(cfg: ExperimentConfig) -> None:
                 report.completed.get("memcached", 0),
                 f"{_realloc_per_ms(system, report):.1f}",
                 f"{100.0 * _fallback_rate(system):.2f}%",
-                injector.total_injected if injector else 0,
+                sum(report.fault_injected.values()),
             ])
-            if cfg.op_breakdown:
-                print(f"\n[{system_name} drop={drop_p}] per-op breakdown")
-                print(ledger.breakdown_table())
     print("\nUintr fault-rate sweep "
           f"(memcached @ {L_RATE_MOPS} Mops/s + linpack):")
     print(format_table(
@@ -150,26 +119,26 @@ def main(cfg: ExperimentConfig) -> None:
             .crash("silo", at_ns=mid)
             .rogue_thread("linpack", at_ns=mid + 50 * US)
             .stall_scheduler(at_ns=mid + 100 * US))
-    report, system, injector, ledger = run_chaos(cfg, "vessel", plan=plan)
+    report, system = _run(cfg, "vessel", plan)
     lat = report.latency.get("memcached", {})
+    containment = system.containment
     print("\nFull chaos on VESSEL (drops + crash + rogue + stall):")
-    injected = {k.value: v for k, v in injector.injected.items() if v}
-    print(f"  injected faults : {injected}")
-    print(f"  fault ops       : {report.fault_ops}")
-    print(f"  fallback ops    : {report.fallback_ops}")
+    print(f"  injected faults : {report.fault_injected}")
+    print(f"  recovery        : Uintr retries "
+          f"{containment.fallback_retries}, kernel IPIs "
+          f"{containment.fallback_ipis}, scheduler restarts "
+          f"{containment.sched_restarts}, crashes contained "
+          f"{containment.contained_crashes}, rogue kills "
+          f"{containment.rogue_kills}")
     print(f"  memcached p50/p99: {lat.get('p50_us', float('nan')):.1f} / "
           f"{lat.get('p99_us', float('nan')):.1f} us  "
           f"(completed {report.completed.get('memcached', 0)})")
     print(f"  fallback rate   : {100.0 * _fallback_rate(system):.2f}% "
           f"of {system.preemptions} preemptions")
-    if cfg.op_breakdown:
-        print("\n[vessel full-chaos] per-op breakdown")
-        print(ledger.breakdown_table())
-    issues = system.uncontained()
-    if issues:
-        for issue in issues:
+    if report.uncontained:
+        for issue in report.uncontained:
             print(f"  UNCONTAINED: {issue}")
         raise RuntimeError(
-            f"{len(issues)} fault(s) escaped containment")
-    print(f"  containment     : all {injector.total_injected} injected "
-          "faults contained, zero leaks")
+            f"{len(report.uncontained)} fault(s) escaped containment")
+    print(f"  containment     : all {sum(report.fault_injected.values())} "
+          "injected faults contained, zero leaks")

@@ -85,14 +85,14 @@ def main(cfg: Optional[ExperimentConfig] = None) -> None:
         l_specs=[("memcached", "memcached", LOADS[-1] * capacity)],
         b_specs=("linpack",), fault_plan=plan)
     counters = report.net_ops["memcached"]
-    total_injected = sum(report.fault_injected.values())
+    injected = sum(report.fault_injected.values())
     print(f"\nLossy link (drop {DROP_P:.0%}, "
           f"+{DELAY_NS / 1000:.0f} us delay on {DELAY_P:.0%}):")
     print(f"  injected faults : {report.fault_injected}")
     print(f"  client counters : {counters}")
     print(f"  client p99      : "
           f"{report.client_p99_us('memcached'):.1f} us")
-    if total_injected == 0:
+    if injected == 0:
         violations.append("lossy-link run injected no packet faults")
     if counters["retries"] == 0:
         violations.append("clients never retried despite injected drops")
@@ -103,6 +103,6 @@ def main(cfg: Optional[ExperimentConfig] = None) -> None:
             print(f"  FAIL: {violation}")
         raise RuntimeError(
             f"{len(violations)} network smoke check(s) failed")
-    print(f"  containment     : all {total_injected} injected "
+    print(f"  containment     : all {injected} injected "
           "packet faults contained; client-observed P99 >= server P99 "
           "at every load point")

@@ -138,10 +138,6 @@ class FaultInjector(RunComponent):
     # -------------------------------------------------------------------
     # Report
     # -------------------------------------------------------------------
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     def contribute(self, report) -> None:
         report.uncontained = self.system.uncontained()
         report.fault_injected = {kind.value: count for kind, count

@@ -12,8 +12,10 @@ from them:
   path is: save user context -> call gate entry (stack switch + WRPKRU to
   the runtime key) -> runtime queue ops -> restore target context -> call
   gate exit (WRPKRU to the target's key + recheck).  The constants below
-  sum to ~160 ns; the tail comes from :meth:`jitter_ns` which models rare
-  machine-level interference (SMIs, TLB shootdowns by unmanaged processes).
+  sum to ~160 ns; the tail comes from the ``jitter_*`` constants, rare
+  machine-level interference (SMIs, TLB shootdowns by unmanaged
+  processes) that :meth:`~repro.uprocess.switch.UserspaceSwitch.switch`
+  draws per switch.
 
 * **Caladan core reallocation** (Figure 3: 5.3 µs total).  The kernel
   pipeline is ioctl -> IPI -> kernel trap -> SIGUSR-driven user save ->
@@ -158,22 +160,12 @@ class CostModel:
     kernel_jitter_min_ns: int = 2500
     kernel_jitter_max_ns: int = 4200
 
-    def jitter_ns(self, rng: random.Random) -> int:
-        """Occasional extra latency from unmodeled machine interference."""
-        if rng.random() < self.jitter_probability:
-            return rng.randint(self.jitter_min_ns, self.jitter_max_ns)
-        return 0
-
     def kernel_jitter_ns(self, rng: random.Random) -> int:
         """Occasional extra latency on kernel-mediated paths."""
         if rng.random() < self.kernel_jitter_probability:
             return rng.randint(self.kernel_jitter_min_ns,
                                self.kernel_jitter_max_ns)
         return 0
-
-    def vessel_switch_noise_ns(self, rng: random.Random) -> int:
-        """Per-switch spread of the userspace path (cache/TLB state)."""
-        return int(abs(rng.gauss(0.0, VESSEL_SWITCH_NOISE_SIGMA_NS)))
 
     def caladan_switch_noise_ns(self, rng: random.Random) -> int:
         """Per-switch spread of the kernel-mediated cooperative path."""

@@ -12,21 +12,20 @@ claim in the paper reduces to: *which operations ran on the switch path
 and what did each cost* (Table 1, Figures 1-3).
 
 Domains are free-form strings; the conventional ones are ``hw``,
-``syscall``, ``kernel``, ``uproc``, and ``vessel``, plus two reserved
-for the failure model (:data:`FAULT_DOMAIN`, :data:`FALLBACK_DOMAIN`):
-``fault`` rows count injected faults (``fault:uintr_drop``,
-``fault:uproc_crash``, ...) and ``fallback`` rows count the degraded
-recovery paths the containment machinery took (``fallback:kernel_ipi``,
-``fallback:sched_restart``, ...), so a breakdown shows not just that a
-run degraded but which mechanism absorbed the damage.
+``syscall``, ``kernel``, ``uproc``, and ``vessel``, plus two for the
+failure model: ``fault`` rows count injected faults
+(``fault:uintr_drop``, ``fault:uproc_crash``, ...) and ``fallback`` rows
+count the degraded recovery paths the containment machinery took
+(``fallback:kernel_ipi``, ``fallback:sched_restart``, ...), so a
+breakdown shows not just that a run degraded but which mechanism
+absorbed the damage.
 
-The ledger keeps, per ``(domain, op)``:
-
-* a :class:`~repro.obs.hist.LogHistogram` of the charged costs: the
-  operation count, exact total nanoseconds, and log buckets (8 per
-  power of two, so relative error is bounded by 12.5 %) from which
-  P50/P99/P99.9 are derived without storing samples;
-* per-core nanosecond attribution.
+The ledger keeps, per ``(domain, op)``, a
+:class:`~repro.obs.hist.LogHistogram` of the charged costs: the
+operation count, exact total nanoseconds, and log buckets (8 per power
+of two, so relative error is bounded by 12.5 %) from which
+P50/P99/P99.9 are derived without storing samples.  A charge's core
+reaches only the captured events of the Chrome trace export.
 
 Zero-overhead disablement: components default to the shared
 :data:`NULL_LEDGER`, whose ``charge``/``count_op`` are empty methods and
@@ -48,35 +47,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.hist import LogHistogram
 
-#: ledger domain for injected-fault markers
-FAULT_DOMAIN = "fault"
-#: ledger domain for degraded recovery paths (watchdog retries, kernel
-#: IPIs, forced switches, scheduler restarts)
-FALLBACK_DOMAIN = "fallback"
-
-
-class _OpStat(LogHistogram):
-    """The log histogram of one (domain, op) pair's charged costs, plus
-    the nanoseconds charged on each core."""
-
-    __slots__ = ("per_core_ns",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: core id -> nanoseconds charged on that core
-        self.per_core_ns: Dict[int, int] = {}
-
-    def charge(self, cost_ns: int, core: Optional[int]) -> None:
-        self.record(cost_ns)
-        if core is not None:
-            self.per_core_ns[core] = self.per_core_ns.get(core, 0) + cost_ns
-
-    def merge(self, other: "_OpStat") -> "_OpStat":
-        super().merge(other)
-        for core, ns in other.per_core_ns.items():
-            self.per_core_ns[core] = self.per_core_ns.get(core, 0) + ns
-        return self
-
 
 class OpLedger:
     """Per-operation cost accounting shared by every layer.
@@ -93,7 +63,7 @@ class OpLedger:
         self.sim = sim
         self.max_events = max_events
         self.capture_events = capture_events
-        self._stats: Dict[Tuple[str, str], _OpStat] = {}
+        self._stats: Dict[Tuple[str, str], LogHistogram] = {}
         #: bumped by reset(); lets ChargeHandles notice their stat is stale
         self._generation = 0
         #: captured (ts_ns, core, domain, op, cost_ns) rows
@@ -105,11 +75,12 @@ class OpLedger:
     # ------------------------------------------------------------------
     def charge(self, op: str, cost_ns: int, core: Optional[int] = None,
                domain: str = "misc") -> None:
-        """Attribute ``cost_ns`` of operation ``op`` (optionally to a core)."""
+        """Record ``cost_ns`` of operation ``op`` (``core`` goes into the
+        captured event, if any)."""
         stat = self._stats.get((domain, op))
         if stat is None:
-            stat = self._stats[(domain, op)] = _OpStat()
-        stat.charge(cost_ns, core)
+            stat = self._stats[(domain, op)] = LogHistogram()
+        stat.record(cost_ns)
         if self.capture_events:
             self._capture(core, domain, op, cost_ns)
 
@@ -131,10 +102,10 @@ class OpLedger:
         """
         return ChargeHandle(self, domain, op)
 
-    def _stat_for(self, domain: str, op: str) -> _OpStat:
+    def _stat_for(self, domain: str, op: str) -> LogHistogram:
         stat = self._stats.get((domain, op))
         if stat is None:
-            stat = self._stats[(domain, op)] = _OpStat()
+            stat = self._stats[(domain, op)] = LogHistogram()
         return stat
 
     def _capture(self, core: Optional[int], domain: str, op: str,
@@ -168,21 +139,13 @@ class OpLedger:
 
     def percentile_ns(self, op: str, pct: float,
                       domain: Optional[str] = None) -> float:
-        merged = _OpStat()
+        merged = LogHistogram()
         for (dom, name), stat in self._stats.items():
             if name == op and (domain is None or dom == domain):
                 merged.merge(stat)
         return merged.percentile_ns(pct)
 
-    def core_ns(self, core: int, domain: Optional[str] = None) -> int:
-        return sum(stat.per_core_ns.get(core, 0)
-                   for (dom, _), stat in self._stats.items()
-                   if domain is None or dom == domain)
-
-    def domains(self) -> List[str]:
-        return sorted({dom for dom, _ in self._stats})
-
-    def rows(self) -> Iterable[Tuple[str, str, _OpStat]]:
+    def rows(self) -> Iterable[Tuple[str, str, LogHistogram]]:
         """(domain, op, stat) rows in deterministic (domain, op) order."""
         for (dom, name) in sorted(self._stats):
             yield dom, name, self._stats[(dom, name)]
@@ -190,14 +153,6 @@ class OpLedger:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def merge(self, other: "OpLedger") -> None:
-        """Fold ``other``'s statistics (not its events) into this ledger."""
-        for (key, stat) in other._stats.items():
-            mine = self._stats.get(key)
-            if mine is None:
-                mine = self._stats[key] = _OpStat()
-            mine.merge(stat)
-
     def reset(self) -> None:
         self._stats.clear()
         self._generation += 1
@@ -272,7 +227,7 @@ class ChargeHandle:
         self.op = op
         # Bound on first charge, not eagerly: an op that never fires must
         # not appear as a zero-count row in breakdowns.
-        self._stat: Optional[_OpStat] = None
+        self._stat: Optional[LogHistogram] = None
         self._generation = ledger._generation
 
     def charge(self, cost_ns: int, core: Optional[int] = None) -> None:
@@ -281,7 +236,7 @@ class ChargeHandle:
         if stat is None or self._generation != ledger._generation:
             self._stat = stat = ledger._stat_for(self.domain, self.op)
             self._generation = ledger._generation
-        stat.charge(cost_ns, core)
+        stat.record(cost_ns)
         if ledger.capture_events:
             ledger._capture(core, self.domain, self.op, cost_ns)
 

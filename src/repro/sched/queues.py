@@ -8,9 +8,10 @@ single home for both, so a new policy composes existing primitives
 instead of re-implementing its own deques — and so VESSEL and the
 baselines (Caladan, Arachne, Linux CFS) answer "which core?" questions
 through the same, identically-ordered helpers.  The exception is a
-per-request lookup (Caladan's spinning core and Arachne's idle-held
-core in ``on_arrival``): it stays an inline loop, because a helper
-that takes a predicate costs one call per core.
+per-request lookup (Caladan's spinning core, Arachne's idle-held core
+and Linux CFS's sleeping server thread in ``on_arrival``): it stays an
+inline loop, because a helper that takes a predicate costs one call per
+core.
 
 Determinism contract: every helper iterates its input in the order
 given (core dicts preserve insertion order) and breaks ties toward the
@@ -169,16 +170,3 @@ def shortest_queue(states: Iterable[T],
         if best_depth is None or depth < best_depth:
             best, best_depth = state, depth
     return best
-
-
-def rr_scan(items: List[T], start: int,
-            pred: Callable[[T], bool]) -> Optional[int]:
-    """Round-robin scan: index of the first match at/after ``start``
-    (wrapping), or ``None``.  The Linux-CFS wake path uses this to
-    spread request wakeups across sleeping server threads."""
-    count = len(items)
-    for offset in range(count):
-        index = (start + offset) % count
-        if pred(items[index]):
-            return index
-    return None

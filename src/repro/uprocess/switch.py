@@ -114,8 +114,9 @@ class UserspaceSwitch:
         else:
             self.park_switches += 1
             cost = self._park_ns
-        # CostModel.vessel_switch_noise_ns then CostModel.jitter_ns,
-        # drawn inline in the same order.
+        # The per-switch spread (cache/TLB state), then rare machine
+        # interference with CostModel's jitter_* constants; this is
+        # their only draw site.
         rng = self.rng
         costs = self.costs
         noise = int(abs(rng.gauss(0.0, VESSEL_SWITCH_NOISE_SIGMA_NS)))

@@ -7,6 +7,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.units import MS
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
+from repro.kernel.kprocess import ThreadState
 from repro.baselines.arachne import ArachneSystem
 from repro.baselines.caladan import CaladanSystem, caladan_dr_l, caladan_dr_h
 from repro.baselines.ideal import IdealSystem
@@ -106,6 +107,34 @@ def test_cfs_b_app_gets_most_cores_at_low_load():
 def test_cfs_latency_is_milliseconds():
     _, app, _ = run_system(LinuxCfsSystem, rate=0.5, sim_ms=25)
     assert app.latency.percentile_us(99.9) > 1000  # >1 ms
+
+
+def test_cfs_wakes_rotate_over_sleeping_workers():
+    """An arrival wakes the first sleeping server thread at or after the
+    one after the last thread it woke, wrapping around; with none
+    asleep it wakes nobody."""
+    sim = Simulator()
+    machine = Machine(sim, CostModel(), 4)
+    system = LinuxCfsSystem(sim, machine, RngStreams(0))
+    app = memcached_app("mc")
+    system.add_app(app)
+    threads = system._workers["mc"]
+    asleep, awake = ThreadState.SLEEPING, ThreadState.RUNNABLE
+    for thread, state in zip(threads, (asleep, awake, asleep, awake)):
+        thread.state = state
+
+    def arrival_wakes():
+        before = [t.state for t in threads]
+        system.on_arrival(app, Request(app, sim.now, 1_000, 0))
+        return [i for i, t in enumerate(threads) if t.state is not before[i]]
+
+    assert arrival_wakes() == [0]
+    assert arrival_wakes() == [2]
+    threads[0].state = asleep
+    assert arrival_wakes() == [0]  # from thread 3, wrapped
+    assert arrival_wakes() == []
+    threads[1].state = asleep
+    assert arrival_wakes() == [1]
 
 
 def test_arachne_saturates_at_granted_cores():

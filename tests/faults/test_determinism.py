@@ -2,13 +2,17 @@
 
 This is the property that makes fault injection usable: a failure found
 under chaos can be replayed exactly by re-running the plan, and the
-ledger export doubles as the regression fingerprint.
+ledger export doubles as the regression fingerprint.  The runs go
+through the one colocation harness the ``chaos`` experiment uses.
 """
 
 from repro.sim.units import MS
 from repro.faults import FaultPlan
-from repro.experiments.common import ExperimentConfig
-from repro.experiments.fault_chaos import run_chaos
+from repro.experiments.common import (
+    ExperimentConfig,
+    report_fingerprint,
+    run_task_captured,
+)
 
 
 def _plan(seed):
@@ -20,20 +24,27 @@ def _plan(seed):
 
 
 def _run(seed=11):
-    cfg = ExperimentConfig(num_workers=4, sim_ms=8, warmup_ms=2, seed=seed)
-    report, system, injector, ledger = run_chaos(cfg, "vessel",
-                                                 plan=_plan(seed))
-    return report, system, injector, ledger
+    """``(report, system, stdout)``; stdout holds the ledger export
+    (the per-op breakdown table)."""
+    cfg = ExperimentConfig(num_workers=4, sim_ms=8, warmup_ms=2, seed=seed,
+                           op_breakdown=True)
+    report, system, _, stdout = run_task_captured((
+        "vessel", cfg, dict(l_specs=[("memcached", "memcached", 0.4),
+                                     ("silo", "silo", 0.2)],
+                            b_specs=("linpack",), fault_plan=_plan(seed))))
+    return report, system, stdout
 
 
 def test_same_seed_same_plan_is_byte_identical():
-    report_a, system_a, injector_a, ledger_a = _run()
-    report_b, system_b, injector_b, ledger_b = _run()
+    report_a, system_a, stdout_a = _run()
+    report_b, system_b, stdout_b = _run()
 
     # Ledger export: identical down to the byte.
-    assert ledger_a.breakdown_table() == ledger_b.breakdown_table()
-    # Injection decisions replayed exactly.
-    assert injector_a.injected == injector_b.injected
+    assert "fault:uintr_drop" in stdout_a
+    assert stdout_a == stdout_b
+    # The whole report, injection decisions included.
+    assert report_fingerprint([report_a]) == report_fingerprint([report_b])
+    assert report_a.fault_injected == report_b.fault_injected
     # Latency stats — and the raw sample streams behind them.
     assert report_a.latency == report_b.latency
     for app_a, app_b in zip(system_a.apps, system_b.apps):
@@ -41,15 +52,29 @@ def test_same_seed_same_plan_is_byte_identical():
     # Scheduler and fallback activity.
     assert system_a.preemptions == system_b.preemptions
     containment_a, containment_b = system_a.containment, system_b.containment
-    assert containment_a.fallback_retries == containment_b.fallback_retries
-    assert containment_a.fallback_ipis == containment_b.fallback_ipis
-    assert report_a.fault_ops == report_b.fault_ops
-    assert report_a.fallback_ops == report_b.fallback_ops
+    for counter in ("fallback_retries", "fallback_ipis", "sched_restarts",
+                    "contained_crashes", "rogue_kills"):
+        assert getattr(containment_a, counter) \
+            == getattr(containment_b, counter)
 
 
 def test_different_seed_diverges():
-    report_a, _, injector_a, _ = _run(seed=11)
-    report_b, _, injector_b, _ = _run(seed=12)
+    report_a, _, _ = _run(seed=11)
+    report_b, _, _ = _run(seed=12)
     # Sanity check that the property above is not vacuous.
-    assert (injector_a.injected != injector_b.injected
+    assert (report_a.fault_injected != report_b.fault_injected
             or report_a.latency != report_b.latency)
+
+
+def test_report_does_not_depend_on_op_breakdown():
+    """The ledger is observability: turning it on changes what a run
+    prints, never what it reports."""
+    cfg = ExperimentConfig(num_workers=2, sim_ms=4, warmup_ms=1, seed=42)
+    kwargs = dict(l_specs=[("memcached", "mc", 0.3)],
+                  fault_plan=FaultPlan(seed=42).drop_uintr(0.2))
+    plain, _, _, _ = run_task_captured(("vessel", cfg, kwargs))
+    ledgered, _, _, stdout = run_task_captured(
+        ("vessel", cfg.scaled(op_breakdown=True), kwargs))
+    assert "fault:uintr_drop" in stdout
+    assert plain.fault_injected["drop_uintr"] > 0
+    assert report_fingerprint([plain]) == report_fingerprint([ledgered])

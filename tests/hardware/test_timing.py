@@ -4,13 +4,39 @@ import random
 
 import pytest
 
+from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
 from repro.kernel.kschedule import KernelReallocPipeline
+from repro.obs.ledger import OpLedger
+from repro.sim.engine import Simulator
+from repro.uprocess.loader import ProgramImage
+from repro.uprocess.manager import Manager
+from repro.uprocess.threads import UThread
 
 
 @pytest.fixture
 def cm():
     return CostModel()
+
+
+def _switch_draws(costs, count, seed):
+    """``(noise, jitter)`` of ``count`` park switches through
+    ``UserspaceSwitch.switch``, read from the ``switch_noise`` and
+    ``switch_jitter`` rows it charges (the only site that draws them)."""
+    ledger = OpLedger(capture_events=True)
+    manager = Manager(costs=costs, rng=random.Random(seed), ledger=ledger)
+    core = Machine(Simulator(), costs, 1).cores[0]
+    domain = manager.create_domain([core])
+    threads = [UThread(manager.create_uprocess(domain, ProgramImage(name)))
+               for name in ("app-a", "app-b")]
+    domain.switcher.install(core, threads[0])
+    draws = []
+    for i in range(count):
+        ledger.events.clear()
+        domain.switcher.switch(core, threads[(i + 1) % 2])
+        cost = {op: ns for _, _, _, op, ns in ledger.events}
+        draws.append((cost["switch_noise"], cost["switch_jitter"]))
+    return draws
 
 
 def test_vessel_park_switch_matches_table1(cm):
@@ -47,9 +73,7 @@ def test_uintr_vs_ipi_ratio(cm):
 
 
 def test_jitter_bounded(cm):
-    rng = random.Random(0)
-    for _ in range(10000):
-        j = cm.jitter_ns(rng)
+    for _, j in _switch_draws(cm, 10000, seed=0):
         assert j == 0 or cm.jitter_min_ns <= j <= cm.jitter_max_ns
 
 
@@ -58,8 +82,7 @@ def test_kernel_jitter_bigger_than_user_jitter(cm):
 
 
 def test_jitter_probability_roughly_respected(cm):
-    rng = random.Random(1)
-    hits = sum(1 for _ in range(200_000) if cm.jitter_ns(rng) > 0)
+    hits = sum(1 for _, j in _switch_draws(cm, 200_000, seed=1) if j > 0)
     assert hits / 200_000 == pytest.approx(cm.jitter_probability, rel=0.3)
 
 
@@ -71,9 +94,10 @@ def test_copy_with_overrides(cm):
 
 
 def test_switch_noise_nonnegative(cm):
+    for noise, _ in _switch_draws(cm, 1000, seed=2):
+        assert noise >= 0
     rng = random.Random(2)
     for _ in range(1000):
-        assert cm.vessel_switch_noise_ns(rng) >= 0
         assert cm.caladan_switch_noise_ns(rng) >= 0
 
 

@@ -2,7 +2,7 @@
 
 from repro.sched.queues import (
     FifoQueue, MultiLevelQueue, first_idle, first_of_kind, first_where,
-    rr_scan, shortest_queue)
+    shortest_queue)
 
 
 class FakeCore:
@@ -114,11 +114,3 @@ def test_shortest_queue_tie_break_first():
     assert shortest_queue([a, b, c], is_l) is b  # first of the ties
     assert shortest_queue([], is_l) is None
     assert shortest_queue([a], lambda s: False) is None
-
-
-def test_rr_scan_wraps_and_respects_start():
-    items = ["a", "b", "c", "d"]
-    assert rr_scan(items, 2, lambda x: x in ("a", "c")) == 2
-    assert rr_scan(items, 3, lambda x: x in ("a", "c")) == 0  # wrapped
-    assert rr_scan(items, 0, lambda x: False) is None
-    assert rr_scan([], 0, lambda x: True) is None

@@ -7,6 +7,11 @@ be runnable on its own: no ``if __name__ == "__main__":`` block, no
 (``parse_profile``, ``cli_main``, ``_CLI_EXPERIMENTS``,
 ``smoke_config``) must not come back under ``src`` or ``examples``,
 whether as a definition, an import or a reference.
+
+The same rule holds one level down: every colocation run goes through
+``run_colocation`` in ``repro/experiments/common.py``, so no other
+experiment module builds its own load sources (``OpenLoopSource``,
+``BurstySource``), bar the allowlisted ones below.
 """
 
 import ast
@@ -16,6 +21,16 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "repro")
 FRONT_END = os.path.join(SRC, "__main__.py")
 RETIRED = {"parse_profile", "cli_main", "_CLI_EXPERIMENTS", "smoke_config"}
+EXPERIMENTS = os.path.join(SRC, "experiments")
+HARNESS = "common.py"
+LOAD_SOURCES = {"OpenLoopSource", "BurstySource"}
+#: experiment modules that may build their own sources, with the reason
+SOURCE_ALLOWLIST = {
+    "fig07_timeline.py": (
+        "its traced 200 us window draws from the streams svc/arr and "
+        "starts its source after system.start(); moving it onto "
+        "run_colocation would change fig07's strips"),
+}
 
 
 def _python_files(root):
@@ -93,6 +108,21 @@ def retired_names(roots=(SRC, os.path.join(REPO, "examples"))):
     return found
 
 
+def second_harnesses(root=EXPERIMENTS):
+    """``path: name`` for every load-source reference outside the
+    harness and the allowlist."""
+    found = []
+    for path in _python_files(root):
+        if os.path.basename(path) in (HARNESS, *SOURCE_ALLOWLIST):
+            continue
+        rel = os.path.relpath(path, REPO)
+        for node in ast.walk(_parse(path)):
+            for name in _names(node):
+                if name in LOAD_SOURCES:
+                    found.append(f"{rel}:{node.lineno}: {name}")
+    return found
+
+
 def test_only_the_front_end_has_a_command_line():
     found = command_lines()
     assert not found, (
@@ -105,6 +135,13 @@ def test_retired_entry_points_stay_gone():
     assert not found, (
         f"per-module entry points are retired; use `python -m repro`: "
         f"{found}")
+
+
+def test_one_colocation_harness():
+    found = second_harnesses()
+    assert not found, (
+        "colocation runs go through run_colocation(_full) in "
+        f"experiments/common.py, not a hand-built harness: {found}")
 
 
 def test_the_scan_sees_what_it_forbids(tmp_path):
@@ -122,3 +159,12 @@ def test_the_scan_sees_what_it_forbids(tmp_path):
     names = {line.rsplit(": ", 1)[1]
              for line in retired_names((str(tmp_path),))}
     assert names == {"parse_profile", "cli_main", "smoke_config"}
+    (tmp_path / "chaos.py").write_text(
+        "from repro.workloads.base import BurstySource\n"
+        "def run(sim, app):\n"
+        "    return BurstySource(sim, app)\n")
+    (tmp_path / HARNESS).write_text(
+        "from repro.workloads.base import OpenLoopSource\n")
+    assert [line.rsplit(os.sep, 1)[-1]
+            for line in second_harnesses(str(tmp_path))] \
+        == ["chaos.py:1: BurstySource", "chaos.py:3: BurstySource"]
