@@ -48,10 +48,14 @@ L_RATE_MOPS = 0.4
 
 
 def _run(cfg: ExperimentConfig, system_name: str,
-         plan: Optional[FaultPlan]):
+         plan: Optional[FaultPlan], label: str):
     """One chaos run through the colocation harness: memcached (plus
     silo at half its rate on VESSEL, the crash victim) next to linpack.
-    Returns ``(report, system)``."""
+    Under ``--op-breakdown`` ``[chaos] <label>`` is printed first, so the
+    harness's per-system table names its fault plan.  Returns
+    ``(report, system)``."""
+    if cfg.op_breakdown:
+        print(f"\n[chaos] {label}")
     l_specs = [("memcached", "memcached", L_RATE_MOPS)]
     if system_name == "vessel":
         l_specs.append(("silo", "silo", L_RATE_MOPS / 2))
@@ -89,7 +93,8 @@ def main(cfg: ExperimentConfig) -> None:
             if drop_p > 0.0:
                 plan = FaultPlan(seed=cfg.seed).drop_uintr(
                     drop_p, at_ns=cfg.warmup_ms * MS)
-            report, system = _run(cfg, system_name, plan)
+            report, system = _run(cfg, system_name, plan,
+                                  f"{system_name} drop_p={drop_p:.2f}")
             lat = report.latency.get("memcached", {})
             rows.append([
                 system_name,
@@ -119,7 +124,7 @@ def main(cfg: ExperimentConfig) -> None:
             .crash("silo", at_ns=mid)
             .rogue_thread("linpack", at_ns=mid + 50 * US)
             .stall_scheduler(at_ns=mid + 100 * US))
-    report, system = _run(cfg, "vessel", plan)
+    report, system = _run(cfg, "vessel", plan, "vessel full chaos")
     lat = report.latency.get("memcached", {})
     containment = system.containment
     print("\nFull chaos on VESSEL (drops + crash + rogue + stall):")

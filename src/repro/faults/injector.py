@@ -36,6 +36,9 @@ class FaultInjector(RunComponent):
         self.rng = random.Random(plan.seed)
         self.injected: Dict[FaultKind, int] = {k: 0 for k in FaultKind}
         self.system = system
+        # Bound once for the per-packet and per-doorbell dispositions.
+        self._sim = system.sim
+        self._random = self.rng.random
         self._attached = False
         self._drop_specs: List[FaultSpec] = []
         self._delay_specs: List[FaultSpec] = []
@@ -79,13 +82,14 @@ class FaultInjector(RunComponent):
     # -------------------------------------------------------------------
     def _uintr_disposition(self, sender_id: int, receiver_id: int,
                            vector: int) -> Optional[int]:
-        now = self.system.sim.now
+        now = self._sim.now
+        random = self._random
         for spec in self._drop_specs:
-            if now >= spec.at_ns and self.rng.random() < spec.probability:
+            if now >= spec.at_ns and random() < spec.probability:
                 self.injected[FaultKind.DROP_UINTR] += 1
                 return UINTR_DROP
         for spec in self._delay_specs:
-            if now >= spec.at_ns and self.rng.random() < spec.probability:
+            if now >= spec.at_ns and random() < spec.probability:
                 self.injected[FaultKind.DELAY_UINTR] += 1
                 return spec.delay_ns
         return None
@@ -94,9 +98,8 @@ class FaultInjector(RunComponent):
     # Link dispositions (packet loss / delay on the simulated wire)
     # -------------------------------------------------------------------
     def _link_disposition(self, request, nbytes: int) -> Optional[int]:
-        # Called per packet: one clock read and one bound draw method.
-        now = self.system.sim.now
-        random = self.rng.random
+        now = self._sim.now
+        random = self._random
         for spec in self._pkt_drop_specs:
             if now >= spec.at_ns and random() < spec.probability:
                 self.injected[FaultKind.DROP_PACKET] += 1

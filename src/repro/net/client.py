@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.net.config import NetConfig
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.workloads.base import App, Request
 from repro.workloads.synthetic import exponential_ns
 
@@ -56,7 +56,7 @@ class _Pending:
     """One logical request from send to response / loss."""
 
     __slots__ = ("machine", "workload", "conn_id", "service_ns", "bytes_in",
-                 "bytes_out", "request", "timeout_event", "attempts", "done")
+                 "bytes_out", "request", "timeout", "attempts", "done")
 
     def __init__(self, machine: "ClientMachine", workload: _ClientWorkload,
                  conn_id: int, service_ns: int, bytes_in: int,
@@ -68,7 +68,8 @@ class _Pending:
         self.bytes_in = bytes_in
         self.bytes_out = bytes_out
         self.request: Optional[Request] = None
-        self.timeout_event: Optional[Event] = None
+        #: the current attempt's timer on the machine's timeout lane
+        self.timeout: Optional[list] = None
         self.attempts = 0
         self.done = False
 
@@ -87,6 +88,10 @@ class ClientMachine:
         self._retry_tokens = cfg.retry_budget_cap if cfg.retry_budget > 0 \
             else 0.0
         self._backoff_rng = None
+        #: every attempt's timeout has the one delay cfg.timeout_ns
+        self._timeouts = sim.lane(cfg.timeout_ns, self._timeout)
+        # Bound once: the tick reschedules itself per arrival.
+        self._open_loop_tick = self._open_loop_tick
 
     def add_workload(self, workload: _ClientWorkload) -> None:
         self.workloads.append(workload)
@@ -144,8 +149,7 @@ class ClientMachine:
         request.net_token = pending
         pending.request = request
         pending.attempts += 1
-        pending.timeout_event = self.sim.after(
-            self.cfg.timeout_ns, self._timeout, pending)
+        pending.timeout = self._timeouts.arm(pending)
         self.fabric.send_to_server(request)
 
     def _timeout(self, pending: _Pending) -> None:
@@ -161,8 +165,7 @@ class ClientMachine:
         if pending is None or pending.done \
                 or pending.request is not request:
             return  # a stale attempt; a newer one is already in flight
-        if pending.timeout_event is not None:
-            pending.timeout_event.cancel()  # a no-op once it has fired
+        self._timeouts.cancel(pending.timeout)  # a no-op once it fired
         self.fabric.bump(pending.workload.app.name, "drops_observed")
         self._retry_or_lose(
             pending,
@@ -175,8 +178,7 @@ class ClientMachine:
         if pending is None or pending.done \
                 or pending.request is not request:
             return
-        if pending.timeout_event is not None:
-            pending.timeout_event.cancel()  # a no-op once it has fired
+        self._timeouts.cancel(pending.timeout)  # a no-op once it fired
         self._retry_or_lose(
             pending,
             backoff_ns=self._backoff_ns(pending,
@@ -198,8 +200,10 @@ class ClientMachine:
             if self._backoff_rng is None:
                 self._backoff_rng = self.fabric.rngs.stream(
                     f"{cfg.stream_prefix()}/backoff/{self.index}")
-            delay += self._backoff_rng.uniform(0.0,
-                                               delay * cfg.backoff_jitter)
+            # rng.uniform(0.0, delay * jitter) without its frame: the
+            # stdlib's a + (b - a) * random() with a = 0.0 is exactly
+            # b * random() for the non-negative b here.
+            delay += delay * cfg.backoff_jitter * self._backoff_rng.random()
         return max(floor_ns, int(delay))
 
     def _retry_or_lose(self, pending: _Pending, backoff_ns: int) -> None:
@@ -208,7 +212,8 @@ class ClientMachine:
             pending.done = True
             self.fabric.bump(app_name, "losses", op="client_loss")
             self.fabric.inflight[app_name] -= 1
-            self._closed_loop_next(pending)
+            if self.cfg.closed_loop:
+                self._closed_loop_next(pending)
             return
         if self.cfg.retry_budget > 0:
             if self._retry_tokens < 1.0:
@@ -219,7 +224,8 @@ class ClientMachine:
                                  op="retry_suppressed")
                 self.fabric.bump(app_name, "losses", op="client_loss")
                 self.fabric.inflight[app_name] -= 1
-                self._closed_loop_next(pending)
+                if self.cfg.closed_loop:
+                    self._closed_loop_next(pending)
                 return
             self._retry_tokens -= 1.0
         self.fabric.bump(app_name, "retries", op="client_retry")
@@ -247,17 +253,15 @@ class ClientMachine:
             self.fabric.bump(app_name, "dup_responses", op="dup_response")
             return
         pending.done = True
-        if pending.timeout_event is not None:
-            pending.timeout_event.cancel()  # a no-op once it has fired
+        self._timeouts.cancel(pending.timeout)  # a no-op once it fired
         assert request.client_send_ns is not None
         fabric = self.fabric
         fabric.record_latency(app_name, self.sim.now - request.client_send_ns)
         fabric.stats[app_name]["completed"] += 1
         fabric.inflight[app_name] -= 1
-        self._closed_loop_next(pending)
+        if self.cfg.closed_loop:
+            self._closed_loop_next(pending)
 
     def _closed_loop_next(self, pending: _Pending) -> None:
-        if not self.cfg.closed_loop:
-            return
         self.sim.post(self.cfg.think_ns, self._send_new,
                       pending.workload, pending.conn_id)

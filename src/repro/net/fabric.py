@@ -86,6 +86,11 @@ class NetFabric(RunComponent):
         #: (:class:`repro.overload.admission.AdmissionControl`); when set
         #: the fabric consults it before a packet occupies an RX ring.
         self.admission = None
+        # Per-packet callbacks, bound once instead of per packet.
+        self._nic_rx = self._nic_rx
+        self._server_done = self._server_done
+        self._deliver_response = self._deliver_response
+        self._deliver_shed = self._deliver_shed
 
     @property
     def links(self) -> List[Link]:

@@ -56,6 +56,8 @@ class NicRxQueue:
         #: enqueue timestamps of in-flight packets, oldest first (the
         #: "software queues exposed to the scheduler" depth/age signals)
         self._pending_since: Deque[int] = deque()
+        # Bound once: every accepted packet schedules it.
+        self._arrive = self._arrive
 
     @property
     def depth(self) -> int:

@@ -161,12 +161,20 @@ class FlightRecorder(RunComponent):
         rec.append((label, self.sim.now, core))
 
     def begin(self, request: Request) -> None:
-        """Client put the request on the wire (``client_send``)."""
-        self.mark(request, "client_send")
+        """Client put the request on the wire (``client_send``).
+
+        Every attempt is a fresh ``Request``, so this is its first mark.
+        """
+        request.flight = [("client_send", self.sim.now, None)]
 
     def on_submit(self, request: Request) -> None:
         """The scheduling system accepted the request (``submit``)."""
-        self.mark(request, "submit")
+        rec = request.flight
+        if rec is None:
+            # A direct submit: no client marked it first.
+            request.flight = [("submit", self.sim.now, None)]
+        else:
+            rec.append(("submit", self.sim.now, None))
 
     def on_complete(self, request: Request) -> None:
         """Server-side completion; finalizes direct-submit requests.

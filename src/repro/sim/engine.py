@@ -16,7 +16,7 @@ a simulation with a fixed RNG seed replays identically.
 
 Performance: this module is the hottest code in the repository — every
 modeled request, switch, and timer passes through here, and experiment
-sweeps retire hundreds of millions of events.  Four choices keep the
+sweeps retire hundreds of millions of events.  Five choices keep the
 inner loop fast; ``benchmarks/e2e`` measures them as its ``sim`` layer
 (see ``benchmarks/e2e/README.md``):
 
@@ -36,7 +36,18 @@ inner loop fast; ``benchmarks/e2e`` measures them as its ``sim`` layer
   allocating a handle per schedule.  An entry ``(time, seq, event)`` is
   live iff ``event.seq == seq``: firing or cancelling zeroes the
   handle's ``seq`` and re-arming gives it a fresh one, so an entry a
-  cancelled arming left in the heap stays dead.
+  cancelled arming left in the heap stays dead;
+* an owner with many pending timers of one fixed delay that are usually
+  cancelled (a client's retransmission timeouts) arms them on a
+  :class:`TimerLane` (:meth:`Simulator.lane`).  Their deadlines never
+  decrease, so the lane keeps them in arming order and the heap holds
+  one handle at the earliest live timer; cancelling any other timer
+  touches no heap entry.  Each timer still takes its ``seq`` where
+  :meth:`Simulator.after` would, so firing order is unchanged.
+
+Nothing counts live events separately: :meth:`Simulator.pending` is the
+heap's length less its dead entries plus the lanes' timers that wait
+behind their armed head.
 
 :class:`RunComponent` lives here, beside the engine, so every opt-in run
 layer can implement it without an import cycle.
@@ -45,10 +56,11 @@ layer can implement it without an import cycle.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional
 
 #: compact the heap when dead entries exceed this count *and* the live
-#: count (amortized O(1) per cancel; bounds heap size at 2x live + 64)
+#: ones (amortized O(1) per cancel; bounds heap size at 2x live + 64)
 _COMPACT_THRESHOLD = 64
 
 
@@ -89,9 +101,9 @@ class Event:
         self.seq = 0
         owner = self._owner
         if owner is not None:
-            owner._live -= 1
-            owner._dead += 1
-            if owner._dead > _COMPACT_THRESHOLD and owner._dead > owner._live:
+            owner._dead = dead = owner._dead + 1
+            # Dead entries outnumber live ones: 2 * dead > dead + live.
+            if dead > _COMPACT_THRESHOLD and 2 * dead > len(owner._heap):
                 owner._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -115,8 +127,9 @@ class Simulator:
         #: heap of (time, seq, Event) / (time, seq, None, fn, args) entries
         self._heap: List[tuple] = []
         self._seq: int = 0
-        self._live: int = 0
+        #: cancelled entries still in the heap
         self._dead: int = 0
+        self._lanes: List[TimerLane] = []
         self._running = False
         self._stopped = False
         self.events_fired: int = 0
@@ -134,7 +147,6 @@ class Simulator:
         time = int(time)
         event = Event(time, seq, fn, args, self)
         heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
         return event
 
     def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
@@ -145,7 +157,6 @@ class Simulator:
         time = self.now + int(delay)
         event = Event(time, seq, fn, args, self)
         heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
         return event
 
     def handle(self, fn: Callable[..., Any], *args: Any) -> Event:
@@ -168,7 +179,15 @@ class Simulator:
         event.time = time = self.now + int(delay)
         event.seq = seq
         heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
+
+    def lane(self, delay: int, fn: Callable[[Any], Any]) -> "TimerLane":
+        """A :class:`TimerLane` whose timers call ``fn(arg)`` ``delay`` ns
+        after they are armed."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        lane = TimerLane(self, int(delay), fn)
+        self._lanes.append(lane)
+        return lane
 
     def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`after`: no :class:`Event` handle.
@@ -184,7 +203,6 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap,
                        (self.now + int(delay), seq, None, fn, args))
-        self._live += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -209,7 +227,6 @@ class Simulator:
         else:
             event.seq = 0
             fn, args = event.fn, event.args
-        self._live -= 1
         self.events_fired += 1
         fn(*args)
         return True
@@ -239,7 +256,6 @@ class Simulator:
                         break
                     pop(heap)
                     self.now = entry[0]
-                    self._live -= 1
                     self.events_fired += 1
                     entry[3](*entry[4])
                 elif event.seq == entry[1]:
@@ -248,7 +264,6 @@ class Simulator:
                     pop(heap)
                     self.now = entry[0]
                     event.seq = 0
-                    self._live -= 1
                     self.events_fired += 1
                     event.fn(*event.args)
                 else:              # cancelled (or since re-armed) entry
@@ -266,10 +281,12 @@ class Simulator:
     def pending(self) -> int:
         """Number of live events still scheduled.
 
-        Tracked incrementally (push / fire / cancel), so this is O(1)
-        instead of a walk over the heap's lazily-deleted dead entries.
+        The heap's live entries (its length less the counted dead ones)
+        plus the lane timers queued behind their lane's armed head: O(1)
+        per lane instead of a walk over the heap.
         """
-        return self._live
+        return (len(self._heap) - self._dead
+                + sum(lane.waiting for lane in self._lanes))
 
     # ------------------------------------------------------------------
     def _drop_dead(self) -> None:
@@ -295,6 +312,91 @@ class Simulator:
                    if entry[2] is None or entry[2].seq == entry[1]]
         heapq.heapify(heap)
         self._dead = 0
+
+
+class TimerLane:
+    """Timers that all fire one fixed delay after they are armed.
+
+    Made by :meth:`Simulator.lane`.  With one delay, deadlines never
+    decrease in arming order, so the lane keeps its timers as
+    ``[time, seq, arg]`` lists in a deque and the heap holds a single
+    handle, armed at the earliest live timer's ``(time, seq)``.
+    :meth:`arm` takes ``seq`` where :meth:`Simulator.after` would, and
+    each timer fires as that ``after`` Event would have: same time, same
+    tie-break, one ``events_fired`` each.
+
+    A timer's ``seq`` is zeroed once it fires or is cancelled, and its
+    ``arg`` dropped.  Cancelling a timer behind the head only marks it;
+    cancelling the head cancels the handle and re-arms it at the next
+    live timer's reserved ``(time, seq)``, without taking a new ``seq``.
+    """
+
+    __slots__ = ("_sim", "_delay", "_fn", "_timers", "_handle", "waiting")
+
+    def __init__(self, sim: Simulator, delay: int,
+                 fn: Callable[[Any], Any]) -> None:
+        self._sim = sim
+        self._delay = delay
+        self._fn = fn
+        #: ``[time, seq, arg]`` per timer in arming order; the head is
+        #: live whenever the deque is not empty
+        self._timers: Deque[list] = deque()
+        self._handle = Event(0, 0, self._fire, (), sim)
+        #: live timers behind the armed head (not on the heap)
+        self.waiting = 0
+
+    def arm(self, arg: Any) -> list:
+        """Fire ``fn(arg)`` one delay from now; returns the cancel token."""
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        timer = [sim.now + self._delay, seq, arg]
+        self._timers.append(timer)
+        handle = self._handle
+        if handle.seq:
+            self.waiting += 1
+        else:
+            handle.time = time = timer[0]
+            handle.seq = seq
+            heapq.heappush(sim._heap, (time, seq, handle))
+        return timer
+
+    def cancel(self, timer: list) -> None:
+        """Cancel ``timer``; a fired or cancelled timer is a no-op."""
+        seq = timer[1]
+        if not seq:
+            return
+        timer[1] = 0
+        timer[2] = None
+        if seq != self._handle.seq:
+            self.waiting -= 1
+            return
+        self._handle.cancel()
+        self._arm_next()
+
+    def _arm_next(self) -> None:
+        """Drop the spent head and arm the handle at the next live timer."""
+        timers = self._timers
+        timers.popleft()
+        while timers:
+            time, seq, _ = timers[0]
+            if seq:
+                handle = self._handle
+                handle.time = time
+                handle.seq = seq
+                heapq.heappush(self._sim._heap, (time, seq, handle))
+                self.waiting -= 1
+                return
+            timers.popleft()
+
+    def _fire(self) -> None:
+        # The next timer is armed first, so one that fn arms queues
+        # behind it.
+        timer = self._timers[0]
+        arg = timer[2]
+        timer[1] = 0
+        timer[2] = None
+        self._arm_next()
+        self._fn(arg)
 
 
 class RunComponent:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 
 from repro.workloads.base import App, AppKind
-from repro.workloads.synthetic import LognormalService, lognormal_ns
+from repro.workloads.synthetic import (LognormalService, int_below,
+                                      lognormal_ns)
 
 MEMCACHED_MEAN_SERVICE_NS = 1000
 _GET_FRACTION = 0.97
@@ -51,13 +52,15 @@ class UsrPayloadSampler:
 
     def __call__(self) -> tuple:
         # Draw order: key size, value coin, value size, GET/SET coin.
+        # Each randint(a, b) is a + int_below(getrandbits, b - a + 1).
         rng = self.rng
-        key = rng.randint(16, 21)
+        bits = rng.getrandbits
+        key = 16 + int_below(bits, 6)
         # Mostly 2-30 B values with an occasional few-hundred-byte object.
         if rng.random() < 0.95:
-            value = rng.randint(2, 30)
+            value = 2 + int_below(bits, 29)
         else:
-            value = rng.randint(64, 512)
+            value = 64 + int_below(bits, 449)
         if rng.random() < _GET_FRACTION:
             return 24 + key, 32 + value       # GET: key in, value out
         return 32 + key + value, 8            # SET: key+value in, ack out

@@ -12,7 +12,7 @@ import math
 import random
 
 from repro.workloads.base import App, AppKind
-from repro.workloads.synthetic import LognormalService
+from repro.workloads.synthetic import LognormalService, int_below
 
 SILO_MEDIAN_SERVICE_NS = 20_000
 SILO_P999_SERVICE_NS = 280_000
@@ -38,11 +38,14 @@ class TpccPayloadSampler:
         self.rng = rng
 
     def __call__(self) -> tuple:
-        bytes_in = 96 + self.rng.randint(0, 416)
-        if self.rng.random() < 0.55:          # result-heavy transactions
-            bytes_out = 512 + self.rng.randint(0, 1536)
+        # Each randint(0, b) is int_below(getrandbits, b + 1).
+        rng = self.rng
+        bits = rng.getrandbits
+        bytes_in = 96 + int_below(bits, 417)
+        if rng.random() < 0.55:               # result-heavy transactions
+            bytes_out = 512 + int_below(bits, 1537)
         else:                                  # short acks
-            bytes_out = 64 + self.rng.randint(0, 192)
+            bytes_out = 64 + int_below(bits, 193)
         return bytes_in, bytes_out
 
 

@@ -9,7 +9,10 @@ arrival gaps, burst phases, tenant lifetimes).  Each returns what
 ``max(1, int(rng.lognormvariate(mu, sigma)))`` or
 ``max(1, int(rng.expovariate(lambd)))`` returns, from the same
 ``rng.random()`` calls in the same order with the same float operations,
-without the stdlib's two or one extra Python frames per draw.  Every
+without the stdlib's two or one extra Python frames per draw.
+:func:`int_below` is the per-packet payload samplers' integer draw: it
+returns what ``rng.randrange(n)`` returns, from the same
+``rng.getrandbits`` calls, without ``randint``'s three frames.  Every
 such draw in the simulator goes through them, and
 ``tests/workloads/test_exact_draws.py`` holds them to the stdlib.
 """
@@ -44,6 +47,22 @@ def exponential_ns(rand, lambd: float) -> int:
     generator's bound ``random`` method (``lambd`` = 1 / mean)."""
     value = int(-log(1.0 - rand()) / lambd)
     return value if value > 1 else 1
+
+
+def int_below(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` for ``n > 0`` (so ``rng.randint(a, b)`` is
+    ``a + int_below(getrandbits, b - a + 1)``), with ``getrandbits`` the
+    generator's bound method.
+
+    The stdlib's ``_randbelow_with_getrandbits`` rejection loop,
+    verbatim: a draw of ``n.bit_length()`` bits at or above ``n`` is
+    drawn again.
+    """
+    k = n.bit_length()  # don't use (n-1) here because n can be 1
+    r = getrandbits(k)  # 0 <= r < 2**k
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class ServiceSampler:

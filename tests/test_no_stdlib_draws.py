@@ -1,12 +1,15 @@
 """Per-request draws go through the exact helpers, not the stdlib's.
 
-``random.Random.expovariate`` costs one Python frame per draw and
-``lognormvariate`` two (it calls ``normalvariate``); the modules that
-draw once per request use ``repro.workloads.synthetic``'s
-``exponential_ns`` and ``lognormal_ns`` instead, which return the same
-integers from the same uniforms (``tests/workloads/test_exact_draws.py``
-checks that).  This test walks the AST of each per-request module and
-fails on any call of a method with one of the stdlib names.
+``random.Random.expovariate`` costs one Python frame per draw,
+``lognormvariate`` two (it calls ``normalvariate``) and ``randint``
+three (``randrange``, then ``_randbelow``); ``uniform`` is one more
+frame around one ``random()``.  The modules that draw once per request
+or packet use ``repro.workloads.synthetic``'s ``exponential_ns``,
+``lognormal_ns`` and ``int_below``, or the inline float operations,
+instead, which return the same numbers from the same generator calls
+(``tests/workloads/test_exact_draws.py`` checks that).  This test walks
+the AST of each per-request module and fails on any call of a method
+with one of the stdlib names.
 """
 
 import ast
@@ -20,10 +23,12 @@ PER_REQUEST_MODULES = (
     "repro/workloads/base.py",
     "repro/workloads/memcached.py",
     "repro/workloads/synthetic.py",
+    "repro/workloads/silo.py",
     "repro/net/client.py",
 )
 #: stdlib draws the helpers replace
-STDLIB_DRAWS = {"expovariate", "lognormvariate", "normalvariate"}
+STDLIB_DRAWS = {"expovariate", "lognormvariate", "normalvariate",
+                "randint", "randrange", "uniform"}
 
 
 def stdlib_draws(tree):
@@ -43,8 +48,9 @@ def test_per_request_modules_make_no_stdlib_draws():
         if calls:
             found[module] = calls
     assert not found, (
-        "stdlib draw on a per-request path (use lognormal_ns or "
-        f"exponential_ns from repro.workloads.synthetic): {found}")
+        "stdlib draw on a per-request path (use lognormal_ns, "
+        "exponential_ns or int_below from repro.workloads.synthetic): "
+        f"{found}")
 
 
 def test_scan_finds_draws_through_any_receiver():
@@ -53,6 +59,9 @@ def test_scan_finds_draws_through_any_receiver():
         "    a = rng.expovariate(1.0)\n"
         "    b = self.rng.lognormvariate(0.0, 1.0)\n"
         "    c = random.normalvariate()\n"
-        "    d = rng.random()\n")
+        "    d = rng.random()\n"
+        "    e = self.rng.randint(1, 6) + rng.randrange(7)\n"
+        "    f = rng.uniform(0.0, 1.0)\n")
     assert sorted(stdlib_draws(tree)) == [
-        ("expovariate", 2), ("lognormvariate", 3), ("normalvariate", 4)]
+        ("expovariate", 2), ("lognormvariate", 3), ("normalvariate", 4),
+        ("randint", 6), ("randrange", 6), ("uniform", 7)]

@@ -4,10 +4,12 @@
 ``max(1, int(rng.lognormvariate(mu, sigma)))`` and
 ``max(1, int(rng.expovariate(lambd)))`` on the request path
 (``UsrServiceSampler`` and ``OpenLoopSource._tick`` among their callers),
-so every seeded result depends on them returning the same integers and
-leaving the generator in the same state.  The helper and USR checks run
-20 seeds x 100,000 draws against a twin generator driven through the
-stdlib; the sources' arrivals are replayed through the stdlib.
+and ``int_below`` replaces ``rng.randrange(n)`` (so ``randint``) in the
+payload samplers, so every seeded result depends on them returning the
+same integers and leaving the generator in the same state.  The helper
+and USR checks run 20 seeds x 100,000 draws against a twin generator
+driven through the stdlib; the sources' arrivals and both payload
+samplers are replayed through the stdlib.
 """
 
 import math
@@ -17,9 +19,11 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.workloads.base import App, AppKind, BurstySource, OpenLoopSource
-from repro.workloads.memcached import UsrServiceSampler
+from repro.workloads.memcached import UsrPayloadSampler, UsrServiceSampler
+from repro.workloads.silo import TpccPayloadSampler
 from repro.workloads.synthetic import (
-    ExponentialService, LognormalService, exponential_ns, lognormal_ns)
+    ExponentialService, LognormalService, exponential_ns, int_below,
+    lognormal_ns)
 
 SEEDS = range(20)
 DRAWS = 100_000
@@ -125,6 +129,75 @@ def test_single_distribution_samplers_draw_what_the_stdlib_draws():
     assert [exponential() for _ in range(5_000)] == [
         _stdlib_exponential(twin, 1.0 / 1500.0) for _ in range(5_000)]
     assert rng.getstate() == twin.getstate()
+
+
+#: the USR payload sampler's randint widths; none is a power of two, so
+#: the rejection loop draws again
+INT_WIDTHS = (6, 29, 449)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_int_below_matches_randrange(seed):
+    rng, twin = random.Random(seed), random.Random(seed)
+    bits = rng.getrandbits
+    count = len(INT_WIDTHS)
+    drawn = [int_below(bits, INT_WIDTHS[i % count]) for i in range(DRAWS)]
+    expected = [twin.randrange(INT_WIDTHS[i % count]) for i in range(DRAWS)]
+    assert drawn == expected
+    assert rng.getstate() == twin.getstate()
+
+
+def test_int_below_rejection_loop_runs_more_than_once():
+    """Draws at or above ``n`` are drawn again, and still match."""
+    rng, twin = random.Random(9), random.Random(9)
+    calls = []
+
+    def bits(k):
+        calls.append(k)
+        return rng.getrandbits(k)
+
+    rejected = 0
+    for i in range(10_000):
+        before = len(calls)
+        width = INT_WIDTHS[i % len(INT_WIDTHS)]
+        assert int_below(bits, width) == twin.randrange(width)
+        rejected += len(calls) - before > 1
+    assert rejected > 1_000
+    assert int_below(rng.getrandbits, 1) == twin.randrange(1) == 0
+    assert rng.getstate() == twin.getstate()
+
+
+def _stdlib_usr_payload(rng):
+    key = rng.randint(16, 21)
+    if rng.random() < 0.95:
+        value = rng.randint(2, 30)
+    else:
+        value = rng.randint(64, 512)
+    if rng.random() < 0.97:
+        return 24 + key, 32 + value
+    return 32 + key + value, 8
+
+
+def _stdlib_tpcc_payload(rng):
+    bytes_in = 96 + rng.randint(0, 416)
+    if rng.random() < 0.55:
+        bytes_out = 512 + rng.randint(0, 1536)
+    else:
+        bytes_out = 64 + rng.randint(0, 192)
+    return bytes_in, bytes_out
+
+
+@pytest.mark.parametrize("sampler_cls, stdlib", [
+    (UsrPayloadSampler, _stdlib_usr_payload),
+    (TpccPayloadSampler, _stdlib_tpcc_payload),
+])
+def test_payload_samplers_match_their_randint_versions(sampler_cls, stdlib):
+    for seed in range(4):
+        rng, twin = random.Random(seed), random.Random(seed)
+        sampler = sampler_cls(rng)
+        assert [sampler() for _ in range(DRAWS)] \
+            == [stdlib(twin) for _ in range(DRAWS)]
+        assert rng.getstate() == twin.getstate()
 
 
 def _arrivals(source_cls, rate_mops, until_ns, **kwargs):
