@@ -44,7 +44,8 @@ def test_tab1_ledger_accounts_for_every_switch_nanosecond():
               for op in switch_ops}
     assert sum(per_op.values()) == sum(samples)
     # Every constituent op was charged once per switch.
+    counts = ledger.op_counts("uproc")
     for op in switch_ops:
-        assert ledger.op_count(op, domain="uproc") == iterations
+        assert counts[op] == iterations
     # Park switches never pay the preemption path.
-    assert ledger.op_count("uiret", domain="uproc") == 0
+    assert "uiret" not in counts

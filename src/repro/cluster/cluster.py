@@ -108,11 +108,6 @@ class ClusterReport:
             return 0.0
         return self.completed.get(app_name, 0) * 1000.0 / elapsed
 
-    def loss_fraction(self, app_name: str = L_APP_NAME) -> float:
-        ops = self.net_ops.get(app_name, {})
-        offered = ops.get("offered", 0)
-        return ops.get("losses", 0) / offered if offered else 0.0
-
     def fingerprint(self) -> str:
         """Canonical repr of every merged figure — two runs are 'the
         same run' iff these strings match byte-for-byte."""

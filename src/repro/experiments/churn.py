@@ -14,7 +14,9 @@ What to look for:
 * ``created``/``destroyed`` in the hundreds with ``slots_in_use`` equal
   to the live population — slots are recycled, not leaked;
 * the containment audit is empty (no stale signal handlers, no dead
-  boot kProcesses, no leaked descriptors);
+  boot kProcesses); no churn tenant opens a descriptor, so the fd-table
+  count is always 0 here (descriptor reclaim is tested in
+  ``tests/vessel/test_runtime.py`` and ``tests/faults/test_containment.py``);
 * the long-lived tenant's p99 is unaffected by neighbours booting and
   dying (compare against the no-churn control row).
 

@@ -91,10 +91,6 @@ class ExperimentConfig:
         default runs stay byte-identical with the recorder off)."""
         return self.latency_breakdown or self.trace_requests > 0
 
-    @property
-    def measure_ns(self) -> int:
-        return (self.sim_ms - self.warmup_ms) * MS
-
     def scaled(self, **overrides) -> "ExperimentConfig":
         return replace(self, **overrides)
 

@@ -10,8 +10,11 @@ Paper numbers (µs):
     | VESSEL  | 0.161 | 0.160 | 0.162 | 0.173 | 0.706 |
     | Caladan | 2.103 | 2.063 | 2.091 | 2.420 | 5.461 |
 
-The VESSEL path executes the real functional switch (call gate + PKRU
-write + CPUID_TO_TASK_MAP update) per sample; Caladan's path is the
+The VESSEL path runs the functional switch per sample: CPUID_TO_TASK_MAP
+and PKRU are written inline, and the call gate's entry and exit are
+charged as the ``callgate_enter``/``callgate_exit`` constants (the gate's
+stages and defenses are checked by ``tests/uprocess/test_callgate.py``
+and ``test_attacks.py``, not run here).  Caladan's path is the
 cooperative yield + IOKernel rebind.
 """
 

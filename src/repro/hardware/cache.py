@@ -34,10 +34,6 @@ class CacheStats:
         entry = self.by_tag.setdefault(tag, [0, 0])
         entry[0 if hit else 1] += 1
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
     def miss_rate(self, tag: str = "") -> float:
         """Overall miss rate, or a single tag's when ``tag`` is given."""
         if tag:
@@ -111,6 +107,3 @@ class CacheSim:
         """Invalidate everything (models a full flush / address-space swap)."""
         for ways in self._sets:
             ways.clear()
-
-    def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)

@@ -94,9 +94,6 @@ class MemoryBus:
         self._reschedule()
         return remaining
 
-    def active_count(self) -> int:
-        return len(self._active)
-
     def consumed_bytes(self, tag: str) -> float:
         """Total bytes ``tag`` has moved so far (progress settled first)."""
         self._settle()

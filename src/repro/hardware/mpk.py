@@ -180,9 +180,6 @@ class Region:
     def end(self) -> int:
         return self.start + self.size
 
-    def contains(self, addr: int) -> bool:
-        return self.start <= addr < self.end
-
     def overlaps(self, other: "Region") -> bool:
         return self.start < other.end and other.start < self.end
 
@@ -208,9 +205,6 @@ class AddressSpaceMap:
         self._regions.sort(key=lambda r: r.start)
         return region
 
-    def unmap(self, region: Region) -> None:
-        self._regions.remove(region)
-
     def find(self, addr: int) -> Optional[Region]:
         """The region containing ``addr``, or None (binary search)."""
         lo, hi = 0, len(self._regions)
@@ -235,12 +229,6 @@ class AddressSpaceMap:
         if not 0 <= pkey < PKEY_COUNT:
             raise ValueError(f"pkey out of range: {pkey}")
         region.pkey = pkey
-
-    def set_perms(self, region: Region, perms: Permission) -> None:
-        """The mprotect() analogue: change page permissions."""
-        if region not in self._regions:
-            raise ValueError(f"region {region.name!r} is not mapped")
-        region.perms = perms
 
     # ------------------------------------------------------------------
     def check_access(self, addr: int, kind: AccessKind, pkru: PkruRegister) -> Region:

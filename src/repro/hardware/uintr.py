@@ -80,9 +80,8 @@ class UintrController:
     """Send/receive machinery shared by all cores of a machine.
 
     Receivers register with :meth:`register_handler` (the
-    ``uintr_register_handler()`` syscall analogue, charged separately by
-    the kernel layer); senders build UITT entries with
-    :meth:`register_sender` and fire with :meth:`senduipi`.
+    ``uintr_register_handler()`` syscall analogue); senders build UITT
+    entries with :meth:`register_sender` and fire with :meth:`senduipi`.
     """
 
     def __init__(self, sim: Simulator, costs: CostModel,
@@ -139,19 +138,6 @@ class UintrController:
         upid.suppressed = False
         if upid.pending:
             self.sim.post(self.costs.uintr_deliver_ns, self._deliver, upid)
-
-    def on_user_suspend(self, receiver_id: int) -> None:
-        """Receiver left user mode: notifications are suppressed."""
-        upid = self._upids.get(receiver_id)
-        if upid is not None:
-            upid.suppressed = True
-
-    def pending_vectors(self, receiver_id: int) -> List[int]:
-        """Posted-but-undelivered vectors of ``receiver_id`` (PIR peek)."""
-        upid = self._upids.get(receiver_id)
-        if upid is None:
-            return []
-        return [v for v in range(VECTOR_COUNT) if upid.pending & (1 << v)]
 
     # ---------------------------------------------------------------
     # Sender side

@@ -1,7 +1,7 @@
 """Simulated Linux-kernel substrate.
 
 The uProcess design deliberately *avoids* the kernel, but both its setup
-path (mmap/pkey_mprotect/fork, Uintr handler registration) and every
+path (mmap/pkey_alloc/pkey_mprotect/fork) and every
 baseline system (Caladan's IPI+SIGUSR reallocation pipeline, Arachne's
 core grants, plain CFS) go through it, so the substrate is modeled in
 full:
@@ -10,9 +10,9 @@ full:
     Kernel processes and threads: isolated address-space maps, descriptor
     tables, nice values.
 ``syscalls``
-    The syscall layer with per-call trap costs: mmap / munmap / mprotect /
-    pkey_alloc / pkey_free / pkey_mprotect / fork / ioctl / open / close /
-    sigqueue / uintr_register_handler.
+    The syscall layer with per-call trap costs: mmap / pkey_alloc /
+    pkey_mprotect / fork / sched_setaffinity / ioctl / open / close /
+    read.
 ``signals``
     POSIX-signal posting and delivery to registered userspace handlers.
 ``cfs``

@@ -172,9 +172,6 @@ class CfsScheduler:
         else:
             self._check_wakeup_preempt(rq, thread)
 
-    def runnable_count(self) -> int:
-        return sum(rq.nr_running for rq in self._rqs.values())
-
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------

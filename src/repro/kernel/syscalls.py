@@ -10,7 +10,7 @@ counts.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.hardware.mpk import (
     AddressSpaceMap,
@@ -61,15 +61,6 @@ class SyscallLayer:
         return aspace.map(Region(start=start, size=size, perms=perms,
                                  pkey=0, name=name))
 
-    def munmap(self, aspace: AddressSpaceMap, region: Region) -> None:
-        self.ledger.charge("munmap", self.costs.syscall_ns, domain="syscall")
-        aspace.unmap(region)
-
-    def mprotect(self, aspace: AddressSpaceMap, region: Region,
-                 perms: Permission) -> None:
-        self.ledger.charge("mprotect", self.costs.syscall_ns, domain="syscall")
-        aspace.set_perms(region, perms)
-
     def pkey_alloc(self, aspace: AddressSpaceMap) -> int:
         """Allocate a protection key in ``aspace``; key 0 stays reserved."""
         self.ledger.charge("pkey_alloc", self.costs.pkey_syscall_ns, domain="syscall")
@@ -79,13 +70,6 @@ class SyscallLayer:
                 allocated.add(pkey)
                 return pkey
         raise SyscallError("ENOSPC: no free protection keys")
-
-    def pkey_free(self, aspace: AddressSpaceMap, pkey: int) -> None:
-        self.ledger.charge("pkey_free", self.costs.pkey_syscall_ns, domain="syscall")
-        allocated = self._pkeys.setdefault(id(aspace), set())
-        if pkey not in allocated:
-            raise SyscallError(f"EINVAL: pkey {pkey} not allocated")
-        allocated.remove(pkey)
 
     def pkey_mprotect(self, aspace: AddressSpaceMap, region: Region,
                       pkey: int) -> None:
@@ -148,23 +132,3 @@ class SyscallLayer:
         if description is None:
             raise SyscallError(f"EBADF: fd {fd}")
         return description
-
-    # ------------------------------------------------------------------
-    # Signals / Uintr setup
-    # ------------------------------------------------------------------
-    def sigqueue(self, target: KProcess, signo: int, value: int = 0,
-                 tid: Optional[int] = None) -> Tuple[int, int, Optional[int]]:
-        """Queue a signal; delivery is the KernelSignals module's job.
-
-        ``tid`` models the §5.3 extension of addressing a specific thread.
-        """
-        self.ledger.charge("sigqueue", self.costs.syscall_ns, domain="syscall")
-        if not target.alive:
-            raise SyscallError(f"ESRCH: process {target.pid} is dead")
-        return (target.pid, signo, tid)
-
-    def uintr_register_handler(self, proc: KProcess, handler) -> None:
-        """Register a userspace-interrupt handler (one-time setup trap)."""
-        self.ledger.charge("uintr_register_handler", self.costs.syscall_ns,
-                           domain="syscall")
-        proc.signal_handlers["uintr"] = handler

@@ -66,10 +66,6 @@ class Link:
             ser = self._ser_ns[nbytes] = max(1, round(nbytes * 8 / self.gbps))
         return ser
 
-    def queue_ns(self) -> int:
-        """Current serializer backlog (how long a new packet would wait)."""
-        return max(0, self._busy_until - self.sim.now)
-
     # ------------------------------------------------------------------
     def send(self, request: Request, nbytes: int,
              deliver: Callable[[Request], None]) -> bool:

@@ -147,9 +147,6 @@ class Nic:
     # ------------------------------------------------------------------
     # Aggregate signals and counters
     # ------------------------------------------------------------------
-    def ring_depth(self, index: int) -> int:
-        return self.rings[index].depth
-
     def oldest_wait_ns(self, now: int) -> int:
         """Age of the oldest packet across every ring."""
         waits = [ring.oldest_wait_ns(now) for ring in self.rings]

@@ -119,10 +119,6 @@ class OpLedger:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def op_count(self, op: str, domain: Optional[str] = None) -> int:
-        return sum(stat.count for (dom, name), stat in self._stats.items()
-                   if name == op and (domain is None or dom == domain))
-
     def total_ns(self, domain: Optional[str] = None,
                  op: Optional[str] = None) -> int:
         return sum(stat.total_ns for (dom, name), stat in self._stats.items()

@@ -71,9 +71,6 @@ class GaugeSeries(RunComponent):
             series.clear()
         self.samples_dropped = 0
 
-    def names(self) -> List[str]:
-        return [name for name, _ in self._probes]
-
     def chrome_events(self, pid: int) -> List[Dict[str, Any]]:
         """Chrome ``trace_event`` counter ("C") rows, one track per gauge."""
         events: List[Dict[str, Any]] = [

@@ -403,12 +403,6 @@ def _load_builtin_policies() -> None:
     import repro.cluster.coordinator  # noqa: F401
 
 
-def available_policies() -> Dict[str, type]:
-    """Name -> class for every registered policy."""
-    _load_builtin_policies()
-    return dict(sorted(_REGISTRY.items()))
-
-
 def make_policy(name: str, **params) -> SchedPolicy:
     """Instantiate a registered policy by name."""
     _load_builtin_policies()

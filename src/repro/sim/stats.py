@@ -102,12 +102,6 @@ class Counter:
             raise ValueError(f"negative increment {amount}")
         self.value += amount
 
-    def rate_per_sec(self, elapsed_ns: int) -> float:
-        """Operations per second over ``elapsed_ns`` of simulated time."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.value * 1e9 / elapsed_ns
-
     def clear(self) -> None:
         self.value = 0
 
@@ -132,12 +126,6 @@ class BusyAccounter:
 
     def total(self) -> int:
         return sum(self.buckets.values())
-
-    def fraction(self, category: str) -> float:
-        total = self.total()
-        if total == 0:
-            return 0.0
-        return self.buckets.get(category, 0) / total
 
     def cores_equivalent(self, category: str, elapsed_ns: int) -> float:
         """Busy time in ``category`` expressed as a number of cores."""

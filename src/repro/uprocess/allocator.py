@@ -107,21 +107,12 @@ class RegionAllocator:
                 self._free[index - 1:index + 1] = [(pstart, psize + size)]
 
     # ------------------------------------------------------------------
-    def allocated_bytes(self) -> int:
-        return sum(self._allocated.values())
-
     def free_bytes(self) -> int:
         return sum(size for _, size in self._free)
 
     def owns(self, addr: int) -> bool:
         """Whether ``addr`` is the start of a live allocation."""
         return addr in self._allocated
-
-    def block_size(self, addr: int) -> int:
-        try:
-            return self._allocated[addr]
-        except KeyError:
-            raise ValueError(f"{addr:#x} is not allocated") from None
 
     def check_invariants(self) -> None:
         """Free list is address-ordered, in-range, non-overlapping, and

@@ -17,7 +17,14 @@ ERIM/Hodor:
    address.
 
 Defense toggles (``stack_switch``, ``pkru_recheck``) exist so the attack
-tests and ablation benchmarks can demonstrate what each defense buys.
+tests can demonstrate what each defense buys (the ``ablations``
+experiment varies ``CostModel`` constants, not these toggles).
+
+No simulated run calls :meth:`CallGate.invoke`: ``UserspaceSwitch.switch``
+writes PKRU and the message pipe inline and charges the gate's
+``callgate_enter``/``callgate_exit`` constants.  The gate is the
+functional model of that path, checked by ``tests/uprocess/test_callgate.py``
+and ``tests/uprocess/test_attacks.py``.
 """
 
 from __future__ import annotations

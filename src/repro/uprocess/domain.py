@@ -126,11 +126,6 @@ class SchedulingDomain:
                 uproc = command.payload
                 if uproc.alive or uproc.slot.in_use:
                     self.reap(uproc)
-            elif command.kind is CommandKind.DELIVER_SIGNAL and \
-                    hasattr(command.payload, "destroy"):
-                # §5.3: a sigqueue()d per-thread termination resolved by
-                # the runtime in privileged mode.
-                command.payload.destroy()
             else:
                 remaining.append(command)
         return remaining

@@ -16,7 +16,7 @@ from typing import List, Optional
 from repro.hardware.machine import Core
 from repro.hardware.timing import CostModel
 from repro.kernel.kprocess import KProcess
-from repro.kernel.signals import KernelSignals, SIGSEGV, SIGTERM
+from repro.kernel.signals import KernelSignals, SIGSEGV
 from repro.kernel.syscalls import SyscallLayer
 from repro.obs.ledger import OpLedger
 from repro.uprocess.domain import SchedulingDomain
@@ -110,24 +110,3 @@ class Manager:
             domain.reap(uproc)
             return 0
         return domain.queues.broadcast_kill(uproc, running)
-
-    def kill_thread(self, domain: SchedulingDomain, thread) -> int:
-        """Terminate one thread of a uProcess (§5.3).
-
-        The kernel knows nothing about userspace threads, so plain
-        signals cannot address one; the documented route is sigqueue()
-        with an explicit thread id in the payload, which the runtime
-        resolves and acts on at the owning core's next privileged entry.
-        Returns the number of commands queued (0 if the thread was off
-        core and could be reaped directly).
-        """
-        from repro.uprocess.usignals import Command, CommandKind
-        uproc = thread.uproc
-        self.syscalls.sigqueue(uproc.boot_kprocess, SIGTERM,
-                               value=thread.tid, tid=thread.tid)
-        if thread.core_id is None:
-            thread.destroy()
-            return 0
-        domain.queues.of(thread.core_id).push(
-            Command(CommandKind.DELIVER_SIGNAL, thread))
-        return 1

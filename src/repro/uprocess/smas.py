@@ -168,11 +168,9 @@ class Smas:
         self.pipe = MessagePipe(self.pipe_region)
 
         # Per-core runtime stacks live at the top of the runtime region.
-        self._runtime_stacks: Dict[int, int] = {}
         stack_base = self.runtime_region.start
         for core_id in range(num_cores):
             rsp = stack_base + (core_id + 1) * RUNTIME_STACK_SIZE
-            self._runtime_stacks[core_id] = rsp
             self.pipe.set_runtime_rsp(self.runtime_pkru(), core_id, rsp)
 
     # ------------------------------------------------------------------
@@ -226,9 +224,6 @@ class Smas:
         self.syscalls.pkey_mprotect(self.aspace, slot.data_region, 0)
         if slot.text_region is not None:
             self.syscalls.pkey_mprotect(self.aspace, slot.text_region, 0)
-
-    def runtime_stack(self, core_id: int) -> int:
-        return self._runtime_stacks[core_id]
 
     def slots_in_use(self) -> int:
         return sum(1 for slot in self.slots if slot.in_use)

@@ -27,7 +27,6 @@ class CommandKind(enum.Enum):
     RUN_THREAD = "run_thread"      #: schedule this thread next
     PREEMPT = "preempt"            #: yield the core back to the scheduler
     KILL_UPROCESS = "kill_uprocess"
-    DELIVER_SIGNAL = "deliver_signal"
 
 
 @dataclass

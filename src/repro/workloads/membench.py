@@ -145,10 +145,6 @@ class MembenchWork:
         self.iterations = 0
         self._interrupted: List[_IterationState] = []
 
-    def iteration_worth_ns(self) -> int:
-        """One full iteration in uncontended-time units."""
-        return int(self.phase_bytes / self.demand_gbps) + self.compute_ns
-
     def solo_gbps(self) -> float:
         """Average bandwidth of one uncontended, unthrottled thread.
 

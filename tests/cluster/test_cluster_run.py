@@ -55,7 +55,6 @@ def test_merge_sums_and_histogram_percentiles():
     assert len(per_server) == 2
     assert min(per_server) <= report.p99_us() <= max(per_server)
     assert report.throughput_mops() > 0
-    assert 0.0 <= report.loss_fraction() <= 1.0
 
 
 def test_coordinator_plan_schedules_are_replayable_data():

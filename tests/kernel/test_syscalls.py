@@ -28,18 +28,6 @@ def test_mmap_zero_size_rejected(syscalls, proc):
         syscalls.mmap(proc.aspace, 0x1000, 0, Permission.rw())
 
 
-def test_munmap_removes(syscalls, proc):
-    region = syscalls.mmap(proc.aspace, 0x1000, 0x1000, Permission.rw())
-    syscalls.munmap(proc.aspace, region)
-    assert proc.aspace.find(0x1000) is None
-
-
-def test_mprotect_changes_perms(syscalls, proc):
-    region = syscalls.mmap(proc.aspace, 0x1000, 0x1000, Permission.rw())
-    syscalls.mprotect(proc.aspace, region, Permission.READ)
-    assert region.perms == Permission.READ
-
-
 def test_pkey_alloc_sequence(syscalls, proc):
     keys = [syscalls.pkey_alloc(proc.aspace) for _ in range(15)]
     assert keys == list(range(1, 16))
@@ -50,17 +38,6 @@ def test_pkey_exhaustion(syscalls, proc):
         syscalls.pkey_alloc(proc.aspace)
     with pytest.raises(SyscallError):
         syscalls.pkey_alloc(proc.aspace)
-
-
-def test_pkey_free_allows_realloc(syscalls, proc):
-    key = syscalls.pkey_alloc(proc.aspace)
-    syscalls.pkey_free(proc.aspace, key)
-    assert syscalls.pkey_alloc(proc.aspace) == key
-
-
-def test_pkey_free_unallocated_rejected(syscalls, proc):
-    with pytest.raises(SyscallError):
-        syscalls.pkey_free(proc.aspace, 7)
 
 
 def test_pkey_mprotect_requires_allocated_key(syscalls, proc):
@@ -112,16 +89,6 @@ def test_sched_setaffinity(syscalls, proc):
     assert proc.bound_core == 3
 
 
-def test_sigqueue_to_dead_process(syscalls, proc):
-    proc.kill()
-    with pytest.raises(SyscallError):
-        syscalls.sigqueue(proc, 10)
-
-
-def test_sigqueue_carries_tid(syscalls, proc):
-    assert syscalls.sigqueue(proc, 10, tid=77) == (proc.pid, 10, 77)
-
-
 def test_costs_accumulate(syscalls, proc):
     before = syscalls.total_ns
     syscalls.open(proc, "/x")
@@ -131,9 +98,3 @@ def test_costs_accumulate(syscalls, proc):
 def test_ioctl_counts_by_request(syscalls, proc):
     syscalls.ioctl(proc, "KSCHED_PREEMPT")
     assert syscalls.counts["ioctl:KSCHED_PREEMPT"] == 1
-
-
-def test_uintr_register_handler(syscalls, proc):
-    handler = object()
-    syscalls.uintr_register_handler(proc, handler)
-    assert proc.signal_handlers["uintr"] is handler

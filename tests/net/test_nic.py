@@ -62,10 +62,10 @@ def test_ring_overflow_matches_ledger_accounting(sim):
     assert results == [True] * 4 + [False] * 6
     assert nic.dropped == 6
     assert len(dropped) == 6
-    assert ledger.op_count("nic_drop", domain="net") == 6
+    assert ledger.op_counts("net")["nic_drop"] == 6
     sim.run()
     assert nic.received == 4
-    assert ledger.op_count("nic_rx", domain="net") == 4
+    assert ledger.op_counts("net")["nic_rx"] == 4
     # Per-packet NIC cost is charged, not just counted.
     assert ledger.total_ns(domain="net", op="nic_rx") == 4 * 600
 
@@ -75,11 +75,11 @@ def test_depth_and_oldest_wait_signals(sim):
     app = memcached_app()
     nic.rx(Request(app, 0, 1000))
     nic.rx(Request(app, 0, 1000))
-    assert nic.ring_depth(0) == 2
+    assert nic.rings[0].depth == 2
     sim.run(until=400)
     assert nic.oldest_wait_ns(sim.now) == 400
     sim.run()
-    assert nic.ring_depth(0) == 0
+    assert nic.rings[0].depth == 0
     assert nic.oldest_wait_ns(sim.now) == 0
 
 

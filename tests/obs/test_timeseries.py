@@ -62,7 +62,7 @@ def test_names_keep_registration_order():
     gauges = GaugeSeries(Simulator(), tick_ns=100)
     gauges.add_probe("x", lambda: 1)
     gauges.add_probe("empty", lambda: 0)
-    assert gauges.names() == ["x", "empty"]
+    assert list(gauges.samples) == ["x", "empty"]
 
 
 def test_chrome_counter_events():

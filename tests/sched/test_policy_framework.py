@@ -16,7 +16,8 @@ from repro.hardware.timing import CostModel
 from repro.obs.ledger import OpLedger
 from repro.sched.policy import (
     DEFAULT_L_PREEMPT_QUANTUM_NS, DEFAULT_ROTATION_QUANTUM_NS,
-    Rotate, SchedPolicy, available_policies, make_policy, register_policy)
+    _REGISTRY, Rotate, SchedPolicy, _load_builtin_policies, make_policy,
+    register_policy)
 from repro.uprocess.threads import UThreadState
 from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource, Request
@@ -48,10 +49,9 @@ def run_system(policy=None, rate=1.0, sim_ms=6, **system_kwargs):
 # Registry
 # ----------------------------------------------------------------------
 def test_builtin_policies_registered():
-    names = available_policies()
     for name in ("default", "mlfq", "sjf", "trust-group", "priority"):
-        assert name in names
-    assert names["default"] is SchedPolicy  # the §4.5 base behaviour
+        assert make_policy(name).name == name
+    assert type(make_policy("default")) is SchedPolicy  # the §4.5 base
 
 
 def test_make_policy_unknown_name():
@@ -131,8 +131,9 @@ def test_default_policy_never_rejected():
 # on_arrival: the bounded running-thread count decides like a full one
 # ----------------------------------------------------------------------
 #: every registered policy that keeps the base class's arrival path
+_load_builtin_policies()
 INHERITS_ON_ARRIVAL = sorted(
-    name for name, cls in available_policies().items()
+    name for name, cls in _REGISTRY.items()
     if cls.on_arrival is SchedPolicy.on_arrival)
 
 

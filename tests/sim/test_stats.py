@@ -187,19 +187,6 @@ def test_counter_accumulates():
     assert counter.value == 5
 
 
-def test_counter_rate():
-    counter = Counter()
-    counter.add(1000)
-    # 1000 ops in 1 ms == 1M ops/s
-    assert counter.rate_per_sec(1_000_000) == pytest.approx(1e6)
-
-
-def test_counter_rate_zero_elapsed():
-    counter = Counter()
-    counter.add(10)
-    assert counter.rate_per_sec(0) == 0.0
-
-
 def test_counter_rejects_negative():
     with pytest.raises(ValueError):
         Counter().add(-1)
@@ -213,8 +200,7 @@ def test_busy_accounter_charges_and_fractions():
     acct.charge("app", 750)
     acct.charge("kernel", 250)
     assert acct.total() == 1000
-    assert acct.fraction("app") == pytest.approx(0.75)
-    assert acct.fraction("missing") == 0.0
+    assert acct.buckets == {"app": 750, "kernel": 250}
 
 
 def test_busy_accounter_rejects_negative():
@@ -226,7 +212,3 @@ def test_busy_accounter_cores_equivalent():
     acct = BusyAccounter()
     acct.charge("app", 2_000_000)
     assert acct.cores_equivalent("app", 1_000_000) == pytest.approx(2.0)
-
-
-def test_busy_accounter_empty_fraction():
-    assert BusyAccounter().fraction("app") == 0.0

@@ -28,8 +28,6 @@ ALLOWED = {
         "circular: the zoo modules import repro.sched.policy to register",
     ("repro.baselines.caladan", "CaladanSystem._enforce_bw_cap"):
         "cold: only the first call, which builds the bandwidth meter",
-    ("repro.uprocess.manager", "Manager.kill_thread"):
-        "cold: runs once per killed thread",
     ("repro.uprocess.uproc", "UProcess.terminate"):
         "circular: repro.uprocess.threads imports repro.uprocess.uproc",
     ("repro.vessel.runtime", "VesselRuntime.sys_dlopen"):

@@ -38,7 +38,7 @@ def test_alloc_within_range():
     addr = arena.alloc(100)
     assert BASE <= addr < BASE + SIZE
     assert arena.owns(addr)
-    assert arena.block_size(addr) == round_to_class(100) == 112
+    assert SIZE - arena.free_bytes() == round_to_class(100) == 112
 
 
 def test_allocations_do_not_overlap():
@@ -100,9 +100,11 @@ def test_bad_alignment_rejected():
 def test_accounting_conserved():
     arena = make()
     addrs = [arena.alloc(100) for _ in range(5)]
-    assert arena.allocated_bytes() + arena.free_bytes() == SIZE
+    assert arena.free_bytes() == SIZE - 5 * round_to_class(100)
+    arena.check_invariants()
     arena.free(addrs[2])
-    assert arena.allocated_bytes() + arena.free_bytes() == SIZE
+    assert arena.free_bytes() == SIZE - 4 * round_to_class(100)
+    arena.check_invariants()
 
 
 @settings(max_examples=50, deadline=None)

@@ -56,10 +56,10 @@ def test_non_pie_rejected(domain, two_uprocs):
 
 def test_libraries_placed_via_allocator(domain, two_uprocs):
     a, _ = two_uprocs
-    before = a.static_arena.allocated_bytes()
+    before = a.static_arena.free_bytes()
     lib = ProgramImage("lib", data_size=64 << 10)
     domain.loader.load(a, ProgramImage("main", libraries=[lib]))
-    assert a.static_arena.allocated_bytes() > before
+    assert a.static_arena.free_bytes() < before
 
 
 def test_text_region_exhaustion(domain, two_uprocs):

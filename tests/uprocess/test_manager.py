@@ -6,6 +6,7 @@ from repro.uprocess.loader import ProgramImage
 from repro.uprocess.smas import MAX_UPROCESSES, SmasError
 from repro.uprocess.threads import UThread
 from repro.uprocess.uproc import UProcessState
+from repro.uprocess.usignals import Command, CommandKind
 
 
 def test_create_uprocess_full_flow(manager, domain):
@@ -71,35 +72,6 @@ def test_fault_handler_registered_at_creation(manager, domain):
     assert key in manager.signals._handlers
 
 
-def test_kill_thread_off_core_reaped_immediately(manager, domain):
-    up = manager.create_uprocess(domain, ProgramImage("svc"))
-    thread = UThread(up)
-    assert manager.kill_thread(domain, thread) == 0
-    from repro.uprocess.threads import UThreadState
-    assert thread.state is UThreadState.DEAD
-    assert up.alive  # only the thread died (§5.3)
-
-
-def test_kill_thread_on_core_is_lazy(manager, domain, machine):
-    up = manager.create_uprocess(domain, ProgramImage("svc"))
-    thread = UThread(up)
-    domain.switcher.install(machine.cores[0], thread)
-    assert manager.kill_thread(domain, thread) == 1
-    from repro.uprocess.threads import UThreadState
-    assert thread.state is not UThreadState.DEAD
-    domain.process_commands(machine.cores[0].id)
-    assert thread.state is UThreadState.DEAD
-    assert up.alive
-
-
-def test_kill_thread_goes_through_sigqueue(manager, domain):
-    up = manager.create_uprocess(domain, ProgramImage("svc"))
-    thread = UThread(up)
-    before = manager.syscalls.counts.get("sigqueue", 0)
-    manager.kill_thread(domain, thread)
-    assert manager.syscalls.counts["sigqueue"] == before + 1
-
-
 def test_destroy_revokes_pkey_to_default(manager, domain):
     up = manager.create_uprocess(domain, ProgramImage("svc"))
     assert up.slot.data_region.pkey == up.pkey
@@ -133,7 +105,8 @@ def test_destroy_purges_queued_commands(manager, domain, machine):
     up = manager.create_uprocess(domain, ProgramImage("svc"))
     thread = UThread(up)
     domain.switcher.install(machine.cores[0], thread)
-    manager.kill_thread(domain, thread)  # queues a KILL for the uproc
+    domain.queues.of(machine.cores[0].id).push(
+        Command(CommandKind.RUN_THREAD, thread))
     manager.destroy_uprocess(domain, up)  # lazy: queues destroy too
     domain.process_commands(machine.cores[0].id)
     assert not up.alive

@@ -108,7 +108,7 @@ def test_any_app_can_fetch_callgate_text(smas):
 
 
 def test_runtime_stacks_per_core(smas):
-    stacks = {smas.runtime_stack(core) for core in range(4)}
+    stacks = {smas.pipe.cpuid_to_runtime_rsp[core] for core in range(4)}
     assert len(stacks) == 4
     for rsp in stacks:
         region = smas.aspace.find(rsp - 8)

@@ -115,7 +115,8 @@ def test_membench_preempt_resume_conserves_work(sim, costs):
     work.start(machine.cores[0], on_done=lambda: done.append(sim.now))
     sim.run()
     assert done
-    assert app.useful_ns == pytest.approx(work.iteration_worth_ns(), rel=0.02)
+    # One iteration: the memory phase at the demand rate, then compute.
+    assert app.useful_ns == pytest.approx(120_000 / 12.0 + 5_000, rel=0.02)
 
 
 def test_membench_preempt_during_compute(sim, costs):
