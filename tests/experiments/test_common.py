@@ -219,6 +219,18 @@ def _golden_cases():
             trace=LoadTrace.from_rates(1.0, 1.0,
                                        [0.8, 1.2, 1.0, 0.0, 1.5, 1.0]),
             rng_namespace="cluster/server1")),
+        # One case per baseline system, so each system's begin/end/evict
+        # paths are pinned.  Arachne's estimator first fires at 50 ms.
+        "arachne_estimator": ("arachne", small.scaled(sim_ms=60), dict(
+            l_specs=[("memcached", "mc", 1.5)])),
+        "ideal_l_app": ("ideal", small.scaled(latency_breakdown=True), dict(
+            l_specs=[("memcached", "mc", 1.0)])),
+        "linux_cfs": ("linux-cfs", small.scaled(latency_breakdown=True),
+                      dict(l_specs=[("memcached", "mc", 0.5)])),
+        "caladan_dr_h_two_l_apps": ("caladan-dr-h",
+                                    small.scaled(latency_breakdown=True),
+                                    dict(l_specs=[("memcached", "mc", 1.0),
+                                                  ("silo", "silo", 0.05)])),
     }
 
 
