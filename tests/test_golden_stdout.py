@@ -7,6 +7,12 @@ pins what the experiments assemble from it: tables, gates and printed
 verdicts.  The front end prints its wall-clock lines (``[<name> took
 ...]``, ``[total ...]``) to stderr, so stdout alone is deterministic.
 
+Tier-1 checks the fast :data:`COMMANDS` (about a second each).  The
+:data:`HEAVY_COMMANDS` (several seconds to half a minute each) carry the
+``heavy`` marker, which the default ``addopts`` deselects; CI's
+``smoke (golden stdout)`` entry runs them with
+``python -m pytest tests/test_golden_stdout.py -m heavy``.
+
 A change that means to move this output re-captures the file
 (``PYTHONPATH=src python tests/test_golden_stdout.py``) and explains
 each changed digest in CHANGES.md.
@@ -22,9 +28,15 @@ import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_stdout.json")
-#: commands that take about a second each; the heavier ones are not
-#: pinned here yet
+#: commands that take about a second each
 COMMANDS = ("tab1", "fig03", "micro", "fig07")
+#: the smoke profiles of the colocation, fault, net and scenario
+#: experiments; ``fig09 --smoke`` alone runs VESSEL, the three Caladan
+#: variants, Arachne and CFS
+HEAVY_COMMANDS = ("fig09 --smoke", "fig13 --smoke", "chaos", "net",
+                  "policies --smoke", "churn --smoke", "flashcrowd --smoke",
+                  "oversub --smoke", "overload --smoke",
+                  "tracecheck --smoke")
 
 
 def stdout_digest(command, cwd):
@@ -32,12 +44,14 @@ def stdout_digest(command, cwd):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(REPO, "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "repro", command], cwd=cwd, env=env,
+        [sys.executable, "-m", "repro", *command.split()], cwd=cwd, env=env,
         capture_output=True, check=True, timeout=300)
     return hashlib.sha256(result.stdout).hexdigest()
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", list(COMMANDS) + [
+    pytest.param(command, marks=pytest.mark.heavy)
+    for command in HEAVY_COMMANDS])
 def test_stdout_matches_golden(command, tmp_path):
     with open(GOLDEN_PATH) as handle:
         golden = json.load(handle)
@@ -48,6 +62,6 @@ if __name__ == "__main__":
     # Re-capture: PYTHONPATH=src python tests/test_golden_stdout.py
     with open(GOLDEN_PATH, "w") as handle:
         json.dump({command: stdout_digest(command, REPO)
-                   for command in COMMANDS}, handle, indent=1,
-                  sort_keys=True)
+                   for command in COMMANDS + HEAVY_COMMANDS},
+                  handle, indent=1, sort_keys=True)
         handle.write("\n")
