@@ -9,6 +9,11 @@ Figure 9 shows:
   count catches up (latency spikes past 10 ms under bursts);
 * overall throughput declines sharply as load rises because grants are
   slow and per-request wakeups go through the kernel.
+
+The estimator first fires after ``arachne_estimator_interval_ns``
+(50 ms).  ``python -m repro fig09`` runs 30 ms, so there each L-app
+keeps its initial one-core grant for the whole run and saturates at
+that core's capacity (about 1 Mops of memcached).
 """
 
 from __future__ import annotations
@@ -20,26 +25,19 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.hardware.machine import Core, Machine
 from repro.sched import queues
-from repro.sched.base import ColocationSystem
+from repro.baselines.owned import OwnedCoreState, OwnedCoreSystem
 from repro.workloads.base import App, Request
 
 #: Arachne targets ~80% utilization per granted core ("load factor")
 TARGET_LOAD_FACTOR = 0.8
 
 
-class _CoreState:
-    __slots__ = ("core", "owner", "kind", "request", "batch_run")
+class ArachneSystem(OwnedCoreSystem):
+    """Arachne's core arbiter + per-app estimators.
 
-    def __init__(self, core: Core) -> None:
-        self.core = core
-        self.owner: Optional[App] = None
-        self.kind: Optional[str] = None  # None | "serve" | "idle-held" | "B"
-        self.request: Optional[Request] = None
-        self.batch_run = None
-
-
-class ArachneSystem(ColocationSystem):
-    """Arachne's core arbiter + per-app estimators."""
+    A core's ``kind`` is None (unowned), "serve", "idle-held", "B" or
+    "transition".
+    """
 
     name = "arachne"
 
@@ -47,21 +45,14 @@ class ArachneSystem(ColocationSystem):
                  worker_cores: Optional[List[Core]] = None) -> None:
         super().__init__(sim, machine, rngs, worker_cores)
         self.rng = rngs.stream("arachne")
-        self._cores: Dict[int, _CoreState] = {
-            core.id: _CoreState(core) for core in self.worker_cores
-        }
         #: current core grant per L-app
         self._grants: Dict[str, int] = {}
         #: busy ns accumulated per L-app in the current estimator window
         self._window_busy: Dict[str, int] = {}
         self._window_start = 0
-        self._started = False
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
+    def on_start(self) -> None:
         for app in self.latency_apps:
             self._grants[app.name] = 1
             self._window_busy[app.name] = 0
@@ -113,27 +104,22 @@ class ArachneSystem(ColocationSystem):
             if state.owner is None and not state.core.busy:
                 self._grant_to_batch(state)
 
-    def _acquire(self, state: _CoreState, app: App) -> None:
-        if state.kind == "B" and state.batch_run is not None:
-            state.batch_run.preempt()
-            state.batch_run = None
-        elif state.core.busy:
-            state.core.preempt()
+    def _acquire(self, state: OwnedCoreState, app: App) -> None:
+        self.evict(state)
         state.owner = app
         state.kind = "transition"
         state.core.run("kernel", self.costs.arachne_core_grant_ns,
                        self._begin, state)
 
-    def _release(self, state: _CoreState) -> None:
+    def _release(self, state: OwnedCoreState) -> None:
         if state.kind == "serve":
             return  # finish the current request first; reaped next window
-        if state.core.busy:
-            state.core.preempt()
+        self.evict(state)
         state.owner = None
         state.kind = None
         state.core.set_idle()
 
-    def _grant_to_batch(self, state: _CoreState) -> None:
+    def _grant_to_batch(self, state: OwnedCoreState) -> None:
         for app in self.batch_apps:
             state.owner = app
             state.kind = "transition"
@@ -141,18 +127,6 @@ class ArachneSystem(ColocationSystem):
                            self._begin, state)
             return
         state.core.set_idle()
-
-    def _begin(self, state: _CoreState) -> None:
-        app = state.owner
-        if app is None:
-            state.kind = None
-            state.core.set_idle()
-            return
-        if app.is_latency:
-            self._serve(state)
-        else:
-            state.kind = "B"
-            self._run_batch_chunk(state)
 
     # ------------------------------------------------------------------
     # Serving
@@ -166,7 +140,7 @@ class ArachneSystem(ColocationSystem):
                                self._serve, state)
                 return
 
-    def _serve(self, state: _CoreState) -> None:
+    def _serve(self, state: OwnedCoreState) -> None:
         app = state.owner
         request = app.pop_request()
         if request is None:
@@ -183,22 +157,3 @@ class ArachneSystem(ColocationSystem):
         )
         state.core.run(app.category, service_ns, self._request_done, state,
                        request)
-
-    def _request_done(self, state: _CoreState, request: Request) -> None:
-        request.app.complete(request, self.sim.now)
-        if self.flight.enabled:
-            self.flight.on_complete(request)
-        state.request = None
-        self._serve(state)
-
-    # ------------------------------------------------------------------
-    def _run_batch_chunk(self, state: _CoreState) -> None:
-        app = state.owner
-        state.batch_run = app.batch_work.start(
-            state.core, self._batch_chunk_done, state)
-
-    def _batch_chunk_done(self, state: _CoreState) -> None:
-        state.batch_run = None
-        if state.kind != "B":
-            return
-        self._run_batch_chunk(state)

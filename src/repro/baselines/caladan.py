@@ -21,31 +21,23 @@ Construct variants with :func:`caladan_dr_l` / :func:`caladan_dr_h`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.hardware.machine import Core, Machine
 from repro.kernel.kschedule import KernelReallocPipeline
 from repro.sched import queues
-from repro.sched.base import ColocationSystem
+from repro.baselines.owned import OwnedCoreState, OwnedCoreSystem
 from repro.workloads.base import App, Request
 
 
-class _CoreState:
-    __slots__ = ("core", "owner", "kind", "request", "batch_run")
+class CaladanSystem(OwnedCoreSystem):
+    """Caladan with configurable Delay Range.
 
-    def __init__(self, core: Core) -> None:
-        self.core = core
-        self.owner: Optional[App] = None
-        #: None | "serve" | "spin" | "B" | "transition"
-        self.kind: Optional[str] = None
-        self.request: Optional[Request] = None
-        self.batch_run = None
-
-
-class CaladanSystem(ColocationSystem):
-    """Caladan with configurable Delay Range."""
+    A core's ``kind`` is None (unowned), "serve", "spin", "B" or
+    "transition".
+    """
 
     name = "caladan"
 
@@ -75,14 +67,10 @@ class CaladanSystem(ColocationSystem):
         self.rng = rngs.stream("caladan")
         self.pipeline = KernelReallocPipeline(self.costs,
                                               ledger=self.ledger)
-        self._cores: Dict[int, _CoreState] = {
-            core.id: _CoreState(core) for core in self.worker_cores
-        }
         self._react_pending: Set[str] = set()
         self.reallocations = 0
         self.rebinds = 0
         self.parks = 0
-        self._started = False
         # Worker count and cost model are fixed for the system's life,
         # so the IOKernel constants are derived once, not per tick,
         # park or arrival.
@@ -100,10 +88,7 @@ class CaladanSystem(ColocationSystem):
                / costs.caladan_core_alloc_interval_ns)
         self.control_plane_factor: float = 1.0 / (1.0 - min(rho, 0.97))
 
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
+    def on_start(self) -> None:
         for state in self._cores.values():
             self._grant_idle_core(state, include_batch=True)
         self.sim.post(self.alloc_interval_ns, self._alloc_tick)
@@ -195,9 +180,7 @@ class CaladanSystem(ColocationSystem):
         self._bw_throttled = len(running) >= allowed
         while len(running) > allowed:
             state = running.pop()
-            if state.batch_run is not None:
-                state.batch_run.preempt()
-                state.batch_run = None
+            self.evict(state)
             state.owner = None
             state.kind = None
             state.core.set_idle()
@@ -212,10 +195,10 @@ class CaladanSystem(ColocationSystem):
         active = sum(1 for s in self._cores.values() if s.owner is app)
         return active < min(len(app.queue), len(self.worker_cores))
 
-    def _find_idle_core(self) -> Optional[_CoreState]:
+    def _find_idle_core(self) -> Optional[OwnedCoreState]:
         return queues.first_idle(self._cores.values())
 
-    def _find_preemption_victim(self, requester: App) -> Optional[_CoreState]:
+    def _find_preemption_victim(self, requester: App) -> Optional[OwnedCoreState]:
         # Best-effort cores first.
         victim = queues.first_of_kind(self._cores.values(), "B")
         if victim is not None:
@@ -236,7 +219,7 @@ class CaladanSystem(ColocationSystem):
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
-    def _grant_idle_core(self, state: _CoreState,
+    def _grant_idle_core(self, state: OwnedCoreState,
                          include_batch: bool = False) -> None:
         """Rebind an idle core to the most congested L-app.
 
@@ -263,7 +246,7 @@ class CaladanSystem(ColocationSystem):
         state.kind = None
         state.core.set_idle()
 
-    def _rebind(self, state: _CoreState, app: App) -> None:
+    def _rebind(self, state: OwnedCoreState, app: App) -> None:
         """Cooperative rebind of a parked/idle core (Table 1 path)."""
         self.rebinds += 1
         state.owner = app
@@ -272,44 +255,20 @@ class CaladanSystem(ColocationSystem):
                        + self.costs.kernel_jitter_ns(self.rng),
                        self._begin, state)
 
-    def _preempt(self, state: _CoreState, app: App) -> None:
-        """Preemptive reallocation: the Figure 3 kernel pipeline."""
+    def _preempt(self, state: OwnedCoreState, app: App) -> None:
+        """Preemptive reallocation: the Figure 3 kernel pipeline.  The
+        victim's in-flight request is suspended; its remaining service
+        time returns to the front of its app's queue."""
         self.reallocations += 1
-        if state.kind == "B" and state.batch_run is not None:
-            state.batch_run.preempt()
-            state.batch_run = None
-        elif state.kind == "serve" and state.request is not None:
-            # The victim's in-flight request is suspended; its remaining
-            # service time returns to the front of its app's queue.
-            remaining = state.core.preempt()
-            request = state.request
-            request.service_ns = max(1, remaining)
-            if self.flight.enabled:
-                self.flight.mark(request, "preempt", core=state.core.id)
-            request.app.queue.appendleft(request)
-            state.request = None
-        elif state.core.busy:
-            state.core.preempt()
+        self.evict(state, requeue=True)
         state.owner = app
         state.kind = "transition"
         self.pipeline.run(state.core, lambda: self._begin(state), self.rng)
 
-    def _begin(self, state: _CoreState) -> None:
-        app = state.owner
-        if app is None:
-            state.kind = None
-            state.core.set_idle()
-            return
-        if app.is_latency:
-            self._serve(state)
-        else:
-            state.kind = "B"
-            self._run_batch_chunk(state)
-
     # ------------------------------------------------------------------
     # Latency serving (run-to-completion + steal-spin + park)
     # ------------------------------------------------------------------
-    def _serve(self, state: _CoreState) -> None:
+    def _serve(self, state: OwnedCoreState) -> None:
         app = state.owner
         if not app.queue:
             # Steal inside the app for 2 µs before parking (Figure 7a).
@@ -324,14 +283,7 @@ class CaladanSystem(ColocationSystem):
         state.core.run(app.category, service_ns, self._request_done, state,
                        request)
 
-    def _request_done(self, state: _CoreState, request: Request) -> None:
-        state.request = None
-        request.app.complete(request, self.sim.now)
-        if self.flight.enabled:
-            self.flight.on_complete(request)
-        self._serve(state)
-
-    def _spin_done(self, state: _CoreState) -> None:
+    def _spin_done(self, state: OwnedCoreState) -> None:
         app = state.owner
         if app.queue:
             self._serve(state)
@@ -342,7 +294,7 @@ class CaladanSystem(ColocationSystem):
         state.core.run("kernel", self.costs.caladan_park_yield_ns,
                        self._parked, state)
 
-    def _parked(self, state: _CoreState) -> None:
+    def _parked(self, state: OwnedCoreState) -> None:
         state.owner = None
         state.kind = None
         # The IOKernel notices the park on its next poll pass; under
@@ -354,23 +306,9 @@ class CaladanSystem(ColocationSystem):
         else:
             self.sim.post(delay, self._handoff_parked, state)
 
-    def _handoff_parked(self, state: _CoreState) -> None:
+    def _handoff_parked(self, state: OwnedCoreState) -> None:
         if state.kind is None and not state.core.busy and state.owner is None:
             self._grant_idle_core(state, include_batch=False)
-
-    # ------------------------------------------------------------------
-    # Best-effort chunks
-    # ------------------------------------------------------------------
-    def _run_batch_chunk(self, state: _CoreState) -> None:
-        app = state.owner
-        state.batch_run = app.batch_work.start(
-            state.core, self._batch_chunk_done, state)
-
-    def _batch_chunk_done(self, state: _CoreState) -> None:
-        state.batch_run = None
-        if state.kind != "B":
-            return
-        self._run_batch_chunk(state)
 
 
 def caladan_dr_l(sim: Simulator, machine: Machine, rngs: RngStreams,

@@ -54,10 +54,7 @@ class _WorkerTask(CfsTask):
         return Chunk(self.system.costs.kernel_net_ns, "kernel")
 
     def _complete(self) -> None:
-        request = self._serving
-        request.app.complete(request, self.system.sim.now)
-        if self.system.flight.enabled:
-            self.system.flight.on_complete(request)
+        self.system.end_service(self._serving)
 
 
 class _BatchTask(CfsTask):
@@ -90,7 +87,6 @@ class LinuxCfsSystem(ColocationSystem):
         self._processes: Dict[str, KProcess] = {}
         self._workers: Dict[str, List[KThread]] = {}
         self._wake_rr: Dict[str, int] = {}
-        self._started = False
 
     # ------------------------------------------------------------------
     def add_app(self, app: App) -> None:
@@ -110,10 +106,7 @@ class LinuxCfsSystem(ColocationSystem):
         self._workers[app.name] = threads
         self._wake_rr[app.name] = 0
 
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
+    def on_start(self) -> None:
         for app in self.batch_apps:
             for thread in self._workers[app.name]:
                 self.cfs.wake(thread)

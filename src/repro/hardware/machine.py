@@ -194,7 +194,8 @@ class Machine:
         self.uintr = UintrController(sim, costs, ledger=self.ledger)
         self.ipi = IpiController(sim, costs, ledger=self.ledger)
         self.membus = MemoryBus(sim, membus_gbps)
-        self._propagate_ledger()
+        for core in self.cores:
+            core.pkru.attach_ledger(self.ledger, core.id)
 
     @property
     def num_cores(self) -> int:
@@ -204,21 +205,6 @@ class Machine:
         """Record every core's activity spans into ``tracer``."""
         for core in self.cores:
             core.tracer = tracer
-
-    def attach_ledger(self, ledger: OpLedger) -> None:
-        """Route the hardware controllers' op charging through ``ledger``.
-
-        Call before building a scheduler system on this machine so the
-        system's own layers pick the ledger up at construction time.
-        """
-        self.ledger = ledger
-        self._propagate_ledger()
-
-    def _propagate_ledger(self) -> None:
-        self.uintr.ledger = self.ledger
-        self.ipi.ledger = self.ledger
-        for core in self.cores:
-            core.pkru.attach_ledger(self.ledger, core.id)
 
     def settle_all(self) -> None:
         for core in self.cores:

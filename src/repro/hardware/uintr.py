@@ -13,6 +13,12 @@ The model mirrors the architectural objects:
 * if the receiver is in the kernel or context-switched out, delivery is
   *deferred* until it next returns to user mode (§2.2), which the core
   model signals via :meth:`UintrController.on_user_resume`.
+
+Deferral never happens in a colocation run: a UPID starts suppressed,
+``VesselSystem.start`` resumes every worker once, and no src code
+suppresses a receiver again, so ``deferred`` stays 0 (see "Mechanisms
+inert at the documented commands" in docs/ARCHITECTURE.md).  The tests
+drive the deferral path directly.
 """
 
 from __future__ import annotations
@@ -99,19 +105,9 @@ class UintrController:
         #: optional fault-injection hook consulted on every senduipi
         #: (see :data:`UintrInjectHook`); ``None`` means no injection
         self.inject: Optional[UintrInjectHook] = None
-        # Charge handles for the per-interrupt hot path; rebuilt lazily
-        # because Machine.attach_ledger reassigns self.ledger after
-        # construction.
-        self._send_handle = None
-        self._deliver_handle = None
-        self._handles_ledger = None
-
-    def _charge_handles(self):
-        if self._handles_ledger is not self.ledger:
-            self._send_handle = self.ledger.handle("hw", "uintr_send")
-            self._deliver_handle = self.ledger.handle("hw", "uintr_deliver")
-            self._handles_ledger = self.ledger
-        return self._send_handle, self._deliver_handle
+        # Charge handles for the per-interrupt hot path.
+        self._send_handle = self.ledger.handle("hw", "uintr_send")
+        self._deliver_handle = self.ledger.handle("hw", "uintr_deliver")
 
     # ---------------------------------------------------------------
     # Receiver side
@@ -163,8 +159,7 @@ class UintrController:
         entry.upid.post(entry.vector)
         self.sent += 1
         if self.ledger.enabled:
-            send, _ = self._charge_handles()
-            send.charge(self.costs.uintr_send_ns, sender_id)
+            self._send_handle.charge(self.costs.uintr_send_ns, sender_id)
         if entry.upid.suppressed:
             self.deferred += 1
             return
@@ -211,6 +206,6 @@ class UintrController:
         for vector in vectors:
             self.delivered += 1
             if self.ledger.enabled:
-                _, deliver = self._charge_handles()
-                deliver.charge(self.costs.uintr_deliver_ns, upid.receiver_id)
+                self._deliver_handle.charge(self.costs.uintr_deliver_ns,
+                                            upid.receiver_id)
             handler(vector)

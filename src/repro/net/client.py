@@ -7,9 +7,8 @@ NIC ring waits, response serialization, and retransmission delays are
 all part of the reported percentiles.
 
 Each :class:`ClientMachine` owns a share of every workload's connections
-and runs either an open-loop Poisson generator (default; the sum of the
-machines' rates equals the configured offered load) or a closed-loop
-generator (one request in flight per connection, with think time).
+and runs an open-loop Poisson generator over them (the sum of the
+machines' rates equals the configured offered load).
 
 Reliability: every logical request carries a timeout; on expiry — or
 immediately on an *observed* drop, since the fabric surfaces link and
@@ -98,12 +97,7 @@ class ClientMachine:
 
     def start(self) -> None:
         for workload in self.workloads:
-            if not workload.conn_ids:
-                continue
-            if self.cfg.closed_loop:
-                for conn_id in workload.conn_ids:
-                    self.sim.post(0, self._send_new, workload, conn_id)
-            elif workload.rate_mops > 0:
+            if workload.conn_ids and workload.rate_mops > 0:
                 self.sim.at(0, self._open_loop_tick, workload)
 
     # ------------------------------------------------------------------
@@ -212,8 +206,6 @@ class ClientMachine:
             pending.done = True
             self.fabric.bump(app_name, "losses", op="client_loss")
             self.fabric.inflight[app_name] -= 1
-            if self.cfg.closed_loop:
-                self._closed_loop_next(pending)
             return
         if self.cfg.retry_budget > 0:
             if self._retry_tokens < 1.0:
@@ -224,8 +216,6 @@ class ClientMachine:
                                  op="retry_suppressed")
                 self.fabric.bump(app_name, "losses", op="client_loss")
                 self.fabric.inflight[app_name] -= 1
-                if self.cfg.closed_loop:
-                    self._closed_loop_next(pending)
                 return
             self._retry_tokens -= 1.0
         self.fabric.bump(app_name, "retries", op="client_retry")
@@ -259,9 +249,3 @@ class ClientMachine:
         fabric.record_latency(app_name, self.sim.now - request.client_send_ns)
         fabric.stats[app_name]["completed"] += 1
         fabric.inflight[app_name] -= 1
-        if self.cfg.closed_loop:
-            self._closed_loop_next(pending)
-
-    def _closed_loop_next(self, pending: _Pending) -> None:
-        self.sim.post(self.cfg.think_ns, self._send_new,
-                      pending.workload, pending.conn_id)

@@ -58,10 +58,6 @@ class NetConfig:
     #: amplifying overload.  0 disables budgeting (legacy behavior).
     retry_budget: float = 0.0
     retry_budget_cap: float = 10.0
-    #: closed-loop clients: each connection keeps one request in flight
-    #: and thinks for ``think_ns`` between response and next send
-    closed_loop: bool = False
-    think_ns: int = 0
     #: identity of the server machine this fabric fronts.  ``None`` (the
     #: single-server default) keeps the historical global stream names
     #: (``net/rss``, ``net/arrivals/...``) byte-for-byte; a fleet run

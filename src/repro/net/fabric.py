@@ -166,7 +166,8 @@ class NetFabric(RunComponent):
         self.nic.rx(request)
 
     def _server_done(self, request: Request, now: int) -> None:
-        """App.complete hook: ship the response back to its client."""
+        """Response hook (``ColocationSystem.end_service`` fires it):
+        ship the response back to its client."""
         # The "complete" mark lands here (not in the system's
         # ``flight.on_complete``) so a fault-injected drop inside
         # ``link_out.send`` finalizes a flight whose last mark is

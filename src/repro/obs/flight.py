@@ -16,7 +16,7 @@ Marks and the stage each one opens (:data:`STAGE_AFTER`)::
     submit      -> sched_queue   the scheduling system's intake
     run_start   -> service       a core began (or resumed) serving it
     preempt     -> preempt_wait  preempted mid-service, requeued
-    complete    -> net_out       App.complete fired (server done)
+    complete    -> net_out       end_service fired (server done)
 
 Terminal outcomes (:data:`TERMINAL`): ``done`` (response reached the
 client, or direct-submit completion), ``dup`` (response arrived after a

@@ -11,6 +11,6 @@ Simulator speed is measured by ``benchmarks/e2e`` (see
 ``benchmarks/e2e/README.md``).
 """
 
-from repro.perf.parallel import available_jobs, parallel_map
+from repro.perf.parallel import parallel_map
 
-__all__ = ["available_jobs", "parallel_map"]
+__all__ = ["parallel_map"]

@@ -22,19 +22,10 @@ picklable either way.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from typing import Callable, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def available_jobs() -> int:
-    """Worker-process count honouring CPU affinity (cgroup/taskset)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
 
 
 def _pool_context():

@@ -136,8 +136,28 @@ class SystemReport:
                                                          float("nan"))
 
 
+class CoreState:
+    """A system's view of one worker core: what it is doing (``kind``,
+    each system's own labels), the request in service and the batch
+    chunk in flight.  :meth:`ColocationSystem.evict` reads and clears
+    the last two."""
+
+    __slots__ = ("core", "kind", "request", "batch_run")
+
+    def __init__(self, core: Core) -> None:
+        self.core = core
+        self.kind: Optional[str] = None
+        self.request: Optional[Request] = None
+        self.batch_run = None
+
+
 class ColocationSystem:
-    """Base class: apps, submission, measurement windows, reporting."""
+    """Base class: apps, submission, measurement windows, reporting.
+
+    Every system begins, ends and cuts short a request's service through
+    the same three methods: :meth:`begin_service`, :meth:`end_service`
+    and :meth:`evict`.
+    """
 
     name = "base"
 
@@ -164,6 +184,7 @@ class ColocationSystem:
         if not self.worker_cores:
             raise ValueError("need at least one worker core")
         self.apps: List[App] = []
+        self._started = False
         self._measuring_since: Optional[int] = None
         #: how strongly memory-bus contention inflates request service
         #: times (0 = decoupled; Figure 13a uses a positive value).  The
@@ -218,8 +239,57 @@ class ColocationSystem:
         over = max(0.0, self.machine.membus.utilization() - 0.5)
         return int(request.service_ns * (1.0 + self.bus_sensitivity * over))
 
+    def end_service(self, request: Request) -> None:
+        """A core finishes serving a request.
+
+        The one chokepoint every system's completion path goes through:
+        counts the completion, records its latency (client-observed when
+        a client stamped ``client_send_ns``), fires the request's
+        response hook and closes a direct-submit flight.
+        """
+        # Hot path: one call per request; Request.latency_ns is inlined.
+        app = request.app
+        now = self.sim.now
+        app.completed.value += 1
+        sent = request.client_send_ns
+        app.latency.record(now - (request.arrival_ns if sent is None
+                                  else sent))
+        if request.on_complete is not None:
+            request.on_complete(request, now)
+        if self.flight.enabled:
+            self.flight.on_complete(request)
+
+    def evict(self, state: CoreState, requeue: bool = False) -> None:
+        """The one eviction path: cut short what runs on ``state.core``.
+
+        A batch chunk stops; a request in service stops too, and its
+        remaining service goes back to the front of its app's queue
+        (``requeue``) or is lost.  Any other segment (spinning, a kernel
+        transition) is simply cancelled.  The caller settles ``kind`` and
+        what the core does next.
+        """
+        if state.batch_run is not None:
+            state.batch_run.preempt()
+            state.batch_run = None
+        elif state.core.busy:
+            remaining = state.core.preempt()
+            request = state.request
+            if requeue and request is not None:
+                request.service_ns = max(1, remaining)
+                if self.flight.enabled:
+                    self.flight.mark(request, "preempt", core=state.core.id)
+                request.app.queue.appendleft(request)
+        state.request = None
+
     def start(self) -> None:
-        """Begin scheduling (called once, before sim.run)."""
+        """Begin scheduling; a system starts once, before ``sim.run``."""
+        if self._started:
+            raise RuntimeError("system already started")
+        self._started = True
+        self.on_start()
+
+    def on_start(self) -> None:
+        """Prime the cores and arm the system's periodic work."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

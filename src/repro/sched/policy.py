@@ -22,8 +22,8 @@ Events (called by the mechanism; see ``VesselSystem``):
                         a request boundary with others queued; return
                         ``Rotate`` to time-slice or ``None`` to let it
                         keep the core
-``on_core_idle(core)``  a core has nothing to run; return ``Run``,
-                        ``Steal`` or ``Idle``
+``on_core_idle(core)``  a core has nothing to run; return ``Run``
+                        or ``Idle``
 ``on_tick()``           the periodic scheduler scan; yields any mix of
                         decisions (activations, fills, preemptions)
                         computed from queue-depth signals
@@ -44,8 +44,6 @@ Decisions (executed — and validated — by the mechanism):
                                            thread on an idle core
 ``Rotate(core_id)``                        requeue the current thread
                                            and run the queue head
-``Steal(core_id, from_core_id)``           pull the head of another
-                                           core's queue onto this one
 ``Idle(core_id)``                          leave the core in UMWAIT
 =========================================  ===========================
 
@@ -147,16 +145,6 @@ class Rotate(Decision):
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
-
-
-class Steal(Decision):
-    """Run the head of ``from_core_id``'s queue on ``core_id``."""
-
-    __slots__ = ("core_id", "from_core_id")
-
-    def __init__(self, core_id: int, from_core_id: int) -> None:
-        self.core_id = core_id
-        self.from_core_id = from_core_id
 
 
 class Idle(Decision):

@@ -23,8 +23,8 @@ inner loop fast; ``benchmarks/e2e`` measures them as its ``sim`` layer
 * heap entries are ``(time, seq, event)`` tuples, not :class:`Event`
   objects — the heap's comparisons stay in C tuple code (``seq`` is
   unique, so the event object itself is never compared);
-* :meth:`Simulator.run` inlines peek/pop/fire with locals bound outside
-  the loop instead of calling :meth:`step` per event;
+* :meth:`Simulator.run` is the one dispatch loop: it peeks, pops and
+  fires inline, with locals bound outside the loop;
 * :meth:`Simulator.post` is a fire-and-forget fast path that skips
   :class:`Event` allocation entirely for the majority of schedules that
   are never cancelled (its heap entry is ``(time, seq, None, fn,
@@ -131,7 +131,6 @@ class Simulator:
         self._dead: int = 0
         self._lanes: List[TimerLane] = []
         self._running = False
-        self._stopped = False
         self.events_fired: int = 0
 
     # ------------------------------------------------------------------
@@ -207,32 +206,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def peek(self) -> Optional[int]:
-        """Timestamp of the next live event, or None if the heap is empty."""
-        self._drop_dead()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def step(self) -> bool:
-        """Fire the next live event.  Returns False if none remain."""
-        self._drop_dead()
-        if not self._heap:
-            return False
-        entry = heapq.heappop(self._heap)
-        self.now = entry[0]
-        event = entry[2]
-        if event is None:
-            fn, args = entry[3], entry[4]
-        else:
-            event.seq = 0
-            fn, args = event.fn, event.args
-        self.events_fired += 1
-        fn(*args)
-        return True
-
     def run(self, until: Optional[int] = None) -> None:
-        """Run until the heap drains, ``until`` is reached, or :meth:`stop`.
+        """Run until the heap drains or ``until`` is reached.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so time-weighted statistics
@@ -241,14 +216,13 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        self._stopped = False
         # The loop binds everything it can outside and dispatches on the
         # entry directly; self._heap is only ever mutated in place (see
         # _compact), so the local binding stays valid across callbacks.
         heap = self._heap
         pop = heapq.heappop
         try:
-            while heap and not self._stopped:
+            while heap:
                 entry = heap[0]
                 event = entry[2]
                 if event is None:                  # post() fast path
@@ -271,12 +245,8 @@ class Simulator:
                     self._dead -= 1
         finally:
             self._running = False
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until:
             self.now = until
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the current event finishes."""
-        self._stopped = True
 
     def pending(self) -> int:
         """Number of live events still scheduled.
@@ -289,16 +259,6 @@ class Simulator:
                 + sum(lane.waiting for lane in self._lanes))
 
     # ------------------------------------------------------------------
-    def _drop_dead(self) -> None:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event is None or event.seq == entry[1]:
-                return
-            heapq.heappop(heap)
-            self._dead -= 1
-
     def _compact(self) -> None:
         """Rebuild the heap without dead entries, in place.
 

@@ -47,10 +47,11 @@ class UserspaceSwitch:
         # The composite path costs are constant for one cost model.
         self._park_ns = costs.vessel_park_switch_ns()
         self._preempt_ns = costs.vessel_preempt_switch_ns()
-        #: precomputed (domain, op) charge handles; rebuilt if the
-        #: ledger is swapped (see _switch_handles)
-        self._handles = None
-        self._handles_ledger = None
+        #: per-op charge handles: the switch path charges the same eight
+        #: ops for every one of the millions of switches a sweep executes,
+        #: and a handle skips the ledger's per-charge key lookup
+        self._handles = {op: self.ledger.handle("uproc", op)
+                         for op in self._SWITCH_OPS}
 
     # ------------------------------------------------------------------
     def install(self, core: Core, thread: UThread) -> None:
@@ -138,20 +139,6 @@ class UserspaceSwitch:
                    "uctx_restore", "callgate_exit", "uiret",
                    "switch_noise", "switch_jitter")
 
-    def _switch_handles(self) -> dict:
-        """Per-op :class:`~repro.obs.ledger.ChargeHandle` map.
-
-        The switch path charges the same eight ops for every one of the
-        millions of switches a sweep executes; precomputed handles skip
-        the ledger's per-charge key lookup (the ``OpLedger.charge``
-        fast path).
-        """
-        if self._handles is None or self._handles_ledger is not self.ledger:
-            self._handles = {op: self.ledger.handle("uproc", op)
-                             for op in self._SWITCH_OPS}
-            self._handles_ledger = self.ledger
-        return self._handles
-
     def _charge_switch_ops(self, core_id: int, preempt: bool,
                            noise: int, jitter: int) -> None:
         """Itemize one switch into the ledger (Table 1's breakdown).
@@ -165,7 +152,7 @@ class UserspaceSwitch:
         count one preemption.
         """
         c = self.costs
-        handles = self._switch_handles()
+        handles = self._handles
         handles["uctx_save"].charge(c.uctx_save_ns, core_id)
         handles["callgate_enter"].charge(c.callgate_enter_ns, core_id)
         handles["runtime_queue"].charge(c.runtime_queue_ns, core_id)

@@ -2,8 +2,8 @@
 heartbeat, the preemption watchdog with its kernel-IPI fallback, crash,
 rogue-thread and app teardown, and VESSEL's half of the post-run audit.
 
-Every eviction goes through ``VesselSystem._evict`` and every drain of a
-core's command queue through :meth:`Containment.drain`.  The system's
+Every eviction goes through ``ColocationSystem.evict`` and every drain of
+a core's command queue through :meth:`Containment.drain`.  The system's
 ``containment`` flag (``enabled`` here) switches the watchdog, heartbeat,
 SIGSEGV handler and fallback IPI off for ablations.  These paths run
 only under faults, so their ledger calls skip the ``enabled`` guard hot
@@ -20,7 +20,7 @@ from repro.uprocess.threads import UThread, UThreadState
 from repro.uprocess.usignals import CommandKind
 
 if TYPE_CHECKING:  # pragma: no cover - the scheduler imports this module
-    from repro.vessel.scheduler import AppState, CoreState, VesselSystem
+    from repro.vessel.scheduler import AppState, VesselCoreState, VesselSystem
 
 #: how long the scheduler waits for a preemption command to be acted on
 #: before escalating (normal Uintr ack is ~0.2 µs; the deadline leaves
@@ -122,7 +122,7 @@ class Containment:
     # ------------------------------------------------------------------
     # Preemption watchdog (fault classes "a" and "c")
     # ------------------------------------------------------------------
-    def watch(self, state: "CoreState", thread: UThread,
+    def watch(self, state: "VesselCoreState", thread: UThread,
               attempt: int = 1) -> None:
         """Arm the deadline for a preemption sent to ``state.core``."""
         if not self.enabled:
@@ -149,7 +149,7 @@ class Containment:
             self._deadlines[core_id].cancel()
         return pending
 
-    def _preempt_deadline(self, state: "CoreState") -> None:
+    def _preempt_deadline(self, state: "VesselCoreState") -> None:
         system = self.system
         core_id = state.core.id
         pending = self._pending[core_id]
@@ -198,7 +198,7 @@ class Containment:
         victim = state.thread
         # An in-flight request survives the forced switch: its unfinished
         # service returns to the front of its queue.
-        system._evict(state, requeue=True)
+        system.evict(state, requeue=True)
         state.thread = None
         if victim is not None and victim.state is not UThreadState.DEAD:
             if victim.rogue:
@@ -229,14 +229,14 @@ class Containment:
                              domain="fallback")
         state.core.run("kernel", cost, self._forced_switch_done, state, thread)
 
-    def _forced_switch_done(self, state: "CoreState",
+    def _forced_switch_done(self, state: "VesselCoreState",
                             thread: UThread) -> None:
         if thread.gone:
             self.system._fill_core(state)
             return
         self.system._start_thread(state, thread, preempt=False)
 
-    def drain(self, state: "CoreState",
+    def drain(self, state: "VesselCoreState",
               skip: Callable[[UThread], bool]) -> None:
         """Consume ``state.core``'s whole command queue in privileged
         mode.  A RUN_THREAD for a live thread ``skip`` does not select is
@@ -262,7 +262,7 @@ class Containment:
     # ------------------------------------------------------------------
     # uProcess crash, rogue threads and teardown (§4.3, §5.1)
     # ------------------------------------------------------------------
-    def _core_running(self, app) -> Optional["CoreState"]:
+    def _core_running(self, app) -> Optional["VesselCoreState"]:
         """The core whose installed thread serves or runs ``app``."""
         return next((cs for cs in self.system._cores.values()
                      if cs.thread is not None and cs.thread.payload is app
@@ -291,7 +291,7 @@ class Containment:
                                domain="fault")
         # The faulting instruction aborts the in-flight segment; the
         # request it was serving is lost (clients see resets, §5.1).
-        system._evict(cs)
+        system.evict(cs)
         system.signals.post(state.uproc.boot_kprocess, Signal(SIGSEGV))
         if not self.enabled:
             # No handler registered: the kProcess dies and takes the core
@@ -341,7 +341,7 @@ class Containment:
         for cs in system._cores.values():
             cs.fifo.purge(lambda t: t.payload is app)
             if cs.thread is not None and cs.thread.payload is app:
-                system._evict(cs)
+                system.evict(cs)
                 cs.thread = None
                 cs.kind = None
             if cs.kind != "wedged":

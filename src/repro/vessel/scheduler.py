@@ -41,9 +41,9 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.hardware.machine import Core, Machine
 from repro.kernel.signals import KernelSignals
-from repro.sched.base import ColocationSystem, SystemReport
+from repro.sched.base import ColocationSystem, CoreState, SystemReport
 from repro.sched.policy import (
-    Decision, Enqueue, Idle, Place, Preempt, Rotate, Run, SchedPolicy, Steal,
+    Decision, Enqueue, Idle, Place, Preempt, Rotate, Run, SchedPolicy,
     make_policy)
 from repro.uprocess.loader import ProgramImage
 from repro.uprocess.manager import Manager
@@ -63,20 +63,19 @@ def _override(policy: SchedPolicy, hook: str):
     return bound
 
 
-class CoreState:
-    """Scheduler-side view of one worker core (read-only to policies)."""
+class VesselCoreState(CoreState):
+    """Scheduler-side view of one worker core (read-only to policies).
 
-    __slots__ = ("core", "fifo", "kind", "thread", "batch_run", "request",
-                 "run_started", "uitt_index")
+    ``kind`` is None (idle), "L", "B", "switch" or "wedged".
+    """
+
+    __slots__ = ("fifo", "thread", "run_started", "uitt_index")
 
     def __init__(self, core: Core, fifo) -> None:
-        self.core = core
+        super().__init__(core)
         #: run queue; discipline chosen by the policy (FIFO by default)
         self.fifo = fifo
-        self.kind: Optional[str] = None  # None | "L" | "B" | "switch"
         self.thread: Optional[UThread] = None
-        self.batch_run = None
-        self.request: Optional[Request] = None
         self.run_started = 0
         self.uitt_index = -1
 
@@ -123,7 +122,7 @@ class PolicyContext:
         """Per-core states, in the fixed worker-core order."""
         return self._system._cores.values()
 
-    def core_state(self, core_id: int) -> Optional[CoreState]:
+    def core_state(self, core_id: int) -> Optional[VesselCoreState]:
         return self._system._cores.get(core_id)
 
     def app_states(self):
@@ -142,7 +141,7 @@ class PolicyContext:
                 return thread
         return None
 
-    def sibling_of(self, core_id: int) -> Optional[CoreState]:
+    def sibling_of(self, core_id: int) -> Optional[VesselCoreState]:
         """SMT sibling's core state: worker cores pair up in order
         (first with second, third with fourth, ...); ``None`` for an
         unpaired trailing core."""
@@ -190,8 +189,8 @@ class VesselSystem(ColocationSystem):
         self.runtime = VesselRuntime(self.domain)
         self.switcher = self.domain.switcher
         self.policy.bind(PolicyContext(self))
-        self._cores: Dict[int, CoreState] = {
-            core.id: CoreState(core, self.policy.make_core_queue())
+        self._cores: Dict[int, VesselCoreState] = {
+            core.id: VesselCoreState(core, self.policy.make_core_queue())
             for core in self.worker_cores
         }
         self._apps: Dict[str, AppState] = {}
@@ -203,7 +202,6 @@ class VesselSystem(ColocationSystem):
         self.rotations = 0
         #: decisions the mechanism refused to execute (buggy policy)
         self.policy_rejects = 0
-        self._started = False
         #: the scan interval, and the delay from an arrival to the
         #: scheduler core acting on it: at least half a scan, stretched
         #: by scheduler-core congestion.  Fixed by the worker count and
@@ -222,7 +220,7 @@ class VesselSystem(ColocationSystem):
         self._executors = {
             Place: self._exec_place, Preempt: self._exec_preempt,
             Enqueue: self._exec_enqueue, Run: self._exec_run,
-            Steal: self._exec_steal, Idle: self._exec_idle,
+            Idle: self._exec_idle,
         }
 
     # ------------------------------------------------------------------
@@ -266,10 +264,7 @@ class VesselSystem(ColocationSystem):
                / self.costs.vessel_scan_interval_ns)
         return 1.0 / (1.0 - min(rho, 0.97))
 
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
+    def on_start(self) -> None:
         uintr = self.machine.uintr
         for state in self._cores.values():
             core_id = state.core.id
@@ -393,7 +388,7 @@ class VesselSystem(ColocationSystem):
             return self._exec_l_preempt(state, decision)
         return self._reject(decision)
 
-    def _exec_force_idle(self, state: CoreState) -> bool:
+    def _exec_force_idle(self, state: VesselCoreState) -> bool:
         """Evict a best-effort thread with no replacement (the forced
         idle of Linux core scheduling: a mismatched SMT sibling must
         not run)."""
@@ -401,7 +396,7 @@ class VesselSystem(ColocationSystem):
         if self.ledger.enabled:
             self.ledger.count_op("sched_preemption", core=state.core.id,
                                  domain="vessel")
-        self._evict(state)
+        self.evict(state)
         thread = state.thread
         state.thread = None
         state.kind = None
@@ -445,18 +440,6 @@ class VesselSystem(ColocationSystem):
             return True
         return self._reject(decision)
 
-    def _exec_steal(self, decision: Steal) -> bool:
-        state = self._cores.get(decision.core_id)
-        source = self._cores.get(decision.from_core_id)
-        if state is None or source is None or source is state \
-                or state.kind is not None or state.core.busy \
-                or not source.fifo:
-            return self._reject(decision)
-        thread = source.fifo.popleft()
-        self._apps[thread.payload.name].queued_servers -= 1
-        self._start_thread(state, thread, preempt=False)
-        return True
-
     def _exec_idle(self, decision: Idle) -> bool:
         state = self._cores.get(decision.core_id)
         if state is None or state.kind is not None or state.core.busy:
@@ -481,14 +464,14 @@ class VesselSystem(ColocationSystem):
         self._run_decisions(self.policy.on_tick())
         self.sim.rearm(self._scan_handle, self._scan_ns)
 
-    def _exec_l_preempt(self, state: CoreState, decision: Preempt) -> bool:
+    def _exec_l_preempt(self, state: VesselCoreState, decision: Preempt) -> bool:
         """§4.4 preemption: a long request is hogging a core other
         latency threads are queued on.  The request is suspended (its
         remaining service returns to the front of its app's queue) and
         the core rotates via a Uintr-priced switch."""
         if state.request is None or decision.incoming not in state.fifo:
             return self._reject(decision)
-        self._evict(state, requeue=True)
+        self.evict(state, requeue=True)
         self.preemptions += 1
         if self.ledger.enabled:
             self.ledger.count_op("sched_preemption", core=state.core.id,
@@ -507,7 +490,7 @@ class VesselSystem(ColocationSystem):
         self._start_thread(state, next_thread, preempt=True)
         return True
 
-    def _fill_core(self, state: CoreState) -> None:
+    def _fill_core(self, state: VesselCoreState) -> None:
         """Vacate the core and ask the policy what to run (queue head
         first, then the global BE queue, else UMWAIT, under the default
         policy)."""
@@ -522,7 +505,7 @@ class VesselSystem(ColocationSystem):
     # ------------------------------------------------------------------
     # Switching machinery
     # ------------------------------------------------------------------
-    def _wake_core_with(self, state: CoreState, thread: UThread) -> None:
+    def _wake_core_with(self, state: VesselCoreState, thread: UThread) -> None:
         """UMWAIT wake + install (the core was idle)."""
         state.kind = "switch"
         state.thread = thread
@@ -533,7 +516,7 @@ class VesselSystem(ColocationSystem):
             state.core, thread, preempt=False)
         state.core.run("runtime", cost, self._begin_run, state)
 
-    def _preempt_for(self, state: CoreState, thread: UThread) -> None:
+    def _preempt_for(self, state: VesselCoreState, thread: UThread) -> None:
         """Preempt the BE thread on ``state.core`` in favour of ``thread``.
 
         Functional path: push a command, ``senduipi``; the handler fires
@@ -549,23 +532,6 @@ class VesselSystem(ColocationSystem):
         state.kind = "switch"
         self.machine.uintr.senduipi(self._scheduler_core_id, state.uitt_index)
         self.containment.watch(state, thread)
-
-    def _evict(self, state: CoreState, requeue: bool = False) -> None:
-        """The one eviction path: cut short a batch chunk, or the request
-        in service, whose rest goes back to the front of its app's queue
-        (``requeue``) or is lost.  The caller settles thread and kind."""
-        if state.batch_run is not None:
-            state.batch_run.preempt()
-            state.batch_run = None
-        elif state.core.busy:
-            remaining = state.core.preempt()
-            request = state.request
-            if requeue and request is not None:
-                request.service_ns = max(1, remaining)
-                if self.flight.enabled:
-                    self.flight.mark(request, "preempt", core=state.core.id)
-                request.app.queue.appendleft(request)
-        state.request = None
 
     def _on_uintr(self, core_id: int) -> None:
         """Uintr handler: runs on the victim core, in privileged mode."""
@@ -588,7 +554,7 @@ class VesselSystem(ColocationSystem):
             if thread.gone:
                 continue
             if state.batch_run is not None:
-                self._evict(state)
+                self.evict(state)
                 if state.thread is not None:
                     self._return_be(state.thread)
             elif state.core.busy:
@@ -606,7 +572,7 @@ class VesselSystem(ColocationSystem):
         if state.kind is None and not state.core.busy:
             self._fill_core(state)
 
-    def _release_switch_reservation(self, state: CoreState) -> None:
+    def _release_switch_reservation(self, state: VesselCoreState) -> None:
         """Clear a stale "switch" reservation whose incoming thread is
         gone (command consumed, or its app died mid-protocol).  A still
         running batch chunk keeps the core; an empty idle core returns
@@ -619,7 +585,7 @@ class VesselSystem(ColocationSystem):
             state.kind = None
             state.thread = None
 
-    def _start_thread(self, state: CoreState, thread: UThread,
+    def _start_thread(self, state: VesselCoreState, thread: UThread,
                       preempt: bool) -> None:
         state.kind = "switch"
         state.thread = thread
@@ -630,7 +596,7 @@ class VesselSystem(ColocationSystem):
                        - self.costs.uintr_deliver_ns)
         state.core.run("runtime", cost, self._begin_run, state)
 
-    def _begin_run(self, state: CoreState) -> None:
+    def _begin_run(self, state: VesselCoreState) -> None:
         thread = state.thread
         assert thread is not None
         app: App = thread.payload
@@ -645,7 +611,7 @@ class VesselSystem(ColocationSystem):
     # ------------------------------------------------------------------
     # Latency-app serving loop
     # ------------------------------------------------------------------
-    def _serve_next(self, state: CoreState) -> None:
+    def _serve_next(self, state: VesselCoreState) -> None:
         thread = state.thread
         app: App = thread.payload
         # Time-sliced rotation: at a request boundary, yield to the run
@@ -685,16 +651,14 @@ class VesselSystem(ColocationSystem):
         state.core.run(app.category, service_ns, self._request_done, state,
                        request)
 
-    def _request_done(self, state: CoreState, request: Request) -> None:
+    def _request_done(self, state: VesselCoreState, request: Request) -> None:
         state.request = None
-        request.app.complete(request, self.sim.now)
-        if self.flight.enabled:
-            self.flight.on_complete(request)
+        self.end_service(request)
         if self._on_request_done is not None:
             self._on_request_done(state, request)
         self._serve_next(state)
 
-    def _park_thread(self, state: CoreState, requeue: bool) -> None:
+    def _park_thread(self, state: VesselCoreState, requeue: bool) -> None:
         """The current thread parks (queue empty) or rotates (requeue)."""
         thread = state.thread
         app_state = self._apps[thread.payload.name]
@@ -713,14 +677,14 @@ class VesselSystem(ColocationSystem):
     # ------------------------------------------------------------------
     # Batch chunks
     # ------------------------------------------------------------------
-    def _run_batch_chunk(self, state: CoreState) -> None:
+    def _run_batch_chunk(self, state: VesselCoreState) -> None:
         thread = state.thread
         app: App = thread.payload
         work = app.batch_work
         state.batch_run = work.start(state.core, self._batch_chunk_done,
                                      state)
 
-    def _batch_chunk_done(self, state: CoreState) -> None:
+    def _batch_chunk_done(self, state: VesselCoreState) -> None:
         state.batch_run = None
         if state.thread is not None and state.thread.rogue \
                 and state.thread.state is not UThreadState.DEAD:
@@ -797,7 +761,7 @@ class VesselSystem(ColocationSystem):
         for state in self._cores.values():
             if state.kind == "B" and state.thread is not None \
                     and state.thread.payload.name == app_name:
-                self._evict(state)
+                self.evict(state)
                 state.thread.state = UThreadState.PARKED
                 state.thread.core_id = None
                 self._suspended_threads.append(state.thread)

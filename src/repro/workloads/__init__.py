@@ -31,12 +31,7 @@ from repro.workloads.base import (
     OpenLoopSource,
     BurstySource,
 )
-from repro.workloads.synthetic import (
-    ConstantService,
-    ExponentialService,
-    LognormalService,
-    BimodalService,
-)
+from repro.workloads.synthetic import LognormalService
 from repro.workloads.memcached import memcached_app, MEMCACHED_MEAN_SERVICE_NS
 from repro.workloads.silo import silo_app, SILO_MEDIAN_SERVICE_NS
 from repro.workloads.linpack import linpack_app, LinpackWork
@@ -49,10 +44,7 @@ __all__ = [
     "Request",
     "OpenLoopSource",
     "BurstySource",
-    "ConstantService",
-    "ExponentialService",
     "LognormalService",
-    "BimodalService",
     "memcached_app",
     "MEMCACHED_MEAN_SERVICE_NS",
     "silo_app",

@@ -33,9 +33,9 @@ class Request:
     so inbound link/NIC queueing is part of the measured latency.
     ``bytes_in``/``bytes_out`` are the request/response payload sizes the
     link charges serialization for.  ``on_complete`` is the response hook
-    the client installs (fires from :meth:`App.complete`).  All of these
-    stay at their defaults when no network is configured, preserving the
-    direct-submit behaviour.
+    the client installs (``ColocationSystem.end_service`` fires it).  All
+    of these stay at their defaults when no network is configured,
+    preserving the direct-submit behaviour.
     """
 
     __slots__ = ("app", "arrival_ns", "service_ns", "conn_id", "start_ns",
@@ -103,15 +103,6 @@ class App:
         if not self.queue:
             return 0
         return now - self.queue[0].arrival_ns
-
-    def complete(self, request: Request, now: int) -> None:
-        # Hot path: one call per request; Request.latency_ns is inlined.
-        self.completed.value += 1
-        sent = request.client_send_ns
-        self.latency.record(now - (request.arrival_ns if sent is None
-                                   else sent))
-        if request.on_complete is not None:
-            request.on_complete(request, now)
 
     def reset_measurements(self) -> None:
         """Drop warmup-phase measurements (queue state is preserved)."""

@@ -1,7 +1,8 @@
 """Service-time distributions, and the exact draws behind them.
 
-Each sampler is a callable returning an integer nanosecond service time;
-they carry their analytic mean so capacity math does not need sampling.
+A sampler is a callable returning an integer nanosecond service time;
+:class:`LognormalService` carries its analytic mean so capacity math
+does not need sampling.
 
 :func:`lognormal_ns` and :func:`exponential_ns` are the simulator's
 integer-nanosecond draws of those two distributions (service times,
@@ -65,42 +66,7 @@ def int_below(getrandbits, n: int) -> int:
     return r
 
 
-class ServiceSampler:
-    """Base: callable with a known mean."""
-
-    mean_ns: float
-
-    def __call__(self) -> int:
-        raise NotImplementedError
-
-
-class ConstantService(ServiceSampler):
-    """Deterministic service time."""
-
-    def __init__(self, service_ns: int) -> None:
-        if service_ns <= 0:
-            raise ValueError(f"service time must be positive: {service_ns}")
-        self.service_ns = int(service_ns)
-        self.mean_ns = float(service_ns)
-
-    def __call__(self) -> int:
-        return self.service_ns
-
-
-class ExponentialService(ServiceSampler):
-    """Exponential service time (the classic M/M/k assumption)."""
-
-    def __init__(self, mean_ns: float, rng: random.Random) -> None:
-        if mean_ns <= 0:
-            raise ValueError(f"mean must be positive: {mean_ns}")
-        self.mean_ns = float(mean_ns)
-        self.rng = rng
-
-    def __call__(self) -> int:
-        return exponential_ns(self.rng.random, 1.0 / self.mean_ns)
-
-
-class LognormalService(ServiceSampler):
+class LognormalService:
     """Lognormal service time parameterized by median and sigma."""
 
     def __init__(self, median_ns: float, sigma: float,
@@ -114,23 +80,3 @@ class LognormalService(ServiceSampler):
 
     def __call__(self) -> int:
         return lognormal_ns(self.rng.random, self.mu, self.sigma)
-
-
-class BimodalService(ServiceSampler):
-    """Two-point mixture (short fast path, occasional slow path)."""
-
-    def __init__(self, fast_ns: int, slow_ns: int, slow_fraction: float,
-                 rng: random.Random) -> None:
-        if not 0.0 <= slow_fraction <= 1.0:
-            raise ValueError(f"slow_fraction out of range: {slow_fraction}")
-        self.fast_ns = int(fast_ns)
-        self.slow_ns = int(slow_ns)
-        self.slow_fraction = slow_fraction
-        self.rng = rng
-        self.mean_ns = (fast_ns * (1 - slow_fraction)
-                        + slow_ns * slow_fraction)
-
-    def __call__(self) -> int:
-        if self.rng.random() < self.slow_fraction:
-            return self.slow_ns
-        return self.fast_ns

@@ -3,6 +3,8 @@ on, and visibly breaking the run with it off (the ablation), proving the
 containment mechanisms are load-bearing.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -19,7 +21,7 @@ from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource
 from repro.workloads.linpack import linpack_app
 from repro.workloads.memcached import memcached_app
-from repro.workloads.synthetic import ExponentialService
+from repro.workloads.synthetic import exponential_ns
 
 
 def build(workers=4, rate=0.6, seed=7, containment=True):
@@ -36,8 +38,9 @@ def build(workers=4, rate=0.6, seed=7, containment=True):
     system.add_app(batch)
     system.start()
     for i, app in enumerate(apps):
+        service = rngs.stream(f"s{i}").random
         OpenLoopSource(sim, app, system.submit, rate,
-                       ExponentialService(1000, rngs.stream(f"s{i}")),
+                       partial(exponential_ns, service, 1.0 / 1000),
                        rngs.stream(f"a{i}"))
     return sim, machine, system, apps, batch
 

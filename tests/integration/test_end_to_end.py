@@ -1,6 +1,8 @@
 """End-to-end invariants across the whole stack, including randomized
 (property-based) runs of the full VESSEL system."""
 
+from functools import partial
+
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
@@ -13,7 +15,7 @@ from repro.baselines.caladan import CaladanSystem
 from repro.workloads.base import OpenLoopSource
 from repro.workloads.linpack import linpack_app
 from repro.workloads.memcached import memcached_app
-from repro.workloads.synthetic import ExponentialService
+from repro.workloads.synthetic import exponential_ns
 
 
 def _run(system_cls, workers, n_lapps, rate_each, seed, sim_ms=8):
@@ -29,8 +31,9 @@ def _run(system_cls, workers, n_lapps, rate_each, seed, sim_ms=8):
     system.add_app(batch)
     system.start()
     for i, app in enumerate(apps):
+        service = rngs.stream(f"svc{i}").random
         OpenLoopSource(sim, app, system.submit, rate_each,
-                       ExponentialService(1000, rngs.stream(f"svc{i}")),
+                       partial(exponential_ns, service, 1.0 / 1000),
                        rngs.stream(f"arr{i}"))
     sim.run(until=sim_ms * MS)
     return sim, machine, system, apps, batch

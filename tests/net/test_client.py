@@ -9,7 +9,7 @@ from repro.workloads.memcached import memcached_app
 
 
 class _EchoServer:
-    """A 'scheduling system' that serves every request after service_ns."""
+    """A 'scheduling system' that answers every request after service_ns."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -20,7 +20,7 @@ class _EchoServer:
         self.sim.after(request.service_ns, self._finish, request)
 
     def _finish(self, request):
-        request.app.complete(request, self.sim.now)
+        request.on_complete(request, self.sim.now)
 
 
 class _BlackHoleServer:
@@ -33,27 +33,25 @@ class _BlackHoleServer:
         self.served += 1
 
 
+#: an open-loop rate whose mean gap (1 s) dwarfs the 1 ms these tests
+#: run: the generator's first send goes out at t=0, and under the
+#: fixture's seed its next one falls after the run ends
+ONE_REQUEST_MOPS = 1e-6
+
+
 def _fabric(sim, rngs, server, cfg, service_ns=1_000, connections=1):
     fabric = NetFabric(sim, cfg, rngs, num_workers=2)
     app = memcached_app()
-    fabric.add_workload(app, rate_mops=0.0,
+    fabric.add_workload(app, rate_mops=ONE_REQUEST_MOPS,
                         service_sampler=lambda: service_ns,
                         payload_sampler=None, connections=connections)
     fabric.connect(server)
     return fabric, app
 
 
-def _closed_loop_cfg(**overrides):
-    """One in-flight request per connection; think time parks the loop."""
-    overrides.setdefault("clients", 1)
-    overrides.setdefault("closed_loop", True)
-    overrides.setdefault("think_ns", 50 * MS)
-    return NetConfig(**overrides)
-
-
 def test_response_completes_exactly_once(sim, rngs):
     server = _EchoServer(sim)
-    fabric, _ = _fabric(sim, rngs, server, _closed_loop_cfg())
+    fabric, _ = _fabric(sim, rngs, server, NetConfig(clients=1))
     sim.run(until=1 * MS)
     stats = fabric.stats["memcached"]
     assert stats["offered"] == 1
@@ -68,10 +66,11 @@ def test_response_completes_exactly_once(sim, rngs):
 def test_timeout_retry_does_not_double_count_completions(sim, rngs):
     """Late responses to earlier attempts are duplicates, not completions."""
     server = _EchoServer(sim)
-    cfg = _closed_loop_cfg(timeout_ns=50 * US, max_retries=2)
+    cfg = NetConfig(clients=1, timeout_ns=50 * US, max_retries=2)
     fabric, _ = _fabric(sim, rngs, server, cfg, service_ns=100 * US)
     sim.run(until=1 * MS)
     stats = fabric.stats["memcached"]
+    assert stats["offered"] == 1
     # Both timeouts fired and retransmitted before the first response.
     assert stats["timeouts"] == 2
     assert stats["retries"] == 2
@@ -86,10 +85,11 @@ def test_timeout_retry_does_not_double_count_completions(sim, rngs):
 
 def test_request_lost_after_max_retries(sim, rngs):
     server = _BlackHoleServer(sim)
-    cfg = _closed_loop_cfg(timeout_ns=50 * US, max_retries=2)
+    cfg = NetConfig(clients=1, timeout_ns=50 * US, max_retries=2)
     fabric, _ = _fabric(sim, rngs, server, cfg)
     sim.run(until=1 * MS)
     stats = fabric.stats["memcached"]
+    assert stats["offered"] == 1
     assert server.served == 3          # original + two retries
     assert stats["timeouts"] == 3
     assert stats["retries"] == 2
@@ -100,8 +100,8 @@ def test_request_lost_after_max_retries(sim, rngs):
 
 def test_observed_drop_triggers_fast_retry(sim, rngs):
     server = _EchoServer(sim)
-    cfg = _closed_loop_cfg(timeout_ns=2 * MS, max_retries=2,
-                           drop_retry_backoff_ns=5 * US)
+    cfg = NetConfig(clients=1, timeout_ns=2 * MS, max_retries=2,
+                    drop_retry_backoff_ns=5 * US)
     fabric, _ = _fabric(sim, rngs, server, cfg)
     calls = {"n": 0}
 
@@ -112,6 +112,7 @@ def test_observed_drop_triggers_fast_retry(sim, rngs):
     fabric.link_in.inject = drop_first
     sim.run(until=1 * MS)
     stats = fabric.stats["memcached"]
+    assert stats["offered"] == 1
     assert stats["drops_observed"] == 1
     assert stats["retries"] == 1
     assert stats["completed"] == 1
@@ -150,6 +151,6 @@ def test_open_loop_rate_splits_across_machines(sim, rngs):
 
 
 def test_fabric_rejects_double_connect(sim, rngs):
-    fabric, _ = _fabric(sim, rngs, _EchoServer(sim), _closed_loop_cfg())
+    fabric, _ = _fabric(sim, rngs, _EchoServer(sim), NetConfig(clients=1))
     with pytest.raises(RuntimeError):
         fabric.connect(_EchoServer(sim))

@@ -1,5 +1,7 @@
 """Admission control: watermarks, shed accounting, client rejections."""
 
+from functools import partial
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -13,7 +15,7 @@ from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource, Request
 from repro.workloads.memcached import UsrServiceSampler, memcached_app
 from repro.workloads.linpack import linpack_app
-from repro.workloads.synthetic import ExponentialService
+from repro.workloads.synthetic import exponential_ns
 
 
 def build(workers=2, seed=7):
@@ -148,8 +150,9 @@ def test_direct_mode_shed_drops_silently():
     ctl.attach(system)
     app = memcached_app("mc")
     system.add_app(app)
+    service = rngs.stream("s").random
     OpenLoopSource(sim, app, system.submit, 2.0,
-                   ExponentialService(1000, rngs.stream("s")),
+                   partial(exponential_ns, service, 1.0 / 1000),
                    rngs.stream("a"))
     sim.run(until=1 * MS)
     assert ctl.total_shed("mc") > 0

@@ -15,15 +15,11 @@ from repro.experiments.common import (
     run_colocation,
     run_colocation_batch,
 )
-from repro.perf.parallel import available_jobs, parallel_map
+from repro.perf.parallel import parallel_map
 
 
 def _square(x):
     return x * x
-
-
-def test_available_jobs_is_positive():
-    assert available_jobs() >= 1
 
 
 def test_parallel_map_preserves_order_in_process():

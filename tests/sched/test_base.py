@@ -1,6 +1,7 @@
 """Tests for the shared system base and report math."""
 
 import math
+from array import array
 
 import pytest
 
@@ -87,11 +88,36 @@ def test_begin_service_inflates_with_bus(sim, machine, rngs):
     assert request.service_ns == 1000
 
 
+def test_end_service_records_latency(sim, machine, rngs):
+    system = ColocationSystem(sim, machine, rngs)
+    app = memcached_app()
+    request = Request(app, 100, 50)
+    sim.run(until=400)
+    system.end_service(request)
+    assert app.completed.value == 1
+    assert app.latency.samples == array("q", [300])
+
+
+def test_end_service_measures_from_client_send_and_answers(sim, machine,
+                                                            rngs):
+    system = ColocationSystem(sim, machine, rngs)
+    app = memcached_app()
+    request = Request(app, 100, 50)
+    request.client_send_ns = 40
+    answered = []
+    request.on_complete = lambda req, now: answered.append((req, now))
+    sim.run(until=400)
+    system.end_service(request)
+    assert app.latency.samples == array("q", [360])
+    assert answered == [(request, 400)]
+
+
 def test_begin_measurement_resets(sim, machine, rngs):
     system = ColocationSystem(sim, machine, rngs)
     app = memcached_app()
     system.add_app(app)
-    app.complete(Request(app, 0, 10), 100)
+    sim.run(until=100)
+    system.end_service(Request(app, 0, 10))
     system.worker_cores[0].run("app:memcached", 50)
     sim.run()
     system.begin_measurement()

@@ -102,37 +102,33 @@ def test_events_scheduled_during_run_fire(sim):
     assert seen == [150]
 
 
-def test_stop_halts_run(sim):
-    seen = []
-    sim.after(10, lambda: (seen.append(1), sim.stop()))
-    sim.after(20, lambda: seen.append(2))
+def test_run_on_an_empty_heap_only_advances_the_clock(sim):
     sim.run()
-    assert seen == [1]
-    assert sim.pending() == 1
+    assert sim.now == 0
+    sim.run(until=100)
+    assert sim.now == 100
+    assert sim.events_fired == 0
 
 
-def test_step_returns_false_when_empty(sim):
-    assert sim.step() is False
-
-
-def test_step_fires_one_event(sim):
+def test_run_until_fires_only_the_events_due(sim):
     seen = []
     sim.after(5, lambda: seen.append("a"))
+    sim.post(5, lambda: seen.append("p"))
     sim.after(6, lambda: seen.append("b"))
-    assert sim.step() is True
-    assert seen == ["a"]
+    sim.run(until=5)
+    assert seen == ["a", "p"]
+    assert sim.events_fired == 2 and sim.pending() == 1
 
 
-def test_peek_returns_next_live_time(sim):
-    event = sim.after(100, lambda: None)
-    sim.after(200, lambda: None)
-    assert sim.peek() == 100
+def test_run_until_skips_a_cancelled_event(sim):
+    seen = []
+    event = sim.after(100, lambda: seen.append(100))
+    sim.after(200, lambda: seen.append(200))
     event.cancel()
-    assert sim.peek() == 200
-
-
-def test_peek_empty_returns_none(sim):
-    assert sim.peek() is None
+    sim.run(until=150)
+    assert seen == [] and sim.events_fired == 0
+    sim.run(until=200)
+    assert seen == [200]
 
 
 def test_events_fired_counter(sim):
@@ -219,13 +215,6 @@ def test_post_respects_run_until(sim):
     assert sim.pending() == 1
     sim.run()
     assert seen == ["late"]
-
-
-def test_step_fires_post_entries(sim):
-    seen = []
-    sim.post(5, lambda: seen.append("p"))
-    assert sim.step() is True
-    assert seen == ["p"]
 
 
 # ----------------------------------------------------------------------
@@ -345,22 +334,12 @@ def test_stale_entry_of_a_rearmed_handle_never_fires(sim):
     # The cancelled arming's entry is still in the heap, counted dead.
     assert len(sim._heap) == 2 and sim._dead == 1
     assert sim.pending() == 1
-    assert sim.peek() == 300
+    sim.run(until=299)
+    assert seen == [] and sim.events_fired == 0
     sim.run()
     assert seen == [300]
     assert sim.events_fired == 1
     assert sim._dead == 0 and not sim._heap
-
-
-def test_stale_entry_skipped_by_step(sim):
-    seen = []
-    handle = sim.handle(lambda: seen.append(sim.now))
-    sim.rearm(handle, 5)
-    handle.cancel()
-    sim.rearm(handle, 7)
-    assert sim.step() is True
-    assert seen == [7]
-    assert sim.step() is False
 
 
 def test_stale_entry_is_earlier_than_the_live_one(sim):

@@ -17,10 +17,12 @@ The same rule one level down: every top-level function, class and
 method (dunders aside) must be referenced by src code outside its own
 body, as a name, an attribute, an imported name or a string constant.
 Tests, examples and benchmarks do not count, so an API that only a test
-calls is flagged.  A class decorated with ``@register_policy`` is
-reached through the policy registry; the definitions of a module in
-``ALLOWED_UNREACHED`` share that module's reason.  Anything else kept
-without a src reference goes in ``ALLOWED_UNCALLED`` with its reason.
+calls is flagged.  Nor does a package ``__init__`` re-exporting it: its
+imports and ``__all__`` strings make a name importable, not used.  A
+class decorated with ``@register_policy`` is reached through the policy
+registry; the definitions of a module in ``ALLOWED_UNREACHED`` share
+that module's reason.  Anything else kept without a src reference goes
+in ``ALLOWED_UNCALLED`` with its reason.
 """
 
 import ast
@@ -167,6 +169,18 @@ def _definitions(body, prefix=""):
                 yield from _definitions(node.body, f"{prefix}{node.name}.")
 
 
+def _reexports(tree):
+    """The import statements and ``__all__`` strings of a package
+    ``__init__``: they re-export names, they do not use them."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            yield from ast.walk(node)
+
+
 def _referenced_names(node):
     if isinstance(node, ast.Name):
         return [node.id]
@@ -179,13 +193,17 @@ def _referenced_names(node):
     return []
 
 
-def _unreferenced(trees):
+def _unreferenced(trees, packages):
     """``(module, qualified name, node)`` for every definition in
     ``trees`` (module -> AST) that no code outside its own body refers
-    to."""
+    to; the re-exports of the ``packages`` among them do not count."""
     references = {}
     for module, tree in trees.items():
+        skip = set(map(id, _reexports(tree))) if module in packages \
+            else set()
         for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
             for name in _referenced_names(node):
                 references.setdefault(name, []).append((module, node.lineno))
     found = []
@@ -201,10 +219,11 @@ def _unreferenced(trees):
     return found
 
 
-def uncalled(trees):
+def uncalled(trees, packages=frozenset()):
     """Unreferenced definitions that no exemption covers."""
     return sorted((module, qualname)
-                  for module, qualname, node in _unreferenced(trees)
+                  for module, qualname, node in _unreferenced(trees,
+                                                              packages)
                   if module not in ALLOWED_UNREACHED
                   and not _is_registered_policy(node)
                   and (module, qualname) not in ALLOWED_UNCALLED)
@@ -214,22 +233,28 @@ def _src_trees():
     return {name: _parse(path) for name, path in _all_modules().items()}
 
 
+def _src_packages():
+    return {name for name, path in _all_modules().items()
+            if path.endswith("__init__.py")}
+
+
 def test_every_definition_has_a_src_reference():
-    found = uncalled(_src_trees())
+    found = uncalled(_src_trees(), _src_packages())
     assert not found, (
         f"definitions no src code refers to: {found}; call them from src "
         "or delete them (and the tests that only exercised them)")
 
 
-def stale(trees, allowed=ALLOWED_UNCALLED):
+def stale(trees, allowed=ALLOWED_UNCALLED, packages=frozenset()):
     """Allowlist entries that no longer exist or are now referenced."""
     unreferenced = {(module, qualname)
-                    for module, qualname, _ in _unreferenced(trees)}
+                    for module, qualname, _ in _unreferenced(trees,
+                                                             packages)}
     return sorted(set(allowed) - unreferenced)
 
 
 def test_allowed_uncalled_is_not_stale():
-    found = stale(_src_trees())
+    found = stale(_src_trees(), packages=_src_packages())
     assert not found, (
         f"allowlisted definitions that are gone or now referenced: {found}; "
         "drop their entries")
@@ -237,8 +262,9 @@ def test_allowed_uncalled_is_not_stale():
 
 def test_the_definition_scan_sees_what_it_forbids():
     """The scans are live: of a planted module's definitions the first
-    flags exactly those nothing outside their own body refers to, and
-    the second flags allowlist entries that are gone or referenced."""
+    flags exactly those nothing outside their own body refers to (a
+    package's re-export is no reference), and the second flags allowlist
+    entries that are gone or referenced."""
     planted = ast.parse(
         "from repro.sched.policy import register_policy\n"
         "def helper():\n"
@@ -260,6 +286,13 @@ def test_the_definition_scan_sees_what_it_forbids():
         == [("planted", "Box.dead")]
     assert uncalled({"planted": planted}) \
         == [("planted", "Box.dead"), ("planted", "helper")]
+    package = ast.parse("from planted import helper\n"
+                        "__all__ = ['helper']\n")
+    assert uncalled({"planted": planted, "pkg": package}, {"pkg"}) \
+        == [("planted", "Box.dead"), ("planted", "helper")]
+    # The same statements in a plain module are a use.
+    assert uncalled({"planted": planted, "pkg": package}) \
+        == [("planted", "Box.dead")]
     allowed = {("planted", "Box.dead"): "kept", ("planted", "Box.used"): "",
                ("planted", "Box.gone"): ""}
     assert stale({"planted": planted, "user": user}, allowed) \

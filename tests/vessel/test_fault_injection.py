@@ -6,6 +6,8 @@ uProcess — the machine keeps scheduling, the other tenants keep their
 throughput, and the slot is reusable.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -17,7 +19,7 @@ from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource
 from repro.workloads.linpack import linpack_app
 from repro.workloads.memcached import memcached_app
-from repro.workloads.synthetic import ExponentialService
+from repro.workloads.synthetic import exponential_ns
 
 
 def build(n_lapps=2, workers=4, rate=0.6, seed=3):
@@ -33,8 +35,9 @@ def build(n_lapps=2, workers=4, rate=0.6, seed=3):
     system.add_app(batch)
     system.start()
     for i, app in enumerate(apps):
+        service = rngs.stream(f"s{i}").random
         OpenLoopSource(sim, app, system.submit, rate,
-                       ExponentialService(1000, rngs.stream(f"s{i}")),
+                       partial(exponential_ns, service, 1.0 / 1000),
                        rngs.stream(f"a{i}"))
     return sim, machine, system, apps, batch
 

@@ -18,7 +18,6 @@ from repro.sched.zoo import SjfPolicy
 from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource, Request
 from repro.workloads.memcached import memcached_app
-from repro.workloads.synthetic import ConstantService
 
 
 class _CountingPolicy(SchedPolicy):
@@ -67,9 +66,9 @@ def _two_app_run(policy, until_ms=10):
     system.add_app(hog)
     system.add_app(meek)
     system.start()
-    OpenLoopSource(sim, hog, system.submit, 0.9, ConstantService(1000),
+    OpenLoopSource(sim, hog, system.submit, 0.9, lambda: 1000,
                    rngs.stream("hog"))
-    OpenLoopSource(sim, meek, system.submit, 0.05, ConstantService(1000),
+    OpenLoopSource(sim, meek, system.submit, 0.05, lambda: 1000,
                    rngs.stream("meek"))
     sim.run(until=until_ms * MS)
     return system, hog, meek
@@ -140,13 +139,13 @@ def test_sjf_still_reorders_requests():
     system.add_app(app)
     system.start()
     order = []
-    real_complete = app.complete
+    real_end_service = system.end_service
 
-    def complete(request, now):
+    def end_service(request):
         order.append(request.service_ns)
-        real_complete(request, now)
+        real_end_service(request)
 
-    app.complete = complete
+    system.end_service = end_service
     system.submit(Request(app, sim.now, 5_000))
     sim.run(until=4_000)
     assert not app.queue and machine.cores[1].busy  # 5 µs in service
@@ -171,7 +170,7 @@ def test_autoscale_policy_still_receives_request_completions(monkeypatch):
     app = memcached_app()
     system.add_app(app)
     system.start()
-    OpenLoopSource(sim, app, system.submit, 0.5, ConstantService(1000),
+    OpenLoopSource(sim, app, system.submit, 0.5, lambda: 1000,
                    rngs.stream("arrivals"))
     sim.run(until=2 * MS)
     assert app.completed.value > 100

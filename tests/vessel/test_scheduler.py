@@ -11,7 +11,6 @@ from repro.vessel.scheduler import VesselSystem
 from repro.workloads.base import OpenLoopSource, Request
 from repro.workloads.linpack import linpack_app
 from repro.workloads.memcached import memcached_app, UsrServiceSampler
-from repro.workloads.synthetic import ConstantService
 
 
 def build(num_workers=4, apps=("memcached", "linpack"), rate=1.0,
@@ -106,7 +105,7 @@ def test_dense_apps_share_one_core_fairly():
     system.start()
     for i, app in enumerate(apps):
         OpenLoopSource(sim, app, system.submit, 0.15,
-                       ConstantService(1000), rngs.stream(f"arr{i}"))
+                       lambda: 1000, rngs.stream(f"arr{i}"))
     sim.run(until=20 * MS)
     counts = [app.completed.value for app in apps]
     assert min(counts) > 0.7 * max(counts)  # no app starved
@@ -125,9 +124,9 @@ def test_rotation_quantum_prevents_hogging():
     system.add_app(hog)
     system.add_app(meek)
     system.start()
-    OpenLoopSource(sim, hog, system.submit, 0.9, ConstantService(1000),
+    OpenLoopSource(sim, hog, system.submit, 0.9, lambda: 1000,
                    rngs.stream("hog"))
-    OpenLoopSource(sim, meek, system.submit, 0.05, ConstantService(1000),
+    OpenLoopSource(sim, meek, system.submit, 0.05, lambda: 1000,
                    rngs.stream("meek"))
     sim.run(until=20 * MS)
     assert meek.completed.value > 0
@@ -163,7 +162,6 @@ def test_reaction_delay_fixed_at_construction(workers):
     parked = system.policy.ctx.app_state(app.name).parked
     system.submit(Request(app, sim.now, 1_000, 0))
     assert sim.pending() == 1
-    assert sim.peek() == react_ns
     sim.run(until=react_ns - 1)
     assert len(parked) == workers  # no server thread placed yet
     sim.run(until=react_ns)

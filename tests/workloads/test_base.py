@@ -1,7 +1,5 @@
 """Tests for apps, requests, and the open-loop sources."""
 
-from array import array
-
 import pytest
 
 from repro.sim.units import MS
@@ -12,7 +10,6 @@ from repro.workloads.base import (
     OpenLoopSource,
     Request,
 )
-from repro.workloads.synthetic import ConstantService
 
 
 def make_app(kind=AppKind.LATENCY):
@@ -37,18 +34,11 @@ def test_oldest_wait_tracks_head():
     assert make_app().oldest_wait_ns(250) == 0
 
 
-def test_complete_records_latency():
-    app = make_app()
-    request = Request(app, 100, 50)
-    app.complete(request, 400)
-    assert app.completed.value == 1
-    assert app.latency.samples == array("q", [300])
-
-
 def test_reset_measurements_preserves_queue():
     app = make_app()
     app.queue.append(Request(app, 0, 10))
-    app.complete(Request(app, 0, 10), 100)
+    app.completed.add(1)
+    app.latency.record(100)
     app.reset_measurements()
     assert app.completed.value == 0
     assert app.latency.count == 0
@@ -59,7 +49,7 @@ def test_open_loop_rate_approximately_respected(sim, rngs):
     app = make_app()
     submitted = []
     OpenLoopSource(sim, app, submitted.append, rate_mops=2.0,
-                   service_sampler=ConstantService(500),
+                   service_sampler=lambda: 500,
                    rng=rngs.stream("arr"))
     sim.run(until=10 * MS)
     # 2 Mops for 10 ms -> ~20000 requests
@@ -70,7 +60,7 @@ def test_open_loop_zero_rate_generates_nothing(sim, rngs):
     app = make_app()
     submitted = []
     OpenLoopSource(sim, app, submitted.append, 0.0,
-                   ConstantService(500), rngs.stream("arr"))
+                   lambda: 500, rngs.stream("arr"))
     sim.run(until=1 * MS)
     assert submitted == []
 
@@ -79,7 +69,7 @@ def test_open_loop_stop_ns(sim, rngs):
     app = make_app()
     submitted = []
     OpenLoopSource(sim, app, submitted.append, 1.0,
-                   ConstantService(500), rngs.stream("arr"),
+                   lambda: 500, rngs.stream("arr"),
                    stop_ns=1 * MS)
     sim.run(until=5 * MS)
     assert all(r.arrival_ns <= 1 * MS for r in submitted)
@@ -88,14 +78,14 @@ def test_open_loop_stop_ns(sim, rngs):
 def test_open_loop_negative_rate_rejected(sim, rngs):
     with pytest.raises(ValueError):
         OpenLoopSource(sim, make_app(), lambda r: None, -1.0,
-                       ConstantService(500), rngs.stream("arr"))
+                       lambda: 500, rngs.stream("arr"))
 
 
 def test_connection_ids_cycle(sim, rngs):
     app = make_app()
     submitted = []
     OpenLoopSource(sim, app, submitted.append, 2.0,
-                   ConstantService(500), rngs.stream("arr"), connections=4)
+                   lambda: 500, rngs.stream("arr"), connections=4)
     sim.run(until=1 * MS)
     assert {r.conn_id for r in submitted} == {0, 1, 2, 3}
 
@@ -104,7 +94,7 @@ def test_bursty_long_run_average_matches(sim, rngs):
     app = make_app()
     submitted = []
     BurstySource(sim, app, submitted.append, rate_mops=1.0,
-                 service_sampler=ConstantService(500),
+                 service_sampler=lambda: 500,
                  rng=rngs.stream("arr"), burst_factor=4.0)
     sim.run(until=80 * MS)
     assert len(submitted) == pytest.approx(80_000, rel=0.25)
@@ -114,7 +104,7 @@ def test_bursty_is_actually_bursty(sim, rngs):
     app = make_app()
     submitted = []
     BurstySource(sim, app, submitted.append, rate_mops=1.0,
-                 service_sampler=ConstantService(500),
+                 service_sampler=lambda: 500,
                  rng=rngs.stream("arr"), burst_factor=6.0)
     sim.run(until=40 * MS)
     # Coefficient of variation of per-window counts should exceed Poisson.
@@ -132,7 +122,7 @@ def test_bursty_is_actually_bursty(sim, rngs):
 def test_bursty_burst_factor_validated(sim, rngs):
     with pytest.raises(ValueError):
         BurstySource(sim, make_app(), lambda r: None, 1.0,
-                     ConstantService(500), rngs.stream("arr"),
+                     lambda: 500, rngs.stream("arr"),
                      burst_factor=0.5)
 
 

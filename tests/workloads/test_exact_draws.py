@@ -22,7 +22,7 @@ from repro.workloads.base import App, AppKind, BurstySource, OpenLoopSource
 from repro.workloads.memcached import UsrPayloadSampler, UsrServiceSampler
 from repro.workloads.silo import TpccPayloadSampler
 from repro.workloads.synthetic import (
-    ExponentialService, LognormalService, exponential_ns, int_below,
+    LognormalService, exponential_ns, int_below,
     lognormal_ns)
 
 SEEDS = range(20)
@@ -123,11 +123,10 @@ def test_usr_sampler_matches_stdlib(seed):
 def test_single_distribution_samplers_draw_what_the_stdlib_draws():
     rng, twin = random.Random(11), random.Random(11)
     lognormal = LognormalService(2000, 0.5, rng)
-    exponential = ExponentialService(1500.0, rng)
     assert [lognormal() for _ in range(5_000)] == [
         _stdlib_lognormal(twin, math.log(2000), 0.5) for _ in range(5_000)]
-    assert [exponential() for _ in range(5_000)] == [
-        _stdlib_exponential(twin, 1.0 / 1500.0) for _ in range(5_000)]
+    assert [exponential_ns(rng.random, 1.0 / 1500.0) for _ in range(5_000)] \
+        == [_stdlib_exponential(twin, 1.0 / 1500.0) for _ in range(5_000)]
     assert rng.getstate() == twin.getstate()
 
 

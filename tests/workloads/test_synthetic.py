@@ -5,34 +5,18 @@ import random
 
 import pytest
 
-from repro.workloads.synthetic import (
-    BimodalService,
-    ConstantService,
-    ExponentialService,
-    LognormalService,
-)
-
-
-def test_constant_exact():
-    sampler = ConstantService(750)
-    assert all(sampler() == 750 for _ in range(10))
-    assert sampler.mean_ns == 750
-
-
-def test_constant_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ConstantService(0)
+from repro.workloads.synthetic import LognormalService, exponential_ns
 
 
 def test_exponential_mean():
-    sampler = ExponentialService(2000, random.Random(0))
-    samples = [sampler() for _ in range(50_000)]
+    rand = random.Random(0).random
+    samples = [exponential_ns(rand, 1.0 / 2000) for _ in range(50_000)]
     assert sum(samples) / len(samples) == pytest.approx(2000, rel=0.05)
 
 
 def test_exponential_never_below_one():
-    sampler = ExponentialService(5, random.Random(1))
-    assert min(sampler() for _ in range(10_000)) >= 1
+    rand = random.Random(1).random
+    assert min(exponential_ns(rand, 1.0 / 5) for _ in range(10_000)) >= 1
 
 
 def test_lognormal_median_and_mean():
@@ -52,20 +36,6 @@ def test_lognormal_p999_matches_silo_spec():
     samples = sorted(sampler() for _ in range(200_000))
     p999 = samples[int(len(samples) * 0.999)]
     assert p999 == pytest.approx(280_000, rel=0.12)  # paper: 280 us
-
-
-def test_bimodal_mixture():
-    sampler = BimodalService(1000, 10_000, 0.1, random.Random(4))
-    samples = [sampler() for _ in range(20_000)]
-    assert set(samples) == {1000, 10_000}
-    slow_fraction = samples.count(10_000) / len(samples)
-    assert slow_fraction == pytest.approx(0.1, abs=0.02)
-    assert sampler.mean_ns == pytest.approx(1900)
-
-
-def test_bimodal_fraction_validated():
-    with pytest.raises(ValueError):
-        BimodalService(1, 2, 1.5, random.Random(0))
 
 
 def test_memcached_usr_mean_about_1us():
