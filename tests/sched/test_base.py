@@ -88,16 +88,6 @@ def test_begin_service_inflates_with_bus(sim, machine, rngs):
     assert request.service_ns == 1000
 
 
-def test_end_service_records_latency(sim, machine, rngs):
-    system = ColocationSystem(sim, machine, rngs)
-    app = memcached_app()
-    request = Request(app, 100, 50)
-    sim.run(until=400)
-    system.end_service(request)
-    assert app.completed.value == 1
-    assert app.latency.samples == array("q", [300])
-
-
 def test_end_service_measures_from_client_send_and_answers(sim, machine,
                                                             rngs):
     system = ColocationSystem(sim, machine, rngs)

@@ -1,7 +1,10 @@
 """Tests for apps, requests, and the open-loop sources."""
 
+from array import array
+
 import pytest
 
+from repro.sched.base import ColocationSystem
 from repro.sim.units import MS
 from repro.workloads.base import (
     App,
@@ -32,6 +35,16 @@ def test_oldest_wait_tracks_head():
     app.queue.append(Request(app, 100, 50))
     assert app.oldest_wait_ns(250) == 150
     assert make_app().oldest_wait_ns(250) == 0
+
+
+def test_complete_records_latency(sim, machine, rngs):
+    system = ColocationSystem(sim, machine, rngs)
+    app = make_app()
+    request = Request(app, 100, 50)
+    sim.run(until=400)
+    system.end_service(request)
+    assert app.completed.value == 1
+    assert app.latency.samples == array("q", [300])
 
 
 def test_reset_measurements_preserves_queue():
