@@ -102,22 +102,26 @@ def test_events_scheduled_during_run_fire(sim):
     assert seen == [150]
 
 
-def test_run_on_an_empty_heap_only_advances_the_clock(sim):
+# A step is ``run(until=t)`` to the next event's time t: it fires what
+# is due at t and nothing later.
+def test_step_returns_false_when_empty(sim):
     sim.run()
-    assert sim.now == 0
-    sim.run(until=100)
-    assert sim.now == 100
-    assert sim.events_fired == 0
+    assert sim.now == 0 and sim.events_fired == 0
 
 
-def test_run_until_fires_only_the_events_due(sim):
+def test_step_fires_one_event(sim):
     seen = []
     sim.after(5, lambda: seen.append("a"))
-    sim.post(5, lambda: seen.append("p"))
     sim.after(6, lambda: seen.append("b"))
     sim.run(until=5)
-    assert seen == ["a", "p"]
-    assert sim.events_fired == 2 and sim.pending() == 1
+    assert seen == ["a"]
+    assert sim.events_fired == 1 and sim.pending() == 1
+
+
+def test_peek_empty_returns_none(sim):
+    assert sim.pending() == 0
+    sim.run(until=100)
+    assert sim.now == 100 and sim.events_fired == 0
 
 
 def test_run_until_skips_a_cancelled_event(sim):
@@ -205,6 +209,16 @@ def test_post_counts_in_pending_and_events_fired(sim):
     sim.run()
     assert sim.pending() == 0
     assert sim.events_fired == 2
+
+
+def test_step_fires_post_entries(sim):
+    seen = []
+    sim.post(5, lambda: seen.append("p"))
+    sim.after(5, lambda: seen.append("a"))
+    sim.after(6, lambda: seen.append("b"))
+    sim.run(until=5)
+    assert seen == ["p", "a"]
+    assert sim.events_fired == 2 and sim.pending() == 1
 
 
 def test_post_respects_run_until(sim):
@@ -340,6 +354,19 @@ def test_stale_entry_of_a_rearmed_handle_never_fires(sim):
     assert seen == [300]
     assert sim.events_fired == 1
     assert sim._dead == 0 and not sim._heap
+
+
+def test_stale_entry_skipped_by_step(sim):
+    seen = []
+    handle = sim.handle(lambda: seen.append(sim.now))
+    sim.rearm(handle, 5)
+    handle.cancel()
+    sim.rearm(handle, 7)
+    sim.run(until=5)
+    assert seen == [] and sim.events_fired == 0
+    sim.run(until=7)
+    assert seen == [7] and sim.events_fired == 1
+    assert sim.pending() == 0 and not sim._heap
 
 
 def test_stale_entry_is_earlier_than_the_live_one(sim):
