@@ -53,6 +53,7 @@ class CaladanSystem(OwnedCoreSystem):
         #: cores - Caladan's coarse version of Figure 13's regulation
         self.bw_cap_app = bw_cap_app
         self.bw_cap_gbps = bw_cap_gbps
+        self._capped = bw_cap_app is not None and bw_cap_gbps is not None
         self._bw_meter = None
         #: EWMA of the capped app's per-core bandwidth (GB/s); None
         #: until the first sample with the app running
@@ -130,7 +131,8 @@ class CaladanSystem(OwnedCoreSystem):
     # IOKernel core-allocation tick
     # ------------------------------------------------------------------
     def _alloc_tick(self) -> None:
-        self._enforce_bw_cap()
+        if self._capped:
+            self._enforce_bw_cap()
         for app in self.latency_apps:
             # One additional core per app per tick (gradual ramping).
             if self._congested_wants_more(app):
@@ -156,8 +158,6 @@ class CaladanSystem(OwnedCoreSystem):
         quantization (a core is ~12 GB/s) is exactly why its regulation
         is coarse compared to VESSEL's (Figure 13).
         """
-        if self.bw_cap_app is None or self.bw_cap_gbps is None:
-            return
         if self._bw_meter is None:
             from repro.hardware.membus import BandwidthMeter
             self._bw_meter = BandwidthMeter(self.machine.membus,
@@ -263,7 +263,7 @@ class CaladanSystem(OwnedCoreSystem):
         self.evict(state, requeue=True)
         state.owner = app
         state.kind = "transition"
-        self.pipeline.run(state.core, lambda: self._begin(state), self.rng)
+        self.pipeline.run(state.core, self._begin, state, rng=self.rng)
 
     # ------------------------------------------------------------------
     # Latency serving (run-to-completion + steal-spin + park)

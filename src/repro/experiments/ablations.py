@@ -33,7 +33,7 @@ from repro.experiments.common import (
 )
 from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
 
-DEFAULT_LOAD = 0.5
+LOAD = 0.5
 
 
 def _no_uintr_costs(base: CostModel) -> CostModel:
@@ -83,10 +83,9 @@ VARIANTS = {
 QUANTUM_SWEEP_US = (5, 20, 80)
 
 
-def run(cfg: Optional[ExperimentConfig] = None,
-        load: float = DEFAULT_LOAD) -> Dict:
+def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
-    rate = load * l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
+    rate = LOAD * l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
     rows: List[Dict] = []
     for label, (system, transform) in VARIANTS.items():
         variant_cfg = cfg.scaled(costs=transform(cfg.costs))
@@ -121,7 +120,7 @@ def run(cfg: Optional[ExperimentConfig] = None,
             "p999_us": report.p999_us("mc0"),
         })
     gate = gate_defense_costs(cfg.costs)
-    return {"rows": rows, "gate_defense": gate, "load": load}
+    return {"rows": rows, "gate_defense": gate, "load": LOAD}
 
 
 def gate_defense_costs(costs: CostModel) -> Dict[str, int]:

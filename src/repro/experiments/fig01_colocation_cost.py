@@ -25,22 +25,20 @@ PAPER_MAX_DECLINE = 0.18
 PAPER_MAX_WASTE = 0.17
 
 #: L-app load as a fraction of its alone capacity
-DEFAULT_LOAD_POINTS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
+LOAD_POINTS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
 
 
-def run(cfg: Optional[ExperimentConfig] = None,
-        load_points=DEFAULT_LOAD_POINTS,
-        system: str = "caladan") -> Dict:
+def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
     capacity = l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
     reports = run_colocation_batch(
-        [(system, cfg,
+        [("caladan", cfg,
           dict(l_specs=[("memcached", "memcached", load * capacity)],
                b_specs=("linpack",)))
-         for load in load_points],
+         for load in LOAD_POINTS],
         jobs=cfg.jobs)
     points: List[Dict] = []
-    for load, report in zip(load_points, reports):
+    for load, report in zip(LOAD_POINTS, reports):
         rate = load * capacity
         total_norm = normalized_total(
             report, cfg, {"memcached": MEMCACHED_MEAN_SERVICE_NS})
@@ -57,7 +55,6 @@ def run(cfg: Optional[ExperimentConfig] = None,
     max_decline = max(1.0 - p["total_normalized"] for p in points)
     max_waste = max(p["waste_fraction"] for p in points)
     return {
-        "system": system,
         "points": points,
         "max_decline": max_decline,
         "max_waste": max_waste,

@@ -7,7 +7,7 @@ pipelines, park/rebind) grows with it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.experiments.common import (
     ExperimentConfig,
@@ -15,22 +15,20 @@ from repro.experiments.common import (
     run_colocation,
 )
 
-DEFAULT_COUNTS = (1, 2, 4, 8)
+COUNTS = (1, 2, 4, 8)
 #: combined offered load on the single core, fraction of its capacity
-DEFAULT_TOTAL_LOAD = 0.5
+TOTAL_LOAD = 0.5
 
 
-def run(cfg: Optional[ExperimentConfig] = None,
-        counts: Sequence[int] = DEFAULT_COUNTS,
-        total_load: float = DEFAULT_TOTAL_LOAD,
-        system: str = "caladan") -> Dict:
+def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = (cfg or ExperimentConfig()).scaled(num_workers=1)
     capacity_mops = 1.0  # one worker, ~1 us service
     points = []
-    for count in counts:
-        per_app = total_load * capacity_mops / count
+    for count in COUNTS:
+        per_app = TOTAL_LOAD * capacity_mops / count
         l_specs = [("memcached", f"mc{i}", per_app) for i in range(count)]
-        report = run_colocation(system, cfg, l_specs=l_specs, b_specs=())
+        report = run_colocation("caladan", cfg, l_specs=l_specs,
+                                b_specs=())
         points.append({
             "instances": count,
             "app_fraction": report.app_fraction(),
@@ -40,7 +38,7 @@ def run(cfg: Optional[ExperimentConfig] = None,
             / max(1, report.elapsed_ns),
             "p999_us": max(report.p999_us(s[1]) for s in l_specs),
         })
-    return {"system": system, "points": points, "total_load": total_load}
+    return {"points": points}
 
 
 def main(cfg: Optional[ExperimentConfig] = None) -> Dict:

@@ -34,12 +34,12 @@ import math
 
 SILO_MEAN_SERVICE_NS = SILO_MEDIAN_SERVICE_NS * math.exp(SILO_SIGMA ** 2 / 2)
 
-DEFAULT_SYSTEMS = ("vessel", "caladan", "caladan-dr-l", "caladan-dr-h")
+SYSTEMS = ("vessel", "caladan", "caladan-dr-l", "caladan-dr-h")
 #: Arachne and CFS are only driven to low loads, as in the paper
 #: (absolute Mops: the paper stops at ~1 Mops for Arachne, 0.3 for CFS,
 #: because both collapse there regardless of machine size)
 LOW_LOAD_SYSTEMS = ("arachne", "linux-cfs")
-DEFAULT_LOADS = (0.2, 0.4, 0.6, 0.8)
+LOADS = (0.2, 0.4, 0.6, 0.8)
 LOW_LOAD_MOPS = (0.5, 1.2)
 
 
@@ -72,27 +72,20 @@ def _sweep(cfg: ExperimentConfig, l_kind: str, mean_service_ns: float,
     return rows
 
 
-def run(cfg: Optional[ExperimentConfig] = None,
-        systems: Sequence[str] = DEFAULT_SYSTEMS,
-        loads: Sequence[float] = DEFAULT_LOADS,
-        include_slow_systems: bool = True,
-        include_silo: bool = True) -> Dict:
+def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
-    results: Dict = {"memcached": _sweep(cfg, "memcached",
-                                         MEMCACHED_MEAN_SERVICE_NS,
-                                         systems, loads)}
-    if include_slow_systems:
-        capacity = l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
-        low_loads = tuple(mops / capacity for mops in LOW_LOAD_MOPS)
-        results["memcached"] += _sweep(cfg, "memcached",
-                                       MEMCACHED_MEAN_SERVICE_NS,
-                                       LOW_LOAD_SYSTEMS, low_loads)
-    if include_silo:
-        results["silo"] = _sweep(cfg, "silo", SILO_MEAN_SERVICE_NS,
-                                 systems, loads)
+    capacity = l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
+    low_loads = tuple(mops / capacity for mops in LOW_LOAD_MOPS)
+    results: Dict = {
+        "memcached": _sweep(cfg, "memcached", MEMCACHED_MEAN_SERVICE_NS,
+                            SYSTEMS, LOADS)
+        + _sweep(cfg, "memcached", MEMCACHED_MEAN_SERVICE_NS,
+                 LOW_LOAD_SYSTEMS, low_loads),
+        "silo": _sweep(cfg, "silo", SILO_MEAN_SERVICE_NS, SYSTEMS, LOADS),
+    }
     # Summary statistics matching the paper's prose.
     summary = {}
-    for system in systems:
+    for system in SYSTEMS:
         declines = [1.0 - r["total_normalized"]
                     for r in results["memcached"] if r["system"] == system]
         summary[system] = {
@@ -106,8 +99,6 @@ def run(cfg: Optional[ExperimentConfig] = None,
 def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     results = run(cfg)
     for workload in ("memcached", "silo"):
-        if workload not in results:
-            continue
         rows = [[r["system"], r["load"], round(r["rate_mops"], 2),
                  round(r["l_tput_mops"], 2), round(r["total_normalized"], 3),
                  round(r["b_normalized"], 3), round(r["p999_us"], 1)]

@@ -13,7 +13,7 @@ Caladan-DR-L only (the other systems are orders of magnitude worse):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.experiments.common import (
     ExperimentConfig,
@@ -21,21 +21,18 @@ from repro.experiments.common import (
     run_colocation_batch,
 )
 
-DEFAULT_SYSTEMS = ("vessel", "caladan-dr-l")
-DEFAULT_COUNTS = (1, 10)
+SYSTEMS = ("vessel", "caladan-dr-l")
+COUNTS = (1, 10)
 #: aggregate offered load on the single core, fraction of capacity
-DEFAULT_LOADS = (0.3, 0.5, 0.7, 0.85)
+LOADS = (0.3, 0.5, 0.7, 0.85)
 P999_LIMIT_US = 100.0
 
 
-def run(cfg: Optional[ExperimentConfig] = None,
-        systems: Sequence[str] = DEFAULT_SYSTEMS,
-        counts: Sequence[int] = DEFAULT_COUNTS,
-        loads: Sequence[float] = DEFAULT_LOADS) -> Dict:
+def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = (cfg or ExperimentConfig()).scaled(num_workers=1, bursty=True)
     capacity_mops = 1.0  # one worker core at ~1 us mean service
-    points = [(system, count, load) for system in systems
-              for count in counts for load in loads]
+    points = [(system, count, load) for system in SYSTEMS
+              for count in COUNTS for load in LOADS]
     tasks = []
     for system, count, load in points:
         per_app = load * capacity_mops / count
@@ -56,8 +53,8 @@ def run(cfg: Optional[ExperimentConfig] = None,
             "p999_us": worst_p999,
         })
     summary = {}
-    for system in systems:
-        for count in counts:
+    for system in SYSTEMS:
+        for count in COUNTS:
             points = [c for c in curves if c["system"] == system
                       and c["instances"] == count]
             ok = [c for c in points if c["p999_us"] <= P999_LIMIT_US]

@@ -52,7 +52,7 @@ def _identity(addr: int) -> int:
     return addr
 
 
-def _run_mode(mode: str, cfg: ExperimentConfig, total_ops: int,
+def _run_mode(mode: str, cfg: ExperimentConfig,
               rng: random.Random) -> Dict:
     cache = CacheSim(CACHE_BYTES, ways=CACHE_WAYS, line_bytes=LINE_BYTES)
     costs = cfg.costs
@@ -111,25 +111,24 @@ def _run_mode(mode: str, cfg: ExperimentConfig, total_ops: int,
     current = 0
     # Warmup: fill the cache so cold (compulsory) misses don't pollute
     # the steady-state miss rate the paper reports.
-    phase(total_ops // 2)
+    phase(TOTAL_OPS // 2)
     cache.stats.hits = 0
     cache.stats.misses = 0
     cache.stats.by_tag.clear()
-    elapsed_ns = phase(total_ops)
+    elapsed_ns = phase(TOTAL_OPS)
 
     return {
         "miss_rate": cache.stats.miss_rate(),
         "completion_ms": elapsed_ns / 1e6,
-        "mean_op_ns": elapsed_ns / total_ops,
+        "mean_op_ns": elapsed_ns / TOTAL_OPS,
     }
 
 
-def run(cfg: Optional[ExperimentConfig] = None,
-        total_ops: int = TOTAL_OPS) -> Dict:
+def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
     rng = random.Random(cfg.seed)
-    vessel = _run_mode("vessel", cfg, total_ops, rng)
-    caladan = _run_mode("caladan", cfg, total_ops, rng)
+    vessel = _run_mode("vessel", cfg, rng)
+    caladan = _run_mode("caladan", cfg, rng)
     return {
         "vessel": vessel,
         "caladan": caladan,

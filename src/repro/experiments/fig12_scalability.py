@@ -29,9 +29,9 @@ from repro.experiments.common import (
 from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
 
 P999_LIMIT_US = 60.0
-DEFAULT_VESSEL_CORES = (32, 42, 44)
-DEFAULT_CALADAN_CORES = (32, 34, 36)
-DEFAULT_LOADS = (0.2, 0.3, 0.45, 0.6, 0.75)
+VESSEL_CORES = (32, 42, 44)
+CALADAN_CORES = (32, 34, 36)
+LOADS = (0.2, 0.3, 0.45, 0.6, 0.75)
 
 
 def goodput_from_reports(rates: Sequence[float], reports: Sequence) -> Dict:
@@ -48,10 +48,7 @@ def goodput_from_reports(rates: Sequence[float], reports: Sequence) -> Dict:
     return {"goodput_mops": best, "p999_us": best_p999}
 
 
-def run(cfg: Optional[ExperimentConfig] = None,
-        vessel_cores: Sequence[int] = DEFAULT_VESSEL_CORES,
-        caladan_cores: Sequence[int] = DEFAULT_CALADAN_CORES,
-        loads: Sequence[float] = DEFAULT_LOADS) -> Dict:
+def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     base = cfg or ExperimentConfig()
     # Bursty clients (as in the paper's dense/bursty setups): reaction
     # latency to burst onsets is what the control plane limits.
@@ -61,12 +58,12 @@ def run(cfg: Optional[ExperimentConfig] = None,
     # in the original load order.
     grid: List[Dict] = []
     tasks = []
-    for system, counts in (("vessel", vessel_cores),
-                           ("caladan", caladan_cores)):
+    for system, counts in (("vessel", VESSEL_CORES),
+                           ("caladan", CALADAN_CORES)):
         for cores in counts:
             scaled = base.scaled(num_workers=cores)
             capacity = l_capacity_mops(scaled, MEMCACHED_MEAN_SERVICE_NS)
-            rates = [load * capacity for load in loads]
+            rates = [load * capacity for load in LOADS]
             grid.append({"system": system, "cores": cores, "rates": rates})
             tasks.extend(
                 (system, scaled,

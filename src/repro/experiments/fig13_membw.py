@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -40,7 +40,7 @@ BUS_SENSITIVITY = 4.0
 #: the bandwidth threshold both schedulers enforce on membench
 BW_CAP_GBPS = 20.0
 P999_SLO_US = 30.0
-DEFAULT_LOADS = (0.2, 0.4, 0.6)
+LOADS = (0.2, 0.4, 0.6)
 TARGETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
@@ -54,10 +54,7 @@ def _membench_alone_useful(cfg: ExperimentConfig) -> int:
     return max(1, report.useful_ns.get("membench", 1))
 
 
-def run_colocation_part(cfg: Optional[ExperimentConfig] = None,
-                        loads: Sequence[float] = DEFAULT_LOADS,
-                        cap_gbps: float = BW_CAP_GBPS,
-                        slo_us: float = P999_SLO_US) -> Dict:
+def run_colocation_part(cfg: Optional[ExperimentConfig] = None) -> Dict:
     """Fixed bandwidth threshold for the B-app, enforced by each system's
     own mechanism.  VESSEL duty-cycles cores to the exact budget;
     Caladan's core-granular control quantizes down to whole cores, losing
@@ -66,12 +63,12 @@ def run_colocation_part(cfg: Optional[ExperimentConfig] = None,
     cfg = cfg or ExperimentConfig()
     capacity = l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
     alone = _membench_alone_useful(cfg)
-    points = [(load, system) for load in loads
+    points = [(load, system) for load in LOADS
               for system in ("vessel", "caladan")]
     tasks = [(system, cfg, dict(
         l_specs=[("memcached", "memcached", load * capacity)],
         b_specs=("membench",), bus_sensitivity=BUS_SENSITIVITY,
-        bw_cap=("membench", cap_gbps))) for load, system in points]
+        bw_cap=("membench", BW_CAP_GBPS))) for load, system in points]
     reports = run_colocation_batch(tasks, jobs=cfg.jobs)
     rows: List[Dict] = []
     for (load, system), report in zip(points, reports):
@@ -79,15 +76,15 @@ def run_colocation_part(cfg: Optional[ExperimentConfig] = None,
         rows.append({
             "system": system,
             "load": load,
-            "cap": cap_gbps,
+            "cap": BW_CAP_GBPS,
             "total_normalized": normalized_total(
                 report, cfg, {"memcached": MEMCACHED_MEAN_SERVICE_NS},
                 b_alone_useful={"membench": alone}),
             "p999_us": p999,
-            "meets_slo": p999 <= slo_us,
+            "meets_slo": p999 <= P999_SLO_US,
         })
     advantage = []
-    for load in loads:
+    for load in LOADS:
         vessel = next(r for r in rows if r["load"] == load
                       and r["system"] == "vessel")
         caladan = next(r for r in rows if r["load"] == load
@@ -96,7 +93,7 @@ def run_colocation_part(cfg: Optional[ExperimentConfig] = None,
             advantage.append(vessel["total_normalized"]
                              / caladan["total_normalized"] - 1.0)
     return {"rows": rows, "max_advantage": max(advantage, default=0.0),
-            "slo_us": slo_us}
+            "slo_us": P999_SLO_US}
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +151,10 @@ def _measure_cgroup(cfg: ExperimentConfig, target_fraction: float) -> float:
             / horizon / app.batch_work.solo_gbps())
 
 
-def run_accuracy_part(cfg: Optional[ExperimentConfig] = None,
-                      targets: Sequence[float] = TARGETS) -> Dict:
+def run_accuracy_part(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
     rows = []
-    for target in targets:
+    for target in TARGETS:
         rows.append({
             "target": target,
             "vessel": _measure_vessel(cfg, target),

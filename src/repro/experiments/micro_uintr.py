@@ -15,9 +15,11 @@ from repro.hardware.machine import Machine
 from repro.experiments.common import ExperimentConfig, format_table
 
 PAPER_RATIO = 15.0
+#: interrupts sent down each path
+ITERATIONS = 1000
 
 
-def run(cfg: ExperimentConfig = None, iterations: int = 1000) -> Dict:
+def run(cfg: ExperimentConfig = None) -> Dict:
     cfg = cfg or ExperimentConfig()
 
     # --- Uintr path --------------------------------------------------
@@ -29,7 +31,7 @@ def run(cfg: ExperimentConfig = None, iterations: int = 1000) -> Dict:
         sim.now - fired["t"]))
     machine.uintr.on_user_resume(1)
     index = machine.uintr.register_sender(0, 1, vector=3)
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         fired["t"] = sim.now
         machine.uintr.senduipi(0, index)
         sim.run()
@@ -46,7 +48,7 @@ def run(cfg: ExperimentConfig = None, iterations: int = 1000) -> Dict:
                    lambda: latencies_ipi.append(sim2.now - fired2["t"]))
 
     machine2.ipi.register_handler(1, kernel_handler)
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         fired2["t"] = sim2.now
         # The sender must trap into the kernel to issue the IPI.
         sim2.after(cfg.costs.syscall_ns, machine2.ipi.send, 1)

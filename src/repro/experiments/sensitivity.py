@@ -16,7 +16,7 @@ fall out:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.hardware.timing import CostModel
 from repro.experiments.common import (
@@ -27,8 +27,8 @@ from repro.experiments.common import (
 )
 from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
 
-DEFAULT_MULTIPLIERS = (1, 4, 8, 16, 32, 48)
-DEFAULT_LOAD = 0.5
+MULTIPLIERS = (1, 4, 8, 16, 32, 48)
+LOAD = 0.5
 
 
 def scaled_switch_costs(base: CostModel, multiplier: float) -> CostModel:
@@ -45,17 +45,15 @@ def scaled_switch_costs(base: CostModel, multiplier: float) -> CostModel:
     )
 
 
-def run(cfg: Optional[ExperimentConfig] = None,
-        multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-        load: float = DEFAULT_LOAD) -> Dict:
+def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
-    rate = load * l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
+    rate = LOAD * l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
 
     reference = run_colocation("caladan", cfg,
                                l_specs=[("memcached", "memcached", rate)],
                                b_specs=("linpack",))
     rows: List[Dict] = []
-    for multiplier in multipliers:
+    for multiplier in MULTIPLIERS:
         variant = cfg.scaled(costs=scaled_switch_costs(cfg.costs,
                                                        multiplier))
         report = run_colocation("vessel", variant,
@@ -82,7 +80,7 @@ def run(cfg: Optional[ExperimentConfig] = None,
         "caladan_p999_us": caladan_p999,
         "efficiency_crossover_us": efficiency_crossover,
         "latency_crossover_us": latency_crossover,
-        "load": load,
+        "load": LOAD,
     }
 
 

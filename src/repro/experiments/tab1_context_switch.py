@@ -33,6 +33,9 @@ from repro.uprocess.manager import Manager
 from repro.uprocess.threads import UThread
 from repro.experiments.common import ExperimentConfig, format_table
 
+#: park switches per system, each one a sample
+ITERATIONS = 20_000
+
 PAPER_ROWS = {
     "vessel": {"avg_us": 0.161, "p50_us": 0.160, "p90_us": 0.162,
                "p99_us": 0.173, "p999_us": 0.706},
@@ -49,7 +52,7 @@ def measure_vessel(cfg: ExperimentConfig, iterations: int,
     operations into it, so the per-op rows (uctx_save, callgate_enter,
     runtime_queue, uctx_restore, callgate_exit, switch_noise,
     switch_jitter) sum exactly to the end-to-end sample costs — the
-    invariant ``benchmarks/test_tab1.py`` checks.
+    invariant ``tests/obs/test_ledger.py`` checks.
     """
     sim = Simulator()
     machine = Machine(sim, cfg.costs, 1, ledger=ledger)
@@ -89,12 +92,12 @@ def measure_caladan(cfg: ExperimentConfig, iterations: int) -> array:
     return samples
 
 
-def run(cfg: ExperimentConfig, iterations: int = 20_000) -> Dict[str, Dict]:
+def run(cfg: ExperimentConfig) -> Dict[str, Dict]:
     ledger = OpLedger() if cfg.op_breakdown else None
     results = {
-        "vessel": summarize_ns(measure_vessel(cfg, iterations,
+        "vessel": summarize_ns(measure_vessel(cfg, ITERATIONS,
                                               ledger=ledger)),
-        "caladan": summarize_ns(measure_caladan(cfg, iterations)),
+        "caladan": summarize_ns(measure_caladan(cfg, ITERATIONS)),
         "paper": PAPER_ROWS,
     }
     if ledger is not None:

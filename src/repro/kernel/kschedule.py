@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.hardware.machine import Core
 from repro.hardware.timing import CostModel
@@ -58,9 +58,11 @@ class KernelReallocPipeline:
     def total_ns(self) -> int:
         return sum(phase.duration_ns for phase in self.phases())
 
-    def run(self, core: Core, on_done: Callable[[], None],
+    def run(self, core: Core, on_done: Callable[..., None], *args: Any,
             rng: Optional[random.Random] = None) -> None:
-        """Occupy ``core`` for the whole pipeline, then call ``on_done``.
+        """Occupy ``core`` for the whole pipeline, then call
+        ``on_done(*args)`` (arguments rather than a closure, as for
+        ``Core.run``).
 
         The core must be free (the caller preempts the victim first and
         re-queues its remaining work).  Kernel jitter is applied to the
@@ -75,16 +77,16 @@ class KernelReallocPipeline:
                                           last.duration_ns + jitter,
                                           last.category)
         self.executions += 1
-        self._run_phase(core, phases, 0, on_done)
+        self._run_phase(core, phases, 0, on_done, args)
 
     def _run_phase(self, core: Core, phases: List[ReallocPhase], index: int,
-                   on_done: Callable[[], None]) -> None:
+                   on_done: Callable[..., None], args: Tuple) -> None:
         if index >= len(phases):
-            on_done()
+            on_done(*args)
             return
         phase = phases[index]
         if self.ledger.enabled:
             self.ledger.charge(f"realloc:{phase.name}", phase.duration_ns,
                                core=core.id, domain="kernel")
         core.run(phase.category, phase.duration_ns,
-                 self._run_phase, core, phases, index + 1, on_done)
+                 self._run_phase, core, phases, index + 1, on_done, args)

@@ -187,3 +187,22 @@ def test_caladan_arrival_goes_to_first_spinning_core():
 def test_ideal_preempts_batch_for_latency_instantly():
     _, app, report = run_system(IdealSystem, rate=2.0, sim_ms=10)
     assert app.latency.percentile_us(99.9) < 5.0
+
+
+def test_fig12_control_plane_factors():
+    """The Figure 12 knee mechanics without the full (slow) sweep."""
+
+    def factors(system_cls, workers):
+        sim = Simulator()
+        machine = Machine(sim, CostModel(), workers + 1)
+        system = system_cls(sim, machine, RngStreams(0),
+                            worker_cores=machine.cores[1:])
+        return system.control_plane_factor
+
+    assert factors(VesselSystem, 8) < 1.5
+    assert factors(VesselSystem, 42) > 5
+    assert factors(VesselSystem, 44) > factors(VesselSystem, 42)
+    # Caladan's IOKernel saturates far earlier.
+    assert factors(CaladanSystem, 8) < 1.5
+    assert factors(CaladanSystem, 32) > 10
+    assert factors(CaladanSystem, 8) > factors(VesselSystem, 8)

@@ -126,3 +126,14 @@ def test_tracecheck_arms_do_not_inherit_trace_out():
     cfg = ExperimentConfig(trace_out="t.json", **SMOKE_PROFILE)
     assert [arm_cfg.trace_out for _, _, arm_cfg, _ in tracecheck.arms(cfg)] \
         == [None] * 4
+
+
+def test_cli_list_and_selection(capsys):
+    assert front_end.main(["--list"]) == 0
+    out = capsys.readouterr().out
+    assert "fig09" in out and "sensitivity" in out
+
+
+def test_cli_rejects_unknown():
+    with pytest.raises(SystemExit):
+        front_end.main(["fig99"])

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.experiments import tab1_context_switch as tab1
+from repro.experiments.common import ExperimentConfig
 from repro.obs import write_chrome_trace
 from repro.obs.hist import bucket_index, bucket_upper_ns
 from repro.obs.ledger import NULL_LEDGER, NullLedger, OpLedger
@@ -223,3 +225,29 @@ def test_null_ledger_handle_is_a_noop():
     handle.charge(100, 0)
     handle.charge(100)
     assert NULL_LEDGER.op_counts() == {}
+
+
+# ----------------------------------------------------------------------
+# Table 1's switch path
+# ----------------------------------------------------------------------
+def test_tab1_ledger_accounts_for_every_switch_nanosecond():
+    """The ledger's per-op charges for the VESSEL park-switch path sum
+    exactly to the end-to-end switch costs: no unattributed nanoseconds
+    appear in Table 1."""
+    iterations = 2_000
+    ledger = OpLedger()
+    samples = tab1.measure_vessel(ExperimentConfig(), iterations,
+                                  ledger=ledger)
+
+    switch_ops = ("uctx_save", "callgate_enter", "runtime_queue",
+                  "uctx_restore", "callgate_exit", "switch_noise",
+                  "switch_jitter")
+    per_op = {op: ledger.total_ns(domain="uproc", op=op)
+              for op in switch_ops}
+    assert sum(per_op.values()) == sum(samples)
+    # Every constituent op was charged once per switch.
+    counts = ledger.op_counts("uproc")
+    for op in switch_ops:
+        assert counts[op] == iterations
+    # Park switches never pay the preemption path.
+    assert "uiret" not in counts
