@@ -57,7 +57,6 @@ EXPERIMENTS = {
     "sensitivity": "repro.experiments.sensitivity",
     "policies": "repro.experiments.policy_zoo",
     "churn": "repro.experiments.churn",
-    "flashcrowd": "repro.experiments.flashcrowd",
     "oversub": "repro.experiments.oversub",
     "overload": "repro.experiments.overload_suite",
     "tracecheck": "repro.experiments.tracecheck",

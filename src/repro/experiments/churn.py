@@ -33,7 +33,6 @@ from typing import Dict, List, Optional
 from repro.experiments.common import (
     ExperimentConfig,
     format_table,
-    report_fingerprint,
     run_colocation_batch,
 )
 from repro.overload.churn import ChurnConfig
@@ -96,7 +95,7 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
 
 
 def gate(cfg: ExperimentConfig, results: Dict) -> None:
-    """``--smoke`` gates: turnover, zero leaks, byte-identical rerun."""
+    """``--smoke`` gates: turnover and zero leaks."""
     churned = results["churned"]
     snap = churned.churn
     if snap["created"] < 10:
@@ -111,8 +110,4 @@ def gate(cfg: ExperimentConfig, results: Dict) -> None:
         raise RuntimeError(
             f"{len(churned.uncontained)} teardown leak(s): "
             f"{churned.uncontained}")
-    if report_fingerprint(run(cfg).values()) \
-            != report_fingerprint(results.values()):
-        raise RuntimeError("rerun was not byte-identical")
-    print("[churn --smoke] gates passed: turnover, zero leaks, "
-          "deterministic rerun")
+    print("[churn --smoke] gates passed: turnover, zero leaks")

@@ -14,11 +14,9 @@ EXPERIMENTS.md).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import RunComponent, Simulator
 from repro.sim.rng import RngStreams
@@ -140,17 +138,50 @@ def make_payload_sampler(kind: str, name: str, rngs: RngStreams):
     raise ValueError(f"unknown L-app kind {kind!r}")
 
 
-def run_colocation(system_name: str, cfg: ExperimentConfig,
-                   l_specs: Sequence[Tuple[str, str, float]],
-                   b_specs: Sequence[str] = ("linpack",),
-                   bus_sensitivity: float = 0.0,
-                   bw_cap: Optional[Tuple[str, float]] = None,
-                   admission=None, trace=None, churn=None,
-                   fault_plan=None,
-                   track_queues: bool = False,
-                   rng_namespace: Optional[str] = None,
-                   trace_file: Optional[str] = None) -> SystemReport:
-    """Build and run one colocation simulation.
+def run_colocation(*args, **kwargs) -> SystemReport:
+    """The report of :func:`run_colocation_full` (same arguments)."""
+    return run_colocation_full(*args, **kwargs)[0]
+
+
+def run_trace_path(trace_out: str, system_name: str, identity: str) -> str:
+    """The file one run's Chrome trace goes to under ``trace_out``.
+
+    The run's system name and a digest of its arguments go in before the
+    suffix (``t.json`` -> ``t.vessel-<digest>.json``).  The name depends
+    on nothing but the run, so it is the same under ``--jobs 1`` and
+    ``--jobs N``; two runs share a file only if they are the same run,
+    which writes the same bytes.
+    """
+    digest = hashlib.sha256(identity.encode()).hexdigest()[:10]
+    stem, suffix = os.path.splitext(trace_out)
+    return f"{stem}.{system_name}-{digest}{suffix}"
+
+
+def run_identity(arguments: Dict) -> str:
+    """The repr of one run's :func:`run_colocation_full` arguments, in
+    signature order: everything that makes the run, but not the knobs
+    that leave it unchanged (``trace_file``, the trace path, the worker
+    count).  Two calls are the same run exactly when these are equal."""
+    values = dict(arguments,
+                  cfg=arguments["cfg"].scaled(trace_out=None, jobs=1))
+    del values["trace_file"]
+    return repr(tuple(values.values()))
+
+
+def run_colocation_full(system_name: str, cfg: ExperimentConfig,
+                        l_specs: Sequence[Tuple[str, str, float]],
+                        b_specs: Sequence[str] = ("linpack",),
+                        bus_sensitivity: float = 0.0,
+                        bw_cap: Optional[Tuple[str, float]] = None,
+                        admission=None, trace=None, churn=None,
+                        fault_plan=None,
+                        track_queues: bool = False,
+                        rng_namespace: Optional[str] = None,
+                        trace_file: Optional[str] = None):
+    """Build and run one colocation simulation: ``(report, system,
+    fabric)``, so a caller can read the run's own system and recorders
+    after the report is built (``fabric`` is None for direct submit): the
+    chaos experiment's preemption and containment counters, for one.
 
     ``l_specs`` rows are ``(kind, name, rate_mops)``; ``b_specs`` are
     B-app kinds ("linpack" / "membench").  A bandwidth cap (Figure 13)
@@ -196,48 +227,10 @@ def run_colocation(system_name: str, cfg: ExperimentConfig,
     writes it to exactly that path instead (a command whose one traced
     run is the point of its ``--trace-out``).
     """
-    return run_colocation_full(system_name, cfg, l_specs, b_specs,
-                               bus_sensitivity, bw_cap, admission, trace,
-                               churn, fault_plan, track_queues,
-                               rng_namespace, trace_file)[0]
-
-
-def run_trace_path(trace_out: str, system_name: str, identity: str) -> str:
-    """The file one run's Chrome trace goes to under ``trace_out``.
-
-    The run's system name and a digest of its arguments go in before the
-    suffix (``t.json`` -> ``t.vessel-<digest>.json``).  The name depends
-    on nothing but the run, so it is the same under ``--jobs 1`` and
-    ``--jobs N``; two runs share a file only if they are the same run,
-    which writes the same bytes.
-    """
-    digest = hashlib.sha256(identity.encode()).hexdigest()[:10]
-    stem, suffix = os.path.splitext(trace_out)
-    return f"{stem}.{system_name}-{digest}{suffix}"
-
-
-def run_colocation_full(system_name: str, cfg: ExperimentConfig,
-                        l_specs: Sequence[Tuple[str, str, float]],
-                        b_specs: Sequence[str] = ("linpack",),
-                        bus_sensitivity: float = 0.0,
-                        bw_cap: Optional[Tuple[str, float]] = None,
-                        admission=None, trace=None, churn=None,
-                        fault_plan=None,
-                        track_queues: bool = False,
-                        rng_namespace: Optional[str] = None,
-                        trace_file: Optional[str] = None):
-    """:func:`run_colocation` returning ``(report, system, fabric)``, so
-    a caller can read the run's own system and recorders after the
-    report is built (``fabric`` is None for direct submit): the chaos
-    experiment's preemption and containment counters, for one."""
     if trace_file is None and cfg.trace_out is not None:
-        # Everything that makes the run, but not the knobs that leave it
-        # unchanged (the trace path itself, the worker count).
-        identity = repr((system_name, cfg.scaled(trace_out=None, jobs=1),
-                         l_specs, b_specs, bus_sensitivity, bw_cap,
-                         admission, trace, churn, fault_plan, track_queues,
-                         rng_namespace))
-        trace_file = run_trace_path(cfg.trace_out, system_name, identity)
+        # Taken first thing, locals() holds exactly the arguments.
+        trace_file = run_trace_path(cfg.trace_out, system_name,
+                                    run_identity(locals()))
     sim = Simulator()
     # Observability must be wired before the system is built: layers
     # capture the machine's ledger at construction time.
@@ -506,28 +499,8 @@ def normalized_total(report: SystemReport, cfg: ExperimentConfig,
 
 
 # ----------------------------------------------------------------------
-# Rerun gates
+# Gates
 # ----------------------------------------------------------------------
-def report_fields(report: SystemReport) -> Dict:
-    """Every :class:`SystemReport` field as a JSON-ready dict, latency
-    histograms through their ``__getstate__``."""
-    out = {}
-    for spec in fields(report):
-        value = getattr(report, spec.name)
-        if spec.name in ("latency_hist", "client_hist"):
-            value = {name: hist.__getstate__()
-                     for name, hist in value.items()}
-        out[spec.name] = value
-    return out
-
-
-def report_fingerprint(reports: Iterable[SystemReport]) -> str:
-    """Sorted-key JSON of every field of ``reports``: two runs are the
-    same run exactly when their fingerprints are equal."""
-    return json.dumps([report_fields(report) for report in reports],
-                      sort_keys=True)
-
-
 def check_gate(ok: bool, message: str, failures: List[str]) -> None:
     """Print one ``[PASS]``/``[FAIL]`` gate line; a failure's message
     joins ``failures``."""

@@ -14,9 +14,7 @@ graceful-degradation claims instead of just printing them:
    containment audit must come back empty and the request-conservation
    ledger must balance exactly (offered == completed + losses +
    in-flight for every app — shed attempts retry or convert to counted
-   losses, never vanish);
-4. **determinism** — the chaos run is byte-identical across reruns, and
-   the flash-crowd arms are byte-identical under ``--jobs 2``.
+   losses, never vanish).
 
 Any violated gate raises ``RuntimeError`` (non-zero exit), which is
 what the CI job keys on.
@@ -29,7 +27,6 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.sim.units import MS, US
@@ -39,7 +36,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     check_gate,
     l_capacity_mops,
-    report_fingerprint,
     run_colocation,
 )
 from repro.experiments.flashcrowd import FLAGSHIP, SLO_P99_US
@@ -130,16 +126,6 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
                f"shed accounting consistent across layers "
                f"(fabric {fabric_sheds} == admission {admitted_sheds})",
                failures)
-
-    # ---- part 4: determinism ------------------------------------------
-    check_gate(report_fingerprint([chaos_run(cfg)])
-               == report_fingerprint([report]),
-               "chaos run byte-identical across reruns", failures)
-    jobs_cfg = replace(cfg, jobs=2)
-    check_gate(report_fingerprint(
-                   r for _, r in flashcrowd.run(jobs_cfg)["arms"])
-               == report_fingerprint(r for _, r in results["arms"]),
-               "flash-crowd arms byte-identical under --jobs 2", failures)
 
     if failures:
         raise RuntimeError(

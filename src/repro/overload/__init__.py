@@ -16,7 +16,7 @@ pieces, each usable alone:
   both deterministic under the run's seed.
 
 The scenario suite lives in ``repro.experiments`` (``churn``,
-``flashcrowd``, ``oversub``, ``overload``).
+``oversub``, ``overload``, whose first table is ``flashcrowd``'s).
 """
 
 from repro.overload.admission import AdmissionConfig, AdmissionControl

@@ -12,14 +12,13 @@ from repro.experiments.common import (
     format_table,
     l_capacity_mops,
     normalized_total,
-    report_fields,
-    report_fingerprint,
     run_colocation,
     run_colocation_batch,
     system_factory,
 )
 from repro.sched.base import SystemReport
 from repro.sim.units import MS, US
+from tests.fingerprint import report_fields
 
 
 def test_system_factory_known_names():
@@ -98,23 +97,6 @@ def test_bw_cap_needs_a_system_with_a_cap_mechanism(system):
     with pytest.raises(ValueError, match="bandwidth-cap"):
         run_colocation(system, cfg, l_specs=[("memcached", "mc", 0.3)],
                        b_specs=("membench",), bw_cap=("membench", 20.0))
-
-
-def _report(**fields):
-    return SystemReport(system="vessel", elapsed_ns=1_000,
-                        num_worker_cores=2, **fields)
-
-
-@pytest.mark.parametrize("field,first,second", [
-    ("useful_ns", {"lp": 500}, {"lp": 501}),
-    ("buckets", {"app:mc": 700, "idle": 300},
-     {"app:mc": 699, "idle": 301}),
-])
-def test_report_fingerprint_reads_efficiency_fields(field, first, second):
-    assert report_fingerprint([_report(**{field: first})]) \
-        != report_fingerprint([_report(**{field: second})])
-    assert report_fingerprint([_report(**{field: first})]) \
-        == report_fingerprint([_report(**{field: dict(first)})])
 
 
 def test_scaled_returns_modified_copy():
@@ -257,7 +239,7 @@ def test_run_colocation_matches_golden(name):
 
 
 if __name__ == "__main__":
-    # Re-capture: PYTHONPATH=src python tests/experiments/test_common.py
+    # Re-capture: PYTHONPATH=src python -m tests.experiments.test_common
     with open(GOLDEN_PATH, "w") as handle:
         json.dump({name: _run_golden_case(name)
                    for name in sorted(_golden_cases())},

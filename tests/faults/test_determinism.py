@@ -10,9 +10,9 @@ from repro.sim.units import MS
 from repro.faults import FaultPlan
 from repro.experiments.common import (
     ExperimentConfig,
-    report_fingerprint,
     run_task_captured,
 )
+from tests.fingerprint import report_fingerprint
 
 
 def _plan(seed):

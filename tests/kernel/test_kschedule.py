@@ -54,13 +54,14 @@ def test_jitter_extends_last_phase_only_sometimes(sim, costs):
     def once():
         start = sim.now
         pipeline.run(machine.cores[0], lambda: durations.append(
-            sim.now - start))
+            sim.now - start), rng=rng)
 
     for _ in range(300):
         once()
         sim.run()
+    # Most runs take the plain 5300 ns, a few a jittered last phase.
     assert min(durations) == 5300
-    assert max(durations) >= 5300  # occasionally jittered
+    assert max(durations) > 5300
     assert pipeline.executions == 300
 
 

@@ -6,7 +6,8 @@ the full wiring (admission + trace + churn + chaos through
 """
 
 from repro.experiments import churn, flashcrowd, overload_suite, oversub
-from repro.experiments.common import ExperimentConfig, report_fingerprint
+from repro.experiments.common import ExperimentConfig
+from tests.fingerprint import report_fingerprint
 
 
 def tiny(seed=42, **overrides):

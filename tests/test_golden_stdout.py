@@ -1,19 +1,23 @@
-"""The fast experiments print byte-identical stdout.
+"""The experiments print byte-identical stdout.
 
-``tests/golden_stdout.json`` maps each command in :data:`COMMANDS` to the
-sha256 of the stdout of ``python -m repro <command>`` (seed 42, the
-front end's default).  The golden reports pin ``run_colocation``; this
-pins what the experiments assemble from it: tables, gates and printed
-verdicts.  The front end prints its wall-clock lines (``[<name> took
-...]``, ``[total ...]``) to stderr, so stdout alone is deterministic.
+``tests/golden_stdout.json`` maps each command in :data:`COMMANDS` and
+:data:`HEAVY_COMMANDS` to the sha256 of the stdout of ``python -m repro
+<command>`` (seed 42, the front end's default).  The golden reports pin
+``run_colocation``; this pins what the experiments assemble from it:
+tables, gates and printed verdicts.  The front end prints its wall-clock
+lines (``[<name> took ...]``, ``[total ...]``) to stderr, so stdout alone
+is deterministic.  A command that exits non-zero (a failed gate) fails
+its case too.
 
 Tier-1 checks the fast :data:`COMMANDS` (about a second each).  The
 :data:`HEAVY_COMMANDS` (several seconds to half a minute each) carry the
 ``heavy`` marker, which the default ``addopts`` deselects; CI's
-``smoke (golden stdout)`` entry runs them with
-``python -m pytest tests/test_golden_stdout.py -m heavy``.  The heavy
-set also holds a ``--jobs 2`` run to its serial command's digest, and
-pins the bytes of the Chrome trace that :data:`TRACE_COMMAND` writes.
+``smoke (golden stdout)`` entry runs them, and
+``tests/experiments/test_runs_once.py``, with ``-m heavy``: it is the
+smoke gate of every command here.  The heavy set also holds each of the
+:data:`JOBS_COMMANDS` at ``--jobs 2`` to its serial digest (no command
+re-runs itself to check that), and pins the bytes of the Chrome trace
+that :data:`TRACE_COMMAND` writes.
 
 A change that means to move this output re-captures the file
 (``PYTHONPATH=src python tests/test_golden_stdout.py``) and explains
@@ -37,9 +41,12 @@ COMMANDS = ("tab1", "fig03", "micro", "fig07")
 #: experiments; ``fig09 --smoke`` alone runs VESSEL, the three Caladan
 #: variants, Arachne and CFS
 HEAVY_COMMANDS = ("fig09 --smoke", "fig13 --smoke", "chaos", "net",
-                  "policies --smoke", "churn --smoke", "flashcrowd --smoke",
-                  "oversub --smoke", "overload --smoke",
-                  "tracecheck --smoke")
+                  "policies --smoke", "churn --smoke", "oversub --smoke",
+                  "overload --smoke", "tracecheck --smoke")
+#: heavy commands whose sweep fans out under ``--jobs``; each must print
+#: its serial digest at ``--jobs 2``
+JOBS_COMMANDS = ("fig13 --smoke", "churn --smoke", "oversub --smoke",
+                 "overload --smoke", "tracecheck --smoke")
 #: writes :data:`TRACE_FILE` (relative to its working directory), whose
 #: sha256 is pinned under the key ``"<command> > <file>"``
 TRACE_COMMAND = "tracecheck --smoke --trace-out t.json"
@@ -76,9 +83,10 @@ def test_stdout_matches_golden(command, tmp_path):
 
 
 @pytest.mark.heavy
-def test_jobs_2_prints_the_serial_bytes(tmp_path):
-    assert stdout_digest("fig13 --smoke --jobs 2", tmp_path) \
-        == golden()["fig13 --smoke"]
+@pytest.mark.parametrize("command", JOBS_COMMANDS)
+def test_jobs_2_prints_the_serial_bytes(command, tmp_path):
+    assert stdout_digest(f"{command} --jobs 2", tmp_path) \
+        == golden()[command]
 
 
 @pytest.mark.heavy
