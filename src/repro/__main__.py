@@ -8,14 +8,14 @@ Usage::
     python -m repro fig09 --jobs 4       # fan one experiment's sweep out
     python -m repro --list
     python -m repro --scale paper fig09
-    python -m repro churn --smoke        # CI profile + the module's gate
+    python -m repro churn --smoke        # the shared CI-sized profile
 
 This is the only command-line front end: every experiment gets its
 ``ExperimentConfig`` from here, so a documented command means one
-config.  ``--smoke`` runs at the shared CI profile
+config.  ``--smoke`` only selects a profile: the shared CI one
 (``repro.experiments.common.SMOKE_PROFILE``) plus the module's own
-``SMOKE`` overrides, if it has any, and then calls the module's
-``gate(cfg, results)``, if it has one; a failed gate raises.
+``SMOKE`` overrides, if it has any.  Experiments measure and print;
+nothing here judges their results (``tests/test_claims.py`` does).
 
 Parallelism policy (``--jobs N``): with several experiments selected the
 experiments themselves run in worker processes (their stdout is captured
@@ -68,16 +68,14 @@ def _banner(name: str) -> str:
     return f"\n{'=' * 72}\n{name}  ({EXPERIMENTS[name]})\n{'=' * 72}\n"
 
 
-def _run_module(name: str, cfg, smoke: bool) -> None:
-    """Run one experiment's ``main`` (at its smoke profile and then
-    through its ``gate`` when ``smoke`` is set)."""
+def _run_module(name: str, cfg, smoke: bool):
+    """Run one experiment's ``main`` (at its smoke profile when
+    ``smoke`` is set); returns ``main``'s results."""
     module = importlib.import_module(EXPERIMENTS[name])
     if smoke:
         from repro.experiments.common import SMOKE_PROFILE
         cfg = cfg.scaled(**{**SMOKE_PROFILE, **getattr(module, "SMOKE", {})})
-    results = module.main(cfg)
-    if smoke and hasattr(module, "gate"):
-        module.gate(cfg, results)
+    return module.main(cfg)
 
 
 def _run_one_captured(task: Tuple[str, object, bool]) -> Tuple[str, str, float]:
@@ -138,9 +136,8 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", choices=["smoke", "paper"],
                         default="smoke")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (4 workers, 8 ms) followed by "
-                             "each selected experiment's gate, if it has "
-                             "one; a failed gate exits non-zero")
+                        help="CI-sized profile (4 workers, 8 ms, plus "
+                             "the experiment's own overrides)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="fan independent experiments (or one "

@@ -20,10 +20,13 @@ What to look for:
 * the long-lived tenant's p99 is unaffected by neighbours booting and
   dying (compare against the no-churn control row).
 
+The ``churn`` row of ``tests/test_claims.py`` judges turnover and leaks
+on the ``--smoke`` run.
+
 Usage::
 
     PYTHONPATH=src python -m repro churn            # scenario
-    PYTHONPATH=src python -m repro churn --smoke    # CI gate
+    PYTHONPATH=src python -m repro churn --smoke    # CI-sized
 """
 
 from __future__ import annotations
@@ -88,26 +91,6 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
           f"{snap['kernel_fd_tables']} live fd tables, "
           f"roster {snap['domain_roster']} uProcesses for "
           f"{snap['active']} churning + 2 resident")
-    if churned.uncontained:
-        for issue in churned.uncontained:
-            print(f"  LEAK: {issue}")
+    for issue in churned.uncontained:
+        print(f"  LEAK: {issue}")
     return results
-
-
-def gate(cfg: ExperimentConfig, results: Dict) -> None:
-    """``--smoke`` gates: turnover and zero leaks."""
-    churned = results["churned"]
-    snap = churned.churn
-    if snap["created"] < 10:
-        raise RuntimeError(
-            f"churn too slow: only {snap['created']} tenants created")
-    if snap["created"] - snap["destroyed"] != snap["active"]:
-        raise RuntimeError(
-            f"turnover accounting broken: created {snap['created']} "
-            f"- destroyed {snap['destroyed']} != active "
-            f"{snap['active']}")
-    if churned.uncontained:
-        raise RuntimeError(
-            f"{len(churned.uncontained)} teardown leak(s): "
-            f"{churned.uncontained}")
-    print("[churn --smoke] gates passed: turnover, zero leaks")

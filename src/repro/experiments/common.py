@@ -499,17 +499,6 @@ def normalized_total(report: SystemReport, cfg: ExperimentConfig,
 
 
 # ----------------------------------------------------------------------
-# Gates
-# ----------------------------------------------------------------------
-def check_gate(ok: bool, message: str, failures: List[str]) -> None:
-    """Print one ``[PASS]``/``[FAIL]`` gate line; a failure's message
-    joins ``failures``."""
-    print(f"  [{'PASS' if ok else 'FAIL'}] {message}")
-    if not ok:
-        failures.append(message)
-
-
-# ----------------------------------------------------------------------
 # Pretty printing
 # ----------------------------------------------------------------------
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:

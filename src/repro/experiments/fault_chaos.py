@@ -13,8 +13,9 @@ Two questions the paper's happy-path evaluation never asks:
 2. *Containment* — with all four fault classes injected at once (drops,
    a uThread crash, a rogue best-effort thread, a stalled scheduler
    core), does the system reclaim every resource and keep co-located
-   uProcesses serving?  The run fails loudly (non-zero exit) if any
-   fault escapes containment, which makes it usable as a CI smoke gate.
+   uProcesses serving?  The run prints every fault that escaped
+   containment; the ``chaos`` row of ``tests/test_claims.py`` fails on
+   any.
 
 Every run goes through ``run_colocation``'s harness, so ``chaos`` honours
 ``--net``, ``--policy``, ``--trace-out``, ``--latency-breakdown`` and
@@ -30,7 +31,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.sim.units import MS, US
 from repro.faults import FaultPlan
@@ -84,9 +85,10 @@ def _realloc_per_ms(system, report) -> float:
     return moves * MS / report.elapsed_ns
 
 
-def main(cfg: ExperimentConfig) -> None:
+def main(cfg: ExperimentConfig) -> Dict:
     # ---- part 1: Uintr fault-rate sweep, VESSEL vs Caladan ------------
     rows = []
+    sweep = []
     for system_name in ("vessel", "caladan"):
         for drop_p in DROP_RATES:
             plan = None
@@ -95,6 +97,7 @@ def main(cfg: ExperimentConfig) -> None:
                     drop_p, at_ns=cfg.warmup_ms * MS)
             report, system = _run(cfg, system_name, plan,
                                   f"{system_name} drop_p={drop_p:.2f}")
+            sweep.append((system_name, drop_p, report))
             lat = report.latency.get("memcached", {})
             rows.append([
                 system_name,
@@ -140,10 +143,8 @@ def main(cfg: ExperimentConfig) -> None:
           f"(completed {report.completed.get('memcached', 0)})")
     print(f"  fallback rate   : {100.0 * _fallback_rate(system):.2f}% "
           f"of {system.preemptions} preemptions")
-    if report.uncontained:
-        for issue in report.uncontained:
-            print(f"  UNCONTAINED: {issue}")
-        raise RuntimeError(
-            f"{len(report.uncontained)} fault(s) escaped containment")
-    print(f"  containment     : all {sum(report.fault_injected.values())} "
-          "injected faults contained, zero leaks")
+    for issue in report.uncontained:
+        print(f"  UNCONTAINED: {issue}")
+    print(f"  containment     : {sum(report.fault_injected.values())} "
+          f"injected faults, {len(report.uncontained)} uncontained")
+    return {"sweep": sweep, "full_chaos": report}

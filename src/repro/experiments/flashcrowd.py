@@ -19,8 +19,8 @@ columns: the protected arm's peak queue stays at the admission
 watermark and drains by the end of the run; the unprotected arms' peaks
 track the whole crowd and are still draining at the horizon.
 
-``python -m repro overload`` prints this table and then gates on it;
-this module has no command of its own.
+``python -m repro overload`` prints this table, and its ``overload-*``
+claim rows judge it; this module has no command of its own.
 """
 
 from __future__ import annotations

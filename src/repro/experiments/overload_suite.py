@@ -1,8 +1,9 @@
-"""The overload acceptance suite: flash crowd + chaos, with hard gates.
+"""The overload suite: flash crowd, then chaos through the spike.
 
-``python -m repro overload`` is the closed-loop robustness demo and CI
-gate in one.  It runs the flash-crowd comparison and then *asserts* the
-graceful-degradation claims instead of just printing them:
+``python -m repro overload`` is the closed-loop robustness demo.  It
+prints the flash-crowd comparison and then runs the protected arm once
+more under chaos; the ``overload-*`` rows of ``tests/test_claims.py``
+judge the graceful-degradation claims on that run:
 
 1. **SLO hold** — the protected arm (VESSEL + autoscaler + admission +
    hardened clients) keeps admitted-request client p99 within the
@@ -16,9 +17,6 @@ graceful-degradation claims instead of just printing them:
    in-flight for every app — shed attempts retry or convert to counted
    losses, never vanish).
 
-Any violated gate raises ``RuntimeError`` (non-zero exit), which is
-what the CI job keys on.
-
 Usage::
 
     PYTHONPATH=src python -m repro overload
@@ -27,18 +25,17 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.sim.units import MS, US
 from repro.faults.plan import FaultPlan
 from repro.experiments import flashcrowd
 from repro.experiments.common import (
     ExperimentConfig,
-    check_gate,
     l_capacity_mops,
     run_colocation,
 )
-from repro.experiments.flashcrowd import FLAGSHIP, SLO_P99_US
+from repro.experiments.flashcrowd import SLO_P99_US
 from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
 
 
@@ -73,62 +70,9 @@ def chaos_run(cfg: ExperimentConfig):
 
 def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = cfg or ExperimentConfig()
-    failures: List[str] = []
-
-    # ---- part 1+2: the flash-crowd comparison and its gates -----------
     results = flashcrowd.main(cfg)
-    arms = dict(results["arms"])
-    flagship = arms[FLAGSHIP]
-    print("\nGates:")
-    p99 = flagship.client_p99_us("mc")
-    shed = flagship.net_ops.get("mc", {}).get("sheds", 0)
-    check_gate(p99 <= SLO_P99_US,
-               f"{FLAGSHIP} admitted-request p99 {p99:.1f} us within the "
-               f"{SLO_P99_US:.0f} us SLO", failures)
-    check_gate(shed > 0, f"{FLAGSHIP} shed the excess ({shed} rejections)",
-               failures)
-    flag_peak = max(flagship.queue_peak.values(), default=0)
-    collapse = []
-    for label, report in results["arms"]:
-        if label == FLAGSHIP:
-            continue
-        peak = max(report.queue_peak.values(), default=0)
-        retries = report.net_ops.get("mc", {}).get("retries", 0)
-        flag_retries = flagship.net_ops.get("mc", {}).get("retries", 0)
-        if peak > 5 * max(1, flag_peak) or retries > 5 * (flag_retries + 1):
-            collapse.append(f"{label} (q peak {peak}, retries {retries})")
-    check_gate(bool(collapse),
-               "unprotected baseline collapses under the same trace: "
-               + (", ".join(collapse) or "none"), failures)
-
-    # ---- part 3: chaos during the spike -------------------------------
     print("\nFaults x overload: Uintr drops + packet delays through the "
           "spike, protected arm")
     report = chaos_run(cfg)
     print(f"  injected: {report.fault_injected}")
-    check_gate(sum(report.fault_injected.values()) > 0,
-               "chaos plan actually fired during the spike", failures)
-    check_gate(not report.uncontained,
-               "containment audit empty under overload + chaos "
-               + (f"(violations: {report.uncontained})"
-                  if report.uncontained else ""), failures)
-    imbalance = {name: row["balance"]
-                 for name, row in report.net_conservation.items()
-                 if row["balance"] != 0}
-    check_gate(not imbalance,
-               "request conservation exact: offered == completed + losses "
-               "+ in-flight" + (f" (imbalance: {imbalance})"
-                                if imbalance else ""), failures)
-    fabric_sheds = report.net_ops.get("mc", {}).get("sheds", 0)
-    admitted_sheds = sum(sum(per.values()) for per in
-                         report.admission.get("shed", {}).values())
-    check_gate(fabric_sheds == admitted_sheds,
-               f"shed accounting consistent across layers "
-               f"(fabric {fabric_sheds} == admission {admitted_sheds})",
-               failures)
-
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} overload gate(s) failed: {failures}")
-    print("\nAll overload gates passed.")
     return {"flashcrowd": results, "chaos": report}

@@ -1,10 +1,11 @@
-"""Trace-invariant audit: the flight recorder proves itself, with gates.
+"""Trace-invariant audit: the flight recorder proves itself.
 
 ``python -m repro tracecheck`` runs per-request flight recording across
 the systems and load paths that exercise every mark type — direct
 submit, the client/link/NIC fabric, admission sheds, autoscaler
-preemptions, chaos-injected packet drops/delays — and then *asserts*
-the recorder's invariants instead of trusting them:
+preemptions, chaos-injected packet drops/delays — and prints a row per
+arm; the ``tracecheck-*`` rows of ``tests/test_claims.py`` judge the
+recorder's invariants on that run instead of trusting them:
 
 1. **audit clean** — every arm's trace-invariant audit is empty:
    marks monotonic, transitions legal, per-core service segments
@@ -18,7 +19,6 @@ the recorder's invariants instead of trusting them:
    net_in / sched_queue / service / net_out stages (a refactor that
    silently unhooks a chokepoint fails here, not in production).
 
-Any violated gate raises ``RuntimeError`` (non-zero exit).
 ``--trace-out FILE`` makes the chaos arm write its merged
 Perfetto/Chrome trace (core spans, op events, slowest-request stage
 spans, gauge counter tracks) to FILE itself; no other arm writes one.
@@ -39,18 +39,11 @@ from repro.net import NetConfig
 from repro.experiments import flashcrowd
 from repro.experiments.common import (
     ExperimentConfig,
-    check_gate,
     format_table,
     l_capacity_mops,
     run_colocation_batch,
 )
 from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
-
-#: stages that must appear somewhere across the arms (coverage gate)
-REQUIRED_STAGES = ("net_in", "nic_ring", "sched_queue", "service",
-                   "net_out")
-#: outcomes that must appear somewhere across the arms (coverage gate)
-REQUIRED_OUTCOMES = ("done", "shed", "drop")
 
 
 def _chaos_plan(cfg: ExperimentConfig) -> FaultPlan:
@@ -127,19 +120,13 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
 
     print("\nTrace-invariant audit:")
     rows = []
-    seen_stages = set()
-    seen_outcomes = set()
     for label, report in results["arms"]:
         outcomes: Dict[str, int] = {}
         for per_app in report.flight_counts.values():
             for outcome, count in per_app.items():
                 outcomes[outcome] = outcomes.get(outcome, 0) + count
-        seen_outcomes.update(outcomes)
-        delta = 0
-        for app, summary in report.latency_stages.items():
-            seen_stages.update(summary["stages"])
-            delta += abs(summary["stage_sum_ns"]
-                         - summary["total_sum_ns"])
+        delta = sum(abs(summary["stage_sum_ns"] - summary["total_sum_ns"])
+                    for summary in report.latency_stages.values())
         rows.append([label, outcomes.get("done", 0),
                      outcomes.get("shed", 0), outcomes.get("drop", 0),
                      outcomes.get("dup", 0), delta,
@@ -147,37 +134,4 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
     print(format_table(
         ["arm", "done", "shed", "drop", "dup", "stage delta ns",
          "violations"], rows))
-
-    print("\nGates:")
-    failures: List[str] = []
-    for label, report in results["arms"]:
-        check_gate(not report.flight_audit,
-                   f"{label}: trace-invariant audit clean"
-                   + ("" if not report.flight_audit
-                      else f" — {report.flight_audit[:3]}"), failures)
-        for app, summary in sorted(report.latency_stages.items()):
-            check_gate(summary["stage_sum_ns"] == summary["total_sum_ns"],
-                       f"{label}/{app}: stage sums telescope to measured "
-                       f"latency exactly", failures)
-        done = sum(per.get("done", 0)
-                   for per in report.flight_counts.values())
-        check_gate(done > 0, f"{label}: recorded completed flights ({done})",
-                   failures)
-    missing_stages = [s for s in REQUIRED_STAGES if s not in seen_stages]
-    check_gate(not missing_stages,
-               "stage coverage across arms: "
-               + (", ".join(sorted(seen_stages)) or "none")
-               + (f" (missing {missing_stages})" if missing_stages else ""),
-               failures)
-    missing_outcomes = [o for o in REQUIRED_OUTCOMES
-                        if o not in seen_outcomes]
-    check_gate(not missing_outcomes,
-               "outcome coverage across arms: "
-               + (", ".join(sorted(seen_outcomes)) or "none")
-               + (f" (missing {missing_outcomes})" if missing_outcomes
-                  else ""), failures)
-
-    if failures:
-        raise RuntimeError("tracecheck gates failed: "
-                           + "; ".join(failures))
     return results

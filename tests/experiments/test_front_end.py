@@ -1,5 +1,5 @@
 """The one front end: ``--smoke`` applies ``SMOKE_PROFILE`` plus a
-module's ``SMOKE`` overrides and then calls the module's ``gate``.
+module's ``SMOKE`` overrides, and nothing else.
 
 A stub module stands in for a real experiment, so nothing here runs a
 simulation.
@@ -19,7 +19,7 @@ from repro.experiments.common import (
 )
 
 
-def _stub(monkeypatch, key="stub", smoke=None, gate=True):
+def _stub(monkeypatch, key="stub", smoke=None):
     """Register a stub experiment under ``key``; returns its call log."""
     calls = []
     module = types.ModuleType(f"{key}_experiment")
@@ -29,13 +29,7 @@ def _stub(monkeypatch, key="stub", smoke=None, gate=True):
         print(f"{key} main")
         return {"key": key}
 
-    def run_gate(cfg, results):
-        calls.append(("gate", cfg, results))
-        print(f"{key} gate")
-
     module.main = main
-    if gate:
-        module.gate = run_gate
     if smoke is not None:
         module.SMOKE = smoke
     monkeypatch.setitem(sys.modules, module.__name__, module)
@@ -43,17 +37,20 @@ def _stub(monkeypatch, key="stub", smoke=None, gate=True):
     return calls
 
 
-def test_smoke_applies_the_profile_then_calls_the_gate(monkeypatch):
+def test_smoke_applies_the_profile(monkeypatch):
     calls = _stub(monkeypatch)
     assert front_end.main(["stub", "--smoke", "--seed", "7"]) == 0
-    assert [call[0] for call in calls] == ["main", "gate"]
+    assert [call[0] for call in calls] == ["main"]
     cfg = calls[0][1]
     assert {key: getattr(cfg, key) for key in SMOKE_PROFILE} \
         == SMOKE_PROFILE
     assert cfg.seed == 7
-    _, gate_cfg, results = calls[1]
-    assert gate_cfg is cfg
-    assert results == {"key": "stub"}
+
+
+def test_run_module_returns_the_results_of_main(monkeypatch):
+    _stub(monkeypatch)
+    assert front_end._run_module("stub", ExperimentConfig(), True) \
+        == {"key": "stub"}
 
 
 def test_module_smoke_overrides_beat_the_shared_profile(monkeypatch):
@@ -66,7 +63,7 @@ def test_module_smoke_overrides_beat_the_shared_profile(monkeypatch):
     assert cfg.jobs == 2
 
 
-def test_without_smoke_the_default_config_runs_and_no_gate(monkeypatch):
+def test_without_smoke_the_default_config_runs(monkeypatch):
     calls = _stub(monkeypatch, smoke=dict(sim_ms=6))
     front_end.main(["stub"])
     assert [call[0] for call in calls] == ["main"]
@@ -83,35 +80,16 @@ def test_scale_paper_applies_the_paper_profile(monkeypatch):
         == PAPER_PROFILE
 
 
-def test_smoke_without_a_gate_only_runs_main(monkeypatch):
-    calls = _stub(monkeypatch, gate=False)
-    front_end.main(["stub", "--smoke"])
-    assert [call[0] for call in calls] == ["main"]
-
-
-def test_a_failing_gate_fails_the_command(monkeypatch):
-    _stub(monkeypatch)
-
-    def failing_gate(cfg, results):
-        raise RuntimeError("gate failed")
-
-    monkeypatch.setattr(sys.modules["stub_experiment"], "gate",
-                        failing_gate)
-    with pytest.raises(RuntimeError, match="gate failed"):
-        front_end.main(["stub", "--smoke"])
-
-
-def test_smoke_gates_run_in_fanned_out_workers(monkeypatch, capsys):
-    """With several experiments and ``--jobs 2`` each runs in a worker;
-    the gates still run there and print in selection order."""
+def test_fanned_out_experiments_print_in_selection_order(monkeypatch,
+                                                         capsys):
+    """With several experiments and ``--jobs 2`` each runs in a worker,
+    and their output is printed in selection order."""
     _stub(monkeypatch, key="first")
     _stub(monkeypatch, key="second")
     front_end.main(["first", "second", "--smoke", "--jobs", "2"])
     out = capsys.readouterr().out
-    lines = [line for line in out.splitlines() if line.endswith(
-        ("main", "gate"))]
-    assert lines == ["first main", "first gate", "second main",
-                     "second gate"]
+    lines = [line for line in out.splitlines() if line.endswith("main")]
+    assert lines == ["first main", "second main"]
 
 
 def test_smoke_and_paper_scale_are_rejected(monkeypatch):
@@ -122,7 +100,7 @@ def test_smoke_and_paper_scale_are_rejected(monkeypatch):
 
 
 def test_tracecheck_arms_do_not_inherit_trace_out():
-    """Only the chaos arm's trace is written, once, after the gates."""
+    """Only the chaos arm's trace is written, once."""
     cfg = ExperimentConfig(trace_out="t.json", **SMOKE_PROFILE)
     assert [arm_cfg.trace_out for _, _, arm_cfg, _ in tracecheck.arms(cfg)] \
         == [None] * 4

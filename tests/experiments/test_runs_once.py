@@ -17,15 +17,18 @@ import pytest
 import repro.perf.parallel
 from repro.__main__ import main
 from repro.experiments import common, fault_chaos
+from tests.pinned import TRACE_COMMAND, command
 
-COMMANDS = ("churn --smoke", "oversub --smoke", "overload --smoke",
-            "tracecheck --smoke --trace-out {tmp}/t.json", "chaos --smoke",
-            "net --smoke")
+#: the scenario commands at their pinned profiles, ``tracecheck``
+#: writing its trace as well
+COMMANDS = tuple(command(name) for name in ("churn", "oversub", "overload",
+                                            "chaos", "net")) \
+    + (TRACE_COMMAND,)
 
 
 @pytest.mark.heavy
-@pytest.mark.parametrize("command", COMMANDS)
-def test_no_simulation_runs_twice(command, tmp_path, monkeypatch):
+@pytest.mark.parametrize("line", COMMANDS)
+def test_no_simulation_runs_twice(line, tmp_path, monkeypatch):
     original = common.run_colocation_full
     signature = inspect.signature(original)
     identities = []
@@ -40,8 +43,9 @@ def test_no_simulation_runs_twice(command, tmp_path, monkeypatch):
         monkeypatch.setattr(module, "run_colocation_full", counted)
     monkeypatch.setattr(repro.perf.parallel, "parallel_map",
                         lambda fn, items, jobs: [fn(item) for item in items])
+    monkeypatch.chdir(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
-        main(command.format(tmp=tmp_path).split())
+        main(line.split())
     assert identities
     repeated = len(identities) - len(set(identities))
     assert not repeated, (

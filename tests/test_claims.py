@@ -1,41 +1,44 @@
-"""The paper's claims, each stated once.
+"""The paper's claims and the scenario commands' checks, each stated once.
 
 :data:`CLAIMS` has one entry per row of the EXPERIMENTS.md headline
 scoreboard: the experiment it reads, the paper's text, ``measure`` (the
 "Measured here" cell) and ``holds`` (the verdict).  Every entry reads
-``module.run(ExperimentConfig())``, the run ``python -m repro <name>``
-prints: seed 42 at the default profile.  Each module runs once and all
-of its rows share the result.  ``jobs=2`` fans a sweep out over two
-worker processes, which leaves every number unchanged.
+the results of its command's pinned run (``tests/pinned.py``): seed 42
+at the profile its EXPERIMENTS.md section quotes, run once per session
+at ``--jobs 2``, which leaves every number unchanged.  All of a
+command's rows, and its stdout digest in ``tests/test_golden_stdout.py``,
+share that one run.
 
 A row's test fails when its generated line differs from the scoreboard,
 so a verdict that flips or a number that moves shows up as a doc diff.
-Rows whose run takes under two seconds are checked in tier-1; the rest
-carry the ``heavy`` marker, which the default ``addopts`` deselect.
-CI's ``smoke (claims)`` entry runs them with
-``python -m pytest tests/test_claims.py -m heavy``.
+A paper row's ✗ is a reported finding.  A ``required`` row is a check
+on a scenario command (containment, conservation, audit): its test also
+fails whenever it does not hold, whatever the scoreboard says.  Rows
+whose run takes under two seconds are checked in tier-1; the rest carry
+the ``heavy`` marker, which the default ``addopts`` deselect.  CI's
+``smoke (heavy)`` entry runs them with ``-m heavy``.
 
 A change that moves a number rewrites the scoreboard
-(``PYTHONPATH=src python tests/test_claims.py``) and lists each changed
+(``PYTHONPATH=src python -m tests.test_claims``) and lists each changed
 cell in CHANGES.md.
 """
 
-import functools
-import importlib
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS
-from repro.experiments.common import ExperimentConfig
+from repro.experiments import oversub
+from repro.experiments.cluster import SLO_P99_US as FLEET_SLO_US
+from repro.experiments.cluster import sustained_load
+from repro.experiments.flashcrowd import FLAGSHIP, SLO_P99_US
+from tests.pinned import marks, pinned_run
 
 DOC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "EXPERIMENTS.md")
 HEADER = "| Claim (paper) | Measured here | Verdict |"
-#: experiments whose documented run takes under two seconds
-TIER1 = {"tab1", "fig03", "micro", "fig07", "fig02"}
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,8 @@ class Claim:
     holds: Callable[[Dict], bool]
     #: what a ✓ agrees on ("quantitative", "shape", "direction", ...)
     kind: str = ""
+    #: a check rather than a finding: its test fails when it is ✗
+    required: bool = False
 
     def row(self, results: Dict) -> str:
         verdict = f"{'✓' if self.holds(results) else '✗'} {self.kind}"
@@ -54,10 +59,8 @@ class Claim:
                 f"| {verdict.rstrip()} |")
 
 
-@functools.lru_cache(maxsize=None)
 def results(experiment: str) -> Dict:
-    module = importlib.import_module(EXPERIMENTS[experiment])
-    return module.run(ExperimentConfig(jobs=2))
+    return pinned_run(experiment)[1]
 
 
 def signed(fraction: float, digits: int = 0) -> str:
@@ -322,6 +325,244 @@ def sensitivity_holds(r):
             and (latency is None or latency > 2 * efficiency))
 
 
+# ----------------------------------------------------------------------
+# Not in the paper: the scenario commands.  Findings for ``policies``
+# and ``oversub``; checks (``required``) for the rest.
+# ----------------------------------------------------------------------
+def injected(report):
+    return sum(report.fault_injected.values())
+
+
+def contained(report):
+    return (f"{injected(report)} faults injected, "
+            f"{len(report.uncontained)} uncontained")
+
+
+def net_tail_measure(r):
+    gaps = [client - server for _, _, server, client in r["points"]]
+    return (f"client P99 {min(gaps):+.1f} to {max(gaps):+.1f} µs over "
+            f"server P99 at {len(gaps)} points")
+
+
+def net_tail_holds(r):
+    return all(client > 0 and not math.isnan(client) and client >= server
+               for _, _, server, client in r["points"])
+
+
+def net_lossy_holds(r):
+    report = r["lossy"]
+    return (injected(report) > 0
+            and report.net_ops["memcached"]["retries"] > 0
+            and not report.uncontained)
+
+
+def policies(r):
+    return {row["policy"]: row for row in r["rows"]}
+
+
+def policies_measure(r):
+    p = policies(r)
+    return (f"hi P999 SJF {p['sjf']['hi_p999_us']:.1f} vs "
+            f"{p['default']['hi_p999_us']:.1f} µs; trust-group idle "
+            f"{p['trust-group']['idle_frac']:.0%}; priority hi P99 "
+            f"{p['priority']['hi_p99_us']:.1f} vs "
+            f"{p['default']['hi_p99_us']:.1f} µs, lo P999 "
+            f"{p['priority']['lo_p999_us']:.1f} vs "
+            f"{p['default']['lo_p999_us']:.1f} µs")
+
+
+def policies_holds(r):
+    p = policies(r)
+    default, priority = p["default"], p["priority"]
+    return (p["sjf"]["hi_p999_us"] > default["hi_p999_us"]
+            and p["trust-group"]["idle_frac"] > 0
+            and priority["hi_p99_us"] <= default["hi_p99_us"]
+            and priority["lo_p999_us"] >= default["lo_p999_us"])
+
+
+def churn_measure(r):
+    snap = r["churned"].churn
+    return (f"{snap['created']} created, {snap['destroyed']} destroyed, "
+            f"{snap['active']} active, {len(r['churned'].uncontained)} "
+            f"leaks")
+
+
+def churn_holds(r):
+    snap = r["churned"].churn
+    return (snap["created"] >= 10
+            and snap["created"] - snap["destroyed"] == snap["active"]
+            and not r["churned"].uncontained)
+
+
+def oversub_arms(r, protected):
+    """``(tenants, report)`` of the arms with or without admission."""
+    return [(tenants, report)
+            for (_, tenants, arm_protected), report in r["arms"]
+            if arm_protected == protected]
+
+
+def worst_p99(report):
+    return max(report.p99_us(name) for name in report.completed)
+
+
+def oversub_measure(r):
+    protected, unprotected = (
+        [report for _, report in oversub_arms(r, flag)]
+        for flag in (True, False))
+    peak = max(max(report.queue_peak.values()) for report in protected)
+    ends = [max(report.queue_final.values()) for report in unprotected]
+    p99s = [[worst_p99(report) for report in arms]
+            for arms in (protected, unprotected)]
+    return (f"queue peak ≤ {peak} with admission; unprotected queues end at "
+            f"{min(ends)}–{max(ends)}; worst P99 "
+            f"{latency(min(p99s[0]))}–{latency(max(p99s[0]))} vs "
+            f"{latency(min(p99s[1]))}–{latency(max(p99s[1]))}")
+
+
+def oversub_holds(r):
+    """Admission holds every queue at its watermark, the unprotected
+    queues never drain, and at each oversubscription factor the
+    protected worst P99 is an order of magnitude below the unprotected
+    one."""
+    protected = oversub_arms(r, True)
+    unprotected = oversub_arms(r, False)
+    return (all(max(report.queue_peak.values())
+                <= oversub.admission_for(tenants).max_queue_depth
+                for tenants, report in protected)
+            and all(max(report.queue_final.values()) > 0
+                    for _, report in unprotected)
+            and all(10 * worst_p99(guarded) < worst_p99(bare)
+                    for (_, guarded), (_, bare)
+                    in zip(protected, unprotected)))
+
+
+def flagship(r):
+    return dict(r["flashcrowd"]["arms"])[FLAGSHIP]
+
+
+def overload_sheds(report):
+    return report.net_ops.get("mc", {}).get("sheds", 0)
+
+
+def overload_slo_holds(r):
+    arm = flagship(r)
+    return arm.client_p99_us("mc") <= SLO_P99_US and overload_sheds(arm) > 0
+
+
+def queue_and_retries(report):
+    """An overload arm's worst queue peak and its clients' retries."""
+    return (max(report.queue_peak.values(), default=0),
+            report.net_ops.get("mc", {}).get("retries", 0))
+
+
+def collapsed(r):
+    """``{label: (queue peak, retries)}`` of the unprotected arms whose
+    queue peak or retries exceed five times the protected arm's."""
+    peak, retries = queue_and_retries(flagship(r))
+    arms = {label: queue_and_retries(report)
+            for label, report in r["flashcrowd"]["arms"] if label != FLAGSHIP}
+    return {label: (arm_peak, arm_retries)
+            for label, (arm_peak, arm_retries) in arms.items()
+            if arm_peak > 5 * max(1, peak) or arm_retries > 5 * (retries + 1)}
+
+
+def overload_collapse_measure(r):
+    peak, retries = queue_and_retries(flagship(r))
+    return ("; ".join(f"{label} q peak {arm_peak}, {arm_retries} retries"
+                      for label, (arm_peak, arm_retries)
+                      in collapsed(r).items())
+            or "none") + f" (protected: {peak}, {retries})"
+
+
+def imbalance(report):
+    return {name: row["balance"]
+            for name, row in report.net_conservation.items()
+            if row["balance"] != 0}
+
+
+def admission_sheds(report):
+    return sum(sum(per.values())
+               for per in report.admission.get("shed", {}).values())
+
+
+def overload_conservation_measure(r):
+    report = r["chaos"]
+    return (f"imbalance {imbalance(report) or 'none'}; sheds: fabric "
+            f"{overload_sheds(report)}, admission {admission_sheds(report)}")
+
+
+def overload_conservation_holds(r):
+    report = r["chaos"]
+    return (not imbalance(report)
+            and overload_sheds(report) == admission_sheds(report))
+
+
+#: stages and outcomes the tracecheck arms must observe between them
+REQUIRED_STAGES = ("net_in", "nic_ring", "sched_queue", "service",
+                   "net_out")
+REQUIRED_OUTCOMES = ("done", "shed", "drop")
+
+
+def done_flights(report):
+    return sum(per.get("done", 0) for per in report.flight_counts.values())
+
+
+def stage_delta(report):
+    return sum(abs(summary["stage_sum_ns"] - summary["total_sum_ns"])
+               for summary in report.latency_stages.values())
+
+
+def tracecheck_audit_measure(r):
+    reports = [report for _, report in r["arms"]]
+    violations = sum(len(report.flight_audit) for report in reports)
+    return (f"{len(reports)} arms: {violations} audit violations, stage "
+            f"delta {sum(stage_delta(report) for report in reports)} ns, "
+            f"≥ {min(done_flights(report) for report in reports)} "
+            f"completed flights each")
+
+
+def tracecheck_audit_holds(r):
+    return all(not report.flight_audit
+               and all(summary["stage_sum_ns"] == summary["total_sum_ns"]
+                       for summary in report.latency_stages.values())
+               and done_flights(report) > 0
+               for _, report in r["arms"])
+
+
+def seen_stages(r):
+    return {stage for _, report in r["arms"]
+            for summary in report.latency_stages.values()
+            for stage in summary["stages"]}
+
+
+def seen_outcomes(r):
+    return {outcome for _, report in r["arms"]
+            for per in report.flight_counts.values() for outcome in per}
+
+
+def tracecheck_coverage_measure(r):
+    return (f"outcomes {', '.join(sorted(seen_outcomes(r)))}; stages "
+            f"{', '.join(sorted(seen_stages(r)))}")
+
+
+def tracecheck_coverage_holds(r):
+    return (set(REQUIRED_STAGES) <= seen_stages(r)
+            and set(REQUIRED_OUTCOMES) <= seen_outcomes(r))
+
+
+def fleet_p99(r, label):
+    return dict(r["skew_arms"])[label].p99_us()
+
+
+def fleet_measure(first, second):
+    return lambda r: (f"P99 {latency(fleet_p99(r, first))} vs "
+                      f"{latency(fleet_p99(r, second))}")
+
+
+def fleet_holds(first, second):
+    return lambda r: fleet_p99(r, first) < fleet_p99(r, second)
+
+
 CLAIMS: List[Claim] = [
     Claim("tab1", "tab1",
           "Switch latency: VESSEL 0.161 µs avg / 0.706 µs P999; Caladan "
@@ -421,6 +662,94 @@ CLAIMS: List[Claim] = [
           "switch under 2.2 µs; its latency edge outlasts twice that "
           "crossover",
           sensitivity_measure, sensitivity_holds, "not in the paper"),
+    Claim("chaos", "chaos",
+          "Chaos: Uintr drops and delays, a uThread crash, a rogue thread "
+          "and a stalled scheduler at once leave nothing uncontained (§4.3)",
+          lambda r: contained(r["full_chaos"]),
+          lambda r: not r["full_chaos"].uncontained,
+          "not in the paper", required=True),
+    Claim("net-tail", "net",
+          "Net: client-observed P99 is positive and at least the "
+          "server-side P99 at every load point",
+          net_tail_measure, net_tail_holds, "not in the paper",
+          required=True),
+    Claim("net-lossy", "net",
+          "Net: a lossy link injects packet faults, clients retry, and "
+          "nothing escapes containment",
+          lambda r: (f"{contained(r['lossy'])}, "
+                     f"{r['lossy'].net_ops['memcached']['retries']} "
+                     f"retries"),
+          net_lossy_holds, "not in the paper", required=True),
+    Claim("policies", "policies",
+          "Policy zoo: SJF costs hi's P999, trust-group cookies force idle "
+          "cores, strict priority helps hi's P99 at lo's P999",
+          policies_measure, policies_holds, "not in the paper"),
+    Claim("churn", "churn",
+          "Churn: tenants turn over (≥ 10 created, created − destroyed = "
+          "active) and teardown leaks nothing (§5.1)",
+          churn_measure, churn_holds, "not in the paper", required=True),
+    Claim("oversub", "oversub",
+          "Oversubscription: admission holds every queue at its watermark; "
+          "unprotected queues never drain and their worst P99 is far above",
+          oversub_measure, oversub_holds, "not in the paper"),
+    Claim("overload-slo", "overload",
+          f"Overload: the protected arm holds admitted client P99 within "
+          f"the {SLO_P99_US:.0f} µs SLO through a 10× spike, shedding the "
+          f"excess",
+          lambda r: (f"P99 {flagship(r).client_p99_us('mc'):.1f} µs, "
+                     f"{overload_sheds(flagship(r))} shed"),
+          overload_slo_holds, "not in the paper", required=True),
+    Claim("overload-collapse", "overload",
+          "Overload: an unprotected arm collapses under the same trace "
+          "(queue peak or retries over 5× the protected arm's)",
+          overload_collapse_measure, lambda r: bool(collapsed(r)),
+          "not in the paper", required=True),
+    Claim("overload-chaos", "overload",
+          "Overload + chaos: Uintr drops and packet delays through the "
+          "spike fire and stay contained",
+          lambda r: contained(r["chaos"]),
+          lambda r: injected(r["chaos"]) > 0 and not r["chaos"].uncontained,
+          "not in the paper", required=True),
+    Claim("overload-conservation", "overload",
+          "Overload + chaos: offered = completed + losses + in flight for "
+          "every app, and fabric and admission count the same sheds",
+          overload_conservation_measure, overload_conservation_holds,
+          "not in the paper", required=True),
+    Claim("tracecheck-audit", "tracecheck",
+          "Trace audit: every arm's flight audit is clean, stage sums "
+          "telescope to measured latency exactly, and completions are "
+          "recorded",
+          tracecheck_audit_measure, tracecheck_audit_holds,
+          "not in the paper", required=True),
+    Claim("tracecheck-coverage", "tracecheck",
+          "Trace coverage: the arms see done, shed and drop flights and "
+          "the net_in, nic_ring, sched_queue, service and net_out stages",
+          tracecheck_coverage_measure, tracecheck_coverage_holds,
+          "not in the paper", required=True),
+    Claim("cluster-least-loaded", "cluster",
+          "Fleet: least-loaded placement beats round-robin under hot-key "
+          "skew",
+          fleet_measure("least-loaded", "round-robin"),
+          fleet_holds("least-loaded", "round-robin"),
+          "not in the paper", required=True),
+    Claim("cluster-coordinator", "cluster",
+          "Fleet: least-loaded plus the coordinator beats round-robin "
+          "under skew",
+          fleet_measure("ll+coordinator", "round-robin"),
+          fleet_holds("ll+coordinator", "round-robin"),
+          "not in the paper", required=True),
+    Claim("cluster-harvest", "cluster",
+          "Fleet: harvesting best-effort cores beats migration alone",
+          fleet_measure("ll+coordinator", "least-loaded"),
+          fleet_holds("ll+coordinator", "least-loaded"),
+          "not in the paper", required=True),
+    Claim("cluster-capacity", "cluster",
+          f"Fleet: a VESSEL fleet sustains more load within a "
+          f"{FLEET_SLO_US:.0f} µs P99 SLO than a Caladan fleet",
+          lambda r: (f"{sustained_load(r, 'vessel'):.2f} vs "
+                     f"{sustained_load(r, 'caladan'):.2f} of nominal"),
+          lambda r: sustained_load(r, "vessel") > sustained_load(r, "caladan"),
+          "not in the paper", required=True),
 ]
 
 
@@ -448,16 +777,16 @@ def test_scoreboard_has_one_line_per_claim():
 
 
 @pytest.mark.parametrize("claim", [
-    pytest.param(claim, id=claim.id,
-                 marks=() if claim.experiment in TIER1 else pytest.mark.heavy)
+    pytest.param(claim, id=claim.id, marks=marks(claim.experiment))
     for claim in CLAIMS])
 def test_claim_row_matches_scoreboard(claim):
-    row = claim.row(results(claim.experiment))
-    assert scoreboard()[CLAIMS.index(claim)] == row
+    r = results(claim.experiment)
+    assert claim.holds(r) or not claim.required, claim.measure(r)
+    assert scoreboard()[CLAIMS.index(claim)] == claim.row(r)
 
 
 if __name__ == "__main__":
-    # Rewrite the scoreboard: PYTHONPATH=src python tests/test_claims.py
+    # Rewrite the scoreboard: PYTHONPATH=src python -m tests.test_claims
     with open(DOC, encoding="utf-8") as handle:
         lines = handle.read().split("\n")
     first, end = scoreboard_bounds(lines)
