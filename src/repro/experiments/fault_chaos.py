@@ -88,7 +88,6 @@ def _realloc_per_ms(system, report) -> float:
 def main(cfg: ExperimentConfig) -> Dict:
     # ---- part 1: Uintr fault-rate sweep, VESSEL vs Caladan ------------
     rows = []
-    sweep = []
     for system_name in ("vessel", "caladan"):
         for drop_p in DROP_RATES:
             plan = None
@@ -97,7 +96,6 @@ def main(cfg: ExperimentConfig) -> Dict:
                     drop_p, at_ns=cfg.warmup_ms * MS)
             report, system = _run(cfg, system_name, plan,
                                   f"{system_name} drop_p={drop_p:.2f}")
-            sweep.append((system_name, drop_p, report))
             lat = report.latency.get("memcached", {})
             rows.append([
                 system_name,
@@ -147,4 +145,4 @@ def main(cfg: ExperimentConfig) -> Dict:
         print(f"  UNCONTAINED: {issue}")
     print(f"  containment     : {sum(report.fault_injected.values())} "
           f"injected faults, {len(report.uncontained)} uncontained")
-    return {"sweep": sweep, "full_chaos": report}
+    return {"full_chaos": report}
