@@ -119,11 +119,11 @@ def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
             "waste_fraction": report.waste_fraction(),
             "p999_us": report.p999_us("mc0"),
         })
-    gate = gate_defense_costs(cfg.costs)
+    gate = callgate_defense_costs(cfg.costs)
     return {"rows": rows, "gate_defense": gate, "load": LOAD}
 
 
-def gate_defense_costs(costs: CostModel) -> Dict[str, int]:
+def callgate_defense_costs(costs: CostModel) -> Dict[str, int]:
     """Park-switch cost with the §4.2 defenses individually removed."""
     full = costs.vessel_park_switch_ns()
     no_recheck = costs.copy(callgate_exit_ns=costs.wrpkru_ns)
