@@ -39,12 +39,10 @@ from repro.workloads.memcached import MEMCACHED_MEAN_SERVICE_NS
 FACTORS = (2, 3)
 #: combined offered load as a fraction of capacity (> 1: never drains)
 TOTAL_LOAD = 1.3
-
-
-def admission_for(tenants: int) -> AdmissionConfig:
-    """Per-tenant watermarks: a short queue (the per-tenant fair share
-    of the machine is under a core) and a tight age cap."""
-    return AdmissionConfig(max_queue_depth=24, max_oldest_wait_ns=100 * US)
+#: the watermarks every protected arm applies to each of its tenants,
+#: whatever the factor: a short queue (a tenant's fair share of the
+#: machine is under a core) and a tight age cap
+ADMISSION = AdmissionConfig(max_queue_depth=24, max_oldest_wait_ns=100 * US)
 
 
 def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
@@ -63,7 +61,7 @@ def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
             kwargs = dict(l_specs=l_specs, b_specs=("linpack",),
                           track_queues=True)
             if protected:
-                kwargs["admission"] = admission_for(tenants)
+                kwargs["admission"] = ADMISSION
             tasks.append(("vessel", cfg, kwargs))
             labels.append((factor, tenants, protected))
     reports = run_colocation_batch(tasks, jobs=cfg.jobs)

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import MS
+from repro.sim.stats import summarize_ns
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
 from repro.kernel.kprocess import ThreadState
@@ -57,7 +58,9 @@ def test_accounting_conserved_everywhere(factory):
 @pytest.mark.parametrize("factory", ALL_SYSTEMS)
 def test_latency_at_least_service_time(factory):
     _, app, _ = run_system(factory)
-    assert app.latency.percentile_us(1) >= 0.5  # min service ~0.7 us
+    samples = sorted(app.latency.samples)
+    # nearest-rank P1: min service ~0.7 us
+    assert samples[len(samples) // 100] >= 500
 
 
 def test_ideal_has_zero_overhead():
@@ -71,7 +74,7 @@ def test_latency_ordering_vessel_caladan_cfs():
     results = {}
     for factory in (VesselSystem, CaladanSystem, LinuxCfsSystem):
         _, app, _ = run_system(factory, rate=1.0, sim_ms=15)
-        results[factory] = app.latency.percentile_us(99.9)
+        results[factory] = summarize_ns(app.latency.samples)["p999_us"]
     assert results[VesselSystem] < results[CaladanSystem]
     assert results[CaladanSystem] < results[LinuxCfsSystem]
 
@@ -87,8 +90,8 @@ def test_dr_h_more_efficient_higher_latency_than_dr_l():
     _, app_l, rep_l = run_system(caladan_dr_l, rate=1.5, sim_ms=20)
     _, app_h, rep_h = run_system(caladan_dr_h, rate=1.5, sim_ms=20)
     assert rep_h.waste_fraction() <= rep_l.waste_fraction() + 0.01
-    assert app_h.latency.percentile_us(99.9) > \
-        app_l.latency.percentile_us(99.9) * 0.9
+    assert summarize_ns(app_h.latency.samples)["p999_us"] > \
+        summarize_ns(app_l.latency.samples)["p999_us"] * 0.9
 
 
 def test_caladan_uses_fig3_pipeline():
@@ -106,7 +109,7 @@ def test_cfs_b_app_gets_most_cores_at_low_load():
 
 def test_cfs_latency_is_milliseconds():
     _, app, _ = run_system(LinuxCfsSystem, rate=0.5, sim_ms=25)
-    assert app.latency.percentile_us(99.9) > 1000  # >1 ms
+    assert summarize_ns(app.latency.samples)["p999_us"] > 1000  # >1 ms
 
 
 def test_cfs_wakes_rotate_over_sleeping_workers():
@@ -143,7 +146,7 @@ def test_arachne_saturates_at_granted_cores():
     _, app, _ = run_system(ArachneSystem, rate=2.5, sim_ms=15)
     max_possible = 15 * MS / 970  # one core's worth
     assert app.completed.value <= 1.3 * max_possible
-    assert app.latency.percentile_us(99.9) > 500
+    assert summarize_ns(app.latency.samples)["p999_us"] > 500
 
 
 def test_caladan_bw_cap_constructor():
@@ -186,7 +189,7 @@ def test_caladan_arrival_goes_to_first_spinning_core():
 
 def test_ideal_preempts_batch_for_latency_instantly():
     _, app, report = run_system(IdealSystem, rate=2.0, sim_ms=10)
-    assert app.latency.percentile_us(99.9) < 5.0
+    assert summarize_ns(app.latency.samples)["p999_us"] < 5.0
 
 
 def test_fig12_control_plane_factors():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import MS
+from repro.sim.stats import summarize_ns
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
 from repro.vessel.scheduler import VesselSystem
@@ -136,7 +137,7 @@ def test_heavier_load_means_more_latency():
     for rate in (0.5, 3.5):
         _, _, _, apps, _ = _run(VesselSystem, 4, 1, rate, seed=11,
                                 sim_ms=10)
-        lats.append(apps[0].latency.percentile_us(99))
+        lats.append(summarize_ns(apps[0].latency.samples)["p99_us"])
     assert lats[1] > lats[0]
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import MS
+from repro.sim.stats import summarize_ns
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
 from repro.baselines.caladan import CaladanSystem, caladan_dr_h
@@ -35,8 +36,8 @@ def run_once(factory, seed, rate=1.2, workers=3, sim_ms=12):
 def test_vessel_beats_caladan_across_seeds(seed):
     vessel_app, vessel_rep = run_once(VesselSystem, seed)
     caladan_app, caladan_rep = run_once(CaladanSystem, seed)
-    assert vessel_app.latency.percentile_us(99.9) \
-        < caladan_app.latency.percentile_us(99.9)
+    assert summarize_ns(vessel_app.latency.samples)["p999_us"] \
+        < summarize_ns(caladan_app.latency.samples)["p999_us"]
     assert vessel_rep.waste_fraction() < caladan_rep.waste_fraction()
 
 

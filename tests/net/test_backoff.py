@@ -5,6 +5,7 @@ from dataclasses import replace
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import MS, US
+from repro.sim.stats import summarize_ns
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
 from repro.net import NetConfig, NetFabric
@@ -37,8 +38,8 @@ def run_fabric(net, seed=5, rate=3.0, sim_ms=2, drop_probability=0.0):
 
 
 def fingerprint(fabric):
-    return repr((sorted(fabric.stats["mc"].items()),
-                 round(fabric.client_latency["mc"].percentile_us(99), 6)))
+    p99 = summarize_ns(fabric.client_latency["mc"].samples)["p99_us"]
+    return repr((sorted(fabric.stats["mc"].items()), round(p99, 6)))
 
 
 def make_client(cfg):

@@ -64,8 +64,7 @@ def test_oversub_admission_bounds_queues():
     for factor in oversub.FACTORS:
         worst_raw = max(by_label[(factor, False)].queue_peak.values())
         worst_adm = max(by_label[(factor, True)].queue_peak.values())
-        cap = oversub.admission_for(factor).max_queue_depth
-        assert worst_adm <= cap
+        assert worst_adm <= oversub.ADMISSION.max_queue_depth
         assert worst_adm < worst_raw
 
 

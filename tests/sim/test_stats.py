@@ -1,6 +1,7 @@
 """Tests for measurement primitives."""
 
 import math
+import random
 import tracemalloc
 from array import array
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.sim.stats import (
+    RUN_SAMPLES,
     BusyAccounter,
     Counter,
     LatencyRecorder,
@@ -45,8 +47,9 @@ def test_recorder_mean_and_percentile():
     recorder = LatencyRecorder("r")
     for value in (1000, 2000, 3000):
         recorder.record(value)
-    assert recorder.mean_us() == pytest.approx(2.0)
-    assert recorder.percentile_us(50) == pytest.approx(2.0)
+    summary = summarize_ns(recorder.samples)
+    assert summary["avg_us"] == pytest.approx(2.0)
+    assert summary["p50_us"] == pytest.approx(2.0)
     assert recorder.count == 3
 
 
@@ -65,7 +68,7 @@ def test_recorder_clear():
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1,
                 max_size=200))
-def test_summary_mean_matches_numpy(samples):
+def test_summary_mean_approximates_integer_mean(samples):
     summary = summarize_ns(samples)
     assert summary["avg_us"] == pytest.approx(
         sum(samples) / len(samples) / 1000.0)
@@ -82,9 +85,9 @@ def test_summary_percentiles_within_range(samples):
 
 
 def _three_copy_summary(samples):
-    """The summary as first written: asarray, a divided copy, and
-    np.percentile's own internal copy.  The single-copy summary must
-    match it bit for bit."""
+    """The summary as first written, on numpy: asarray, a divided copy,
+    and np.percentile's own internal copy.  numpy is the test-only
+    oracle; the stdlib summary must match it bit for bit."""
     arr = np.asarray(samples, dtype=np.float64) / 1_000.0
     p50, p90, p99, p999 = np.percentile(arr, [50, 90, 99, 99.9])
     return {"count": int(arr.size), "avg_us": float(arr.mean()),
@@ -104,15 +107,53 @@ def test_summary_is_bit_identical_to_three_copy_formula(base, repeat):
     expected = _three_copy_summary(samples)
     as_list = list(samples)
     as_array = array("q", samples)
-    as_ndarray = np.asarray(samples, dtype=np.float64)
-    before = as_ndarray.copy()
     assert summarize_ns(as_list) == expected
     assert summarize_ns(as_array) == expected
-    assert summarize_ns(as_ndarray) == expected
-    # the in-place percentile works on a private copy only
+    # the summary sorts private copies only
     assert as_list == samples
     assert as_array == array("q", samples)
-    assert np.array_equal(as_ndarray, before)
+
+
+def _draws(kind, n, seed):
+    """``n`` seeded samples of one value distribution."""
+    rng = random.Random(seed)
+    if kind == "lognormal":  # latency-like: a few µs, a long tail
+        return [int(rng.lognormvariate(8.0, 1.2)) for _ in range(n)]
+    if kind == "uniform-2^40":
+        return [rng.randrange(2**40) for _ in range(n)]
+    if kind == "top-of-int64":  # floats round here; 2**63 - 1 included
+        return [2**63 - 1 - rng.randrange(2**20) for _ in range(n - 1)] \
+            + [2**63 - 1]
+    if kind == "duplicates":  # three distinct values
+        return [1_000 * rng.randrange(3) for _ in range(n)]
+    if kind == "one-value":
+        return [(0, 1_999, 2**63 - 1)[seed % 3]] * n
+    raise ValueError(kind)
+
+
+#: sizes on both sides of the pairwise sum's 8- and 128-sample branches,
+#: of its splits, and of the summary's run size
+BRANCH_SIZES = (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137,
+                255, 256, 257, 1_000, RUN_SAMPLES - 1, RUN_SAMPLES,
+                RUN_SAMPLES + 1, 2 * RUN_SAMPLES + 8, 3 * RUN_SAMPLES + 5)
+
+
+@pytest.mark.parametrize("kind", ["lognormal", "uniform-2^40",
+                                  "top-of-int64", "duplicates",
+                                  "one-value"])
+def test_summary_is_bit_identical_across_branches(kind):
+    for index, n in enumerate(BRANCH_SIZES):
+        samples = _draws(kind, n, seed=index)
+        assert summarize_ns(array("q", samples)) \
+            == _three_copy_summary(samples), (kind, n)
+
+
+def test_summary_is_bit_identical_at_a_million_samples():
+    rng = random.Random(7)
+    samples = array("q", (int(rng.lognormvariate(8.0, 1.2))
+                          for _ in range(1_000_003)))
+    samples[12_345] = 2**63 - 1
+    assert summarize_ns(samples) == _three_copy_summary(samples)
 
 
 def test_recorder_negative_leaves_samples_unchanged():
@@ -171,7 +212,7 @@ def test_recorder_stores_samples_unboxed():
 def test_summary_makes_one_full_size_copy():
     n = 100_000
     samples = array("q", range(1_000, 1_000 + n))
-    summarize_ns(samples[:10])  # first call imports numpy lazily
+    summarize_ns(samples[:10])
     _growth, peak = _traced_bytes(lambda: summarize_ns(samples))
     # one float64 copy is 8 bytes a sample; a second would double it
     assert peak <= 1.25 * 8 * n

@@ -427,8 +427,8 @@ def oversub_holds(r):
     protected = oversub_arms(r, True)
     unprotected = oversub_arms(r, False)
     return (all(max(report.queue_peak.values())
-                <= oversub.admission_for(tenants).max_queue_depth
-                for tenants, report in protected)
+                <= oversub.ADMISSION.max_queue_depth
+                for _, report in protected)
             and all(max(report.queue_final.values()) > 0
                     for _, report in unprotected)
             and all(10 * worst_p99(guarded) < worst_p99(bare)
