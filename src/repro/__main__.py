@@ -54,7 +54,6 @@ EXPERIMENTS = {
     "chaos": "repro.experiments.fault_chaos",
     "net": "repro.experiments.net_smoke",
     "ablations": "repro.experiments.ablations",
-    "sensitivity": "repro.experiments.sensitivity",
     "policies": "repro.experiments.policy_zoo",
     "churn": "repro.experiments.churn",
     "oversub": "repro.experiments.oversub",

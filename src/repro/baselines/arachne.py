@@ -11,9 +11,14 @@ Figure 9 shows:
   slow and per-request wakeups go through the kernel.
 
 The estimator first fires after ``arachne_estimator_interval_ns``
-(50 ms).  ``python -m repro fig09`` runs 30 ms, so there each L-app
-keeps its initial one-core grant for the whole run and saturates at
-that core's capacity (about 1 Mops of memcached).
+(50 ms).  At the default profile ``python -m repro fig09`` runs 30 ms,
+so each L-app keeps its initial one-core grant for the whole run and
+saturates at that core's capacity (1.03 Mops of memcached served at
+1.2 Mops offered, seed 42).  At ``python -m repro --scale paper fig09``
+(120 ms) it fires at 50 and 100 ms and grants memcached a second core
+in the 1.2 Mops cell, which then serves 1.23 Mops.  The golden case
+``arachne_estimator`` in ``tests/experiments/golden_run_colocation.json``
+(60 ms) pins a run where it acts.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ run gets its config from the one front end, ``repro.__main__``::
 | fig12_scalability       | Fig. 12: goodput vs managed cores             |
 | fig13_membw             | Fig. 13: bandwidth-aware colocation + reg.    |
 | micro_uintr             | §2.2: Uintr vs IPI signal latency             |
-| ablations               | DESIGN §7: mechanism-vs-policy ablations      |
-| sensitivity             | how cheap a switch VESSEL's edge needs        |
+| ablations               | DESIGN §7: ablations, switch-cost crossovers  |
 | fault_chaos             | ``chaos``: §4.3 containment under faults      |
 | net_smoke               | ``net``: client-observed latency, lossy link  |
 | policy_zoo              | ``policies``: scheduling policies compared    |

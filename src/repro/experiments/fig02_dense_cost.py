@@ -12,7 +12,7 @@ from typing import Dict, Optional
 from repro.experiments.common import (
     ExperimentConfig,
     format_table,
-    run_colocation,
+    run_colocation_batch,
 )
 
 COUNTS = (1, 2, 4, 8)
@@ -23,12 +23,14 @@ TOTAL_LOAD = 0.5
 def run(cfg: Optional[ExperimentConfig] = None) -> Dict:
     cfg = (cfg or ExperimentConfig()).scaled(num_workers=1)
     capacity_mops = 1.0  # one worker, ~1 us service
+    specs = [[("memcached", f"mc{i}", TOTAL_LOAD * capacity_mops / count)
+              for i in range(count)] for count in COUNTS]
+    reports = run_colocation_batch(
+        [("caladan", cfg, dict(l_specs=l_specs, b_specs=()))
+         for l_specs in specs],
+        jobs=cfg.jobs)
     points = []
-    for count in COUNTS:
-        per_app = TOTAL_LOAD * capacity_mops / count
-        l_specs = [("memcached", f"mc{i}", per_app) for i in range(count)]
-        report = run_colocation("caladan", cfg, l_specs=l_specs,
-                                b_specs=())
+    for count, l_specs, report in zip(COUNTS, specs, reports):
         points.append({
             "instances": count,
             "app_fraction": report.app_fraction(),

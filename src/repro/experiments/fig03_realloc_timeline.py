@@ -47,7 +47,7 @@ def run(cfg: ExperimentConfig = None) -> Dict:
         "timeline": timeline,
         "measured_total_us": done_at[0] / 1000.0,
         "paper_total_us": PAPER_TOTAL_US,
-        "accounting": dict(machine.cores[0].acct.buckets),
+        "accounting": dict(machine.cores[0].buckets),
     }
 
 

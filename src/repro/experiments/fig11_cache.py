@@ -48,8 +48,20 @@ def _random_page_mapping(ws_base: int, ws_size: int, rng: random.Random,
     return translate
 
 
-def _identity(addr: int) -> int:
-    return addr
+class _TranslatedCache:
+    """The shared cache as seen through one kProcess's page mapping.
+
+    Objects are object-aligned inside a page-aligned working set and an
+    object divides a page, so no object crosses a page: translating its
+    start address translates every line of it.
+    """
+
+    def __init__(self, cache: CacheSim, translate) -> None:
+        self.cache = cache
+        self.translate = translate
+
+    def access_range(self, start: int, length: int, tag: str) -> int:
+        return self.cache.access_range(self.translate(start), length, tag)
 
 
 def _run_mode(mode: str, cfg: ExperimentConfig,
@@ -59,39 +71,20 @@ def _run_mode(mode: str, cfg: ExperimentConfig,
     if mode == "vessel":
         # One SMAS: the two uProcess regions are disjoint ranges.
         bases = [0x1000_0000, 0x1000_0000 + WS_BYTES]
-        translate = [_identity, _identity]
+        views = [cache, cache]
         switch_ns = costs.vessel_park_switch_ns()
     else:
         # Two kProcesses: same virtual layout, random physical pages.
         bases = [0x1000_0000, 0x1000_0000]
-        translate = [
-            _random_page_mapping(0x1000_0000, WS_BYTES, rng),
-            _random_page_mapping(0x1000_0000, WS_BYTES, rng),
-        ]
+        views = [_TranslatedCache(cache, _random_page_mapping(
+            0x1000_0000, WS_BYTES, rng)) for _ in range(2)]
         switch_ns = (costs.caladan_park_yield_ns
                      + costs.caladan_park_switch_ns)
-
     apps = [ObjCopyApp(f"{mode}-app{i}", bases[i], WS_BYTES)
             for i in range(2)]
-
-    class _TranslatingCache:
-        """Applies the app's address translation before the cache."""
-
-        def __init__(self, index: int) -> None:
-            self.index = index
-
-        def access_range(self, start: int, length: int, tag: str) -> int:
-            misses = 0
-            first = start // LINE_BYTES
-            last = (start + length - 1) // LINE_BYTES
-            fn = translate[self.index]
-            for line in range(first, last + 1):
-                phys = fn(line * LINE_BYTES)
-                if not cache.access(phys, tag):
-                    misses += 1
-            return misses
-
-    views = [_TranslatingCache(0), _TranslatingCache(1)]
+    # No object crosses a page (see _TranslatedCache).
+    assert all(app.ws_base % PAGE_BYTES == 0
+               and PAGE_BYTES % app.object_bytes == 0 for app in apps)
 
     def phase(ops: int) -> int:
         nonlocal current

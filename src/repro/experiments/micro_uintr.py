@@ -29,7 +29,6 @@ def run(cfg: ExperimentConfig = None) -> Dict:
     fired = {}
     machine.uintr.register_handler(1, lambda vec: latencies_uintr.append(
         sim.now - fired["t"]))
-    machine.uintr.on_user_resume(1)
     index = machine.uintr.register_sender(0, 1, vector=3)
     for _ in range(ITERATIONS):
         fired["t"] = sim.now

@@ -24,6 +24,7 @@ from repro.experiments.common import (
     format_table,
     l_capacity_mops,
     run_colocation,
+    run_colocation_batch,
 )
 from repro.faults import FaultPlan
 from repro.net import NetConfig
@@ -44,22 +45,24 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
         cfg = cfg.scaled(net=NetConfig())
     capacity = l_capacity_mops(cfg, MEMCACHED_MEAN_SERVICE_NS)
 
+    sweep = [(system, load) for system in SYSTEMS for load in LOADS]
+    reports = run_colocation_batch(
+        [(system, cfg, dict(
+            l_specs=[("memcached", "memcached", load * capacity)],
+            b_specs=("linpack",)))
+         for system, load in sweep],
+        jobs=cfg.jobs)
     rows = []
     points = []
-    for system in SYSTEMS:
-        for load in LOADS:
-            report = run_colocation(
-                system, cfg,
-                l_specs=[("memcached", "memcached", load * capacity)],
-                b_specs=("linpack",))
-            server_p99 = report.latency["memcached"]["p99_us"]
-            client_p99 = report.client_p99_us("memcached")
-            counters = report.net_ops["memcached"]
-            rows.append([system, load,
-                         f"{server_p99:.1f}", f"{client_p99:.1f}",
-                         counters["offered"], counters["completed"],
-                         counters["retries"], counters["losses"]])
-            points.append((system, load, server_p99, client_p99))
+    for (system, load), report in zip(sweep, reports):
+        server_p99 = report.latency["memcached"]["p99_us"]
+        client_p99 = report.client_p99_us("memcached")
+        counters = report.net_ops["memcached"]
+        rows.append([system, load,
+                     f"{server_p99:.1f}", f"{client_p99:.1f}",
+                     counters["offered"], counters["completed"],
+                     counters["retries"], counters["losses"]])
+        points.append((system, load, server_p99, client_p99))
     print("Client-observed vs server-side tail latency "
           "(memcached + linpack over the simulated fabric):")
     print(format_table(
@@ -67,6 +70,8 @@ def main(cfg: Optional[ExperimentConfig] = None) -> Dict:
          "completed", "retries", "losses"], rows))
 
     # ---- lossy link: injected packet drops/delays ---------------------
+    # Run after the table is printed, so under --op-breakdown this run's
+    # ledger table follows the sweep's table.
     plan = (FaultPlan(seed=cfg.seed)
             .drop_packets(DROP_P, at_ns=cfg.warmup_ms * MS)
             .delay_packets(DELAY_NS, probability=DELAY_P,

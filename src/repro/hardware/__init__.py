@@ -10,8 +10,8 @@ has a model here:
     Memory protection keys: per-region pkeys, the PKRU register,
     WRPKRU/RDPKRU, combined page-permission + key checks.
 ``uintr``
-    Userspace interrupts: UPID/UITT, ``senduipi``, delivery to a running
-    receiver, deferral while the receiver is in the kernel or descheduled.
+    Userspace interrupts: UPID/UITT, ``senduipi``, delivery to the
+    receiver's handler, posted vectors coalescing in the UPID.
 ``ipi``
     Kernel inter-processor interrupts (the slow path Caladan uses).
 ``membus``

@@ -8,17 +8,16 @@ attributes elapsed time to accounting categories (``app`` / ``runtime`` /
 segment returns how much work was left, which the scheduler re-queues.
 
 Cores also carry the architectural state the functional layer needs: the
-PKRU register (MPK) and the user/kernel/runtime mode used by the Uintr
-controller's suppress/resume logic.
+PKRU register (MPK) and the user/kernel/runtime mode that the call gate
+and the switch path set.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.stats import BusyAccounter
 from repro.hardware.mpk import PkruRegister
 from repro.hardware.timing import CostModel
 from repro.obs.ledger import NULL_LEDGER, OpLedger
@@ -41,7 +40,9 @@ class Core:
         self.id = core_id
         self.pkru = PkruRegister(PkruRegister.ALL_DENIED_EXCEPT_0)
         self.mode = CoreMode.IDLE
-        self.acct = BusyAccounter()
+        #: elapsed ns per accounting category ("app:<name>", "runtime",
+        #: "kernel", "idle", ...); Figures 1b and 2 read these
+        self.buckets: Dict[str, int] = {}
         self._category = "idle"
         self._since = sim.now
         #: the one completion handle, re-armed for every segment (pending
@@ -60,13 +61,11 @@ class Core:
     # Accounting
     # ------------------------------------------------------------------
     def _switch_category(self, category: str) -> None:
-        # Fires on every segment start/stop of every core; the bucket
-        # update is inlined (acct.charge's negative check is redundant
-        # here because ``elapsed > 0`` already guards it).
+        # Fires on every segment start/stop of every core.
         now = self.sim.now
         elapsed = now - self._since
         if elapsed > 0:
-            buckets = self.acct.buckets
+            buckets = self.buckets
             previous = self._category
             buckets[previous] = buckets.get(previous, 0) + elapsed
             if self.tracer is not None:
@@ -75,7 +74,7 @@ class Core:
         self._since = now
 
     def settle(self) -> None:
-        """Flush accrued time in the current category into the accounter."""
+        """Flush accrued time in the current category into the buckets."""
         self._switch_category(self._category)
 
     @property
@@ -155,7 +154,7 @@ class Core:
         now = self.sim.now
         elapsed = now - self._since
         if elapsed > 0:
-            buckets = self.acct.buckets
+            buckets = self.buckets
             previous = self._category
             buckets[previous] = buckets.get(previous, 0) + elapsed
             if self.tracer is not None:
@@ -210,11 +209,11 @@ class Machine:
         for core in self.cores:
             core.settle()
 
-    def total_accounting(self) -> BusyAccounter:
-        """Aggregate per-core accounting into one accounter."""
+    def total_accounting(self) -> Dict[str, int]:
+        """Every core's buckets, summed per category."""
         self.settle_all()
-        total = BusyAccounter()
+        total: Dict[str, int] = {}
         for core in self.cores:
-            for category, elapsed in core.acct.buckets.items():
-                total.charge(category, elapsed)
+            for category, elapsed in core.buckets.items():
+                total[category] = total.get(category, 0) + elapsed
         return total

@@ -3,22 +3,17 @@
 The model mirrors the architectural objects:
 
 * each receiver holds a :class:`Upid` (User Posted Interrupt Descriptor)
-  with a posted-interrupt request bitmap and a notification flag;
+  with a posted-interrupt request bitmap;
 * each sender holds a UITT (User Interrupt Target Table) of
   :class:`UittEntry` rows mapping an index to a (UPID, vector) pair;
-* ``senduipi <index>`` posts the vector into the target UPID and, if the
-  receiver is currently running in user mode, delivers it after the
-  hardware delivery latency — the receiver's registered handler runs and
-  finishes with ``uiret``;
-* if the receiver is in the kernel or context-switched out, delivery is
-  *deferred* until it next returns to user mode (§2.2), which the core
-  model signals via :meth:`UintrController.on_user_resume`.
+* ``senduipi <index>`` posts the vector into the target UPID and
+  delivers it after the hardware delivery latency — the receiver's
+  registered handler runs and finishes with ``uiret``.
 
-Deferral never happens in a colocation run: a UPID starts suppressed,
-``VesselSystem.start`` resumes every worker once, and no src code
-suppresses a receiver again, so ``deferred`` stays 0 (see "Mechanisms
-inert at the documented commands" in docs/ARCHITECTURE.md).  The tests
-drive the deferral path directly.
+The model has no user-mode suppression: a receiver registered with
+:meth:`UintrController.register_handler` takes every notification.  A
+vector stays posted in the UPID only while its notification is in
+flight or was dropped by the fault-injection hook.
 """
 
 from __future__ import annotations
@@ -51,8 +46,6 @@ class Upid:
     receiver_id: int
     #: posted-but-undelivered vectors (the PIR bitmap)
     pending: int = 0
-    #: suppress notification (receiver not running in user mode)
-    suppressed: bool = True
     handler: Optional[UintrHandler] = None
 
     def post(self, vector: int) -> None:
@@ -99,7 +92,6 @@ class UintrController:
         self._uitts: Dict[int, List[UittEntry]] = {}
         self.sent: int = 0
         self.delivered: int = 0
-        self.deferred: int = 0
         self.dropped: int = 0
         self.delayed: int = 0
         #: optional fault-injection hook consulted on every senduipi
@@ -126,15 +118,6 @@ class UintrController:
             raise KeyError(f"receiver {receiver_id} has no registered UPID")
         return upid
 
-    def on_user_resume(self, receiver_id: int) -> None:
-        """Receiver returned to user mode: deliver any deferred vectors."""
-        upid = self._upids.get(receiver_id)
-        if upid is None:
-            return
-        upid.suppressed = False
-        if upid.pending:
-            self.sim.post(self.costs.uintr_deliver_ns, self._deliver, upid)
-
     # ---------------------------------------------------------------
     # Sender side
     # ---------------------------------------------------------------
@@ -146,12 +129,8 @@ class UintrController:
         return len(table) - 1
 
     def senduipi(self, sender_id: int, index: int) -> None:
-        """Post an interrupt through UITT entry ``index``.
-
-        If the receiver is running in user mode, the handler fires after
-        the hardware delivery latency; otherwise the vector stays posted
-        in the UPID until :meth:`on_user_resume`.
-        """
+        """Post an interrupt through UITT entry ``index``; the receiver's
+        handler fires after the hardware delivery latency."""
         table = self._uitts.get(sender_id)
         if table is None or not 0 <= index < len(table):
             raise IndexError(f"sender {sender_id} has no UITT entry {index}")
@@ -160,17 +139,14 @@ class UintrController:
         self.sent += 1
         if self.ledger.enabled:
             self._send_handle.charge(self.costs.uintr_send_ns, sender_id)
-        if entry.upid.suppressed:
-            self.deferred += 1
-            return
         extra_ns = 0
         if self.inject is not None:
             disposition = self.inject(sender_id, entry.upid.receiver_id,
                                       entry.vector)
             if disposition == UINTR_DROP:
                 # The notification is lost in flight; the vector stays
-                # posted in the PIR, so a later senduipi (or user resume)
-                # still finds and delivers it.
+                # posted in the PIR, so a later senduipi still finds and
+                # delivers it.
                 self.dropped += 1
                 if self.ledger.enabled:
                     self.ledger.charge("fault:uintr_drop", 0,
@@ -192,9 +168,9 @@ class UintrController:
 
     # ---------------------------------------------------------------
     def _deliver(self, upid: Upid) -> None:
-        if upid.suppressed or not upid.pending:
-            # The receiver left user mode (or was already drained) between
-            # posting and delivery; the vector stays pending.
+        if not upid.pending:
+            # An earlier delivery already drained it: a retry after a
+            # dropped notification, or two posts in the same instant.
             return
         handler = upid.handler
         vectors = upid.drain()

@@ -211,10 +211,8 @@ class ColocationSystem:
         """Open-loop intake; subclasses react in ``on_arrival``."""
         if self.flight.enabled:
             self.flight.on_submit(request)
-        # The counter is bumped directly (Counter.add's negative check
-        # cannot fire for 1).
         app = request.app
-        app.offered.value += 1
+        app.offered += 1
         app.queue.append(request)
         self.on_arrival(app, request)
 
@@ -250,7 +248,7 @@ class ColocationSystem:
         # Hot path: one call per request; Request.latency_ns is inlined.
         app = request.app
         now = self.sim.now
-        app.completed.value += 1
+        app.completed += 1
         sent = request.client_send_ns
         app.latency.record(now - (request.arrival_ns if sent is None
                                   else sent))
@@ -301,7 +299,7 @@ class ColocationSystem:
             app.reset_measurements()
         for core in self.worker_cores:
             core.settle()
-            core.acct.clear()
+            core.buckets.clear()
         # Op statistics cover the same window the report does.
         self.ledger.reset()
         self._measuring_since = self.sim.now
@@ -313,7 +311,7 @@ class ColocationSystem:
         buckets: Dict[str, int] = {}
         for core in self.worker_cores:
             core.settle()
-            for category, value in core.acct.buckets.items():
+            for category, value in core.buckets.items():
                 buckets[category] = buckets.get(category, 0) + value
         rep = SystemReport(
             system=self.name,
@@ -325,7 +323,7 @@ class ColocationSystem:
         for app in self.apps:
             if app.is_latency:
                 rep.latency[app.name] = summarize_ns(app.latency.samples)
-                rep.completed[app.name] = app.completed.value
+                rep.completed[app.name] = app.completed
             else:
                 rep.useful_ns[app.name] = app.useful_ns
         return rep

@@ -1,15 +1,12 @@
-"""Measurement primitives.
+"""Latency measurement.
 
-The paper reports three kinds of quantities and each has a recorder here:
-
-* request latencies and their percentiles (P50/P90/P99/P999) —
-  :class:`LatencyRecorder`, which keeps every sample exact and unboxed
-  in an ``array("q")`` (8 bytes each, not a boxed int per request), and
-  :func:`summarize_ns`, which summarizes them exactly with the standard
-  library alone, in bounded memory;
-* throughput / operation counts — :class:`Counter`;
-* where CPU time went (application logic vs. runtime vs. kernel vs. idle,
-  Figures 1b and 2) — :class:`BusyAccounter`.
+Request latencies and their percentiles (P50/P90/P99/P999):
+:class:`LatencyRecorder` keeps every sample exact and unboxed in an
+``array("q")`` (8 bytes each, not a boxed int per request), and
+:func:`summarize_ns` summarizes them exactly with the standard library
+alone, in bounded memory.  Operation counts are plain ints on each
+``App`` (``offered``, ``completed``), and where CPU time went is each
+``Core``'s ``buckets`` dict.
 """
 
 from __future__ import annotations
@@ -174,50 +171,3 @@ class LatencyRecorder:
     def clear(self) -> None:
         # array has no .clear() before Python 3.13
         del self.samples[:]
-
-
-class Counter:
-    """A monotone operation counter with throughput helpers."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value: int = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"negative increment {amount}")
-        self.value += amount
-
-    def clear(self) -> None:
-        self.value = 0
-
-
-class BusyAccounter:
-    """Attributes elapsed core time to named categories.
-
-    Categories used throughout the reproduction: ``"app"`` (application
-    logic), ``"runtime"`` (userspace scheduler/runtime work, including
-    spinning and stealing), ``"kernel"`` (traps, IPIs, kernel context
-    switches), and ``"idle"``.  Figures 1b and 2 are produced directly from
-    these buckets.
-    """
-
-    def __init__(self) -> None:
-        self.buckets: Dict[str, int] = {}
-
-    def charge(self, category: str, elapsed_ns: int) -> None:
-        if elapsed_ns < 0:
-            raise ValueError(f"negative charge {elapsed_ns}")
-        self.buckets[category] = self.buckets.get(category, 0) + elapsed_ns
-
-    def total(self) -> int:
-        return sum(self.buckets.values())
-
-    def cores_equivalent(self, category: str, elapsed_ns: int) -> float:
-        """Busy time in ``category`` expressed as a number of cores."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.buckets.get(category, 0) / elapsed_ns
-
-    def clear(self) -> None:
-        self.buckets.clear()

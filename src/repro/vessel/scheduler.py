@@ -270,7 +270,6 @@ class VesselSystem(ColocationSystem):
             core_id = state.core.id
             uintr.register_handler(core_id,
                                    lambda vec, cid=core_id: self._on_uintr(cid))
-            uintr.on_user_resume(core_id)
             state.uitt_index = uintr.register_sender(
                 self._scheduler_core_id, core_id, vector=1)
         # Prime every core with best-effort work.

@@ -15,7 +15,7 @@ from collections import deque
 from typing import Callable, Deque, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import Counter, LatencyRecorder
+from repro.sim.stats import LatencyRecorder
 from repro.workloads.synthetic import exponential_ns
 
 
@@ -83,8 +83,9 @@ class App:
         #: work generator for batch apps (LinpackWork / MembenchWork / ...)
         self.batch_work = batch_work
         # Measurements
-        self.offered = Counter(f"{name}/offered")
-        self.completed = Counter(f"{name}/completed")
+        #: requests submitted and completed in the measurement window
+        self.offered = 0
+        self.completed = 0
         self.latency = LatencyRecorder(f"{name}/latency")
         #: pending requests, oldest first (the server's receive queue);
         #: ``ColocationSystem.submit`` appends and bumps ``offered``
@@ -106,8 +107,8 @@ class App:
 
     def reset_measurements(self) -> None:
         """Drop warmup-phase measurements (queue state is preserved)."""
-        self.offered.clear()
-        self.completed.clear()
+        self.offered = 0
+        self.completed = 0
         self.latency.clear()
         self.useful_ns = 0
 

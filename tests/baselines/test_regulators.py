@@ -78,7 +78,7 @@ def test_cgroup_throttles_after_quota(sim, costs):
     assert regulator.throttle_events >= 4
     # achieved CPU fraction ~= one slice per period (25% here)
     machine.cores[0].settle()
-    busy = machine.cores[0].acct.buckets.get("app:membench", 0)
+    busy = machine.cores[0].buckets.get("app:membench", 0)
     fraction = busy / (5 * regulator.period_ns)
     assert fraction == pytest.approx(0.25, abs=0.07)
 
@@ -92,7 +92,7 @@ def test_cgroup_overshoot_at_low_target(sim, costs):
     regulator.start()
     sim.run(until=5 * regulator.period_ns)
     machine.cores[0].settle()
-    busy = machine.cores[0].acct.buckets.get("app:membench", 0)
+    busy = machine.cores[0].buckets.get("app:membench", 0)
     fraction = busy / (5 * regulator.period_ns)
     assert fraction > 0.2  # far above the 10% target
 

@@ -43,9 +43,9 @@ def run_system(factory, rate=0.5, sim_ms=12, workers=4, seed=7,
 @pytest.mark.parametrize("factory", ALL_SYSTEMS)
 def test_every_system_completes_requests(factory):
     _, app, _ = run_system(factory)
-    assert app.completed.value > 0
+    assert app.completed > 0
     # At 12.5% load every system must keep up on average.
-    assert app.completed.value >= 0.9 * (app.offered.value - len(app.queue))
+    assert app.completed >= 0.9 * (app.offered - len(app.queue))
 
 
 @pytest.mark.parametrize("factory", ALL_SYSTEMS)
@@ -145,7 +145,7 @@ def test_arachne_saturates_at_granted_cores():
     initial single-core grant within a short window."""
     _, app, _ = run_system(ArachneSystem, rate=2.5, sim_ms=15)
     max_possible = 15 * MS / 970  # one core's worth
-    assert app.completed.value <= 1.3 * max_possible
+    assert app.completed <= 1.3 * max_possible
     assert summarize_ns(app.latency.samples)["p999_us"] > 500
 
 
@@ -184,7 +184,7 @@ def test_caladan_arrival_goes_to_first_spinning_core():
     assert states[0].kind == "spin" and states[0].owner is other
     assert states[1].kind is None
     sim.run(until=10_000)
-    assert app.completed.value == 1
+    assert app.completed == 1
 
 
 def test_ideal_preempts_batch_for_latency_instantly():

@@ -109,7 +109,8 @@ def test_tracecheck_arms_do_not_inherit_trace_out():
 def test_cli_list_and_selection(capsys):
     assert front_end.main(["--list"]) == 0
     out = capsys.readouterr().out
-    assert "fig09" in out and "sensitivity" in out
+    assert "fig09" in out and "ablations" in out
+    assert "sensitivity" not in out
 
 
 def test_cli_rejects_unknown():

@@ -20,10 +20,11 @@ from repro.experiments import common, fault_chaos
 from tests.pinned import TRACE_COMMAND, command
 
 #: the scenario commands at their pinned profiles, ``tracecheck``
-#: writing its trace as well
+#: writing its trace as well, and ``ablations``, whose switch-cost sweep
+#: reads its 1x point and Caladan reference from the variant table's runs
 COMMANDS = tuple(command(name) for name in ("churn", "oversub", "overload",
                                             "chaos", "net")) \
-    + (TRACE_COMMAND,)
+    + (TRACE_COMMAND, "ablations --smoke")
 
 
 @pytest.mark.heavy

@@ -71,10 +71,10 @@ def test_dropped_uintr_contained_by_watchdog():
     assert system.containment.fallback_ipis > 0
     assert machine.ipi.sent == system.containment.fallback_ipis
     # Both latency apps keep completing despite 100% notification loss.
-    before = [app.completed.value for app in apps]
+    before = [app.completed for app in apps]
     assert all(b > 0 for b in before)
     sim.run(until=8 * MS)
-    assert all(app.completed.value > b for app, b in zip(apps, before))
+    assert all(app.completed > b for app, b in zip(apps, before))
     assert system.uncontained() == []
 
 
@@ -91,7 +91,7 @@ def test_dropped_uintr_breaks_without_containment():
              if cs.kind == "switch" and not cs.core.busy
              and cs.batch_run is None]
     assert limbo
-    assert all(app.completed.value == 0 for app in apps)
+    assert all(app.completed == 0 for app in apps)
 
 
 # ----------------------------------------------------------------------
@@ -121,9 +121,9 @@ def test_uthread_crash_contained_and_resources_reclaimed():
             assert command.payload is not uproc
             assert getattr(command.payload, "uproc", None) is not uproc
     # Co-located tenants are undisturbed.
-    before = apps[1].completed.value
+    before = apps[1].completed
     sim.run(until=6 * MS)
-    assert apps[1].completed.value > before
+    assert apps[1].completed > before
     assert system.uncontained() == []
 
 
@@ -157,9 +157,9 @@ def test_rogue_thread_evicted_by_kernel_ipi():
     assert system.containment.rogue_kills == 1
     assert all(t.state is UThreadState.DEAD for t in rogues)
     assert all(t.core_id is None for t in rogues)
-    before = [app.completed.value for app in apps]
+    before = [app.completed for app in apps]
     sim.run(until=7 * MS)
-    assert all(app.completed.value > b for app, b in zip(apps, before))
+    assert all(app.completed > b for app, b in zip(apps, before))
     assert system.uncontained() == []
 
 
@@ -191,9 +191,9 @@ def test_scheduler_stall_restarted_by_heartbeat():
     sim.run(until=stall_at + 2 * HEARTBEAT_INTERVAL_NS)
     assert not system._sched_stalled
     assert system.containment.sched_restarts >= 1
-    before = [app.completed.value for app in apps]
+    before = [app.completed for app in apps]
     sim.run(until=6 * MS)
-    assert all(app.completed.value > b for app, b in zip(apps, before))
+    assert all(app.completed > b for app, b in zip(apps, before))
     # The backlog built during the outage drains again.
     assert all(len(app.queue) < 100 for app in apps)
     assert system.uncontained() == []

@@ -20,7 +20,7 @@ def test_accounting_charges_category(sim):
     core.run("app:x", 500)
     sim.run()
     core.settle()
-    assert core.acct.buckets["app:x"] == 500
+    assert core.buckets["app:x"] == 500
 
 
 def test_idle_time_accounted(sim):
@@ -28,8 +28,8 @@ def test_idle_time_accounted(sim):
     sim.after(300, lambda: core.run("app", 200))
     sim.run()
     core.settle()
-    assert core.acct.buckets["idle"] == 300
-    assert core.acct.buckets["app"] == 200
+    assert core.buckets["idle"] == 300
+    assert core.buckets["app"] == 200
 
 
 def test_preempt_returns_remaining(sim):
@@ -39,7 +39,7 @@ def test_preempt_returns_remaining(sim):
     remaining = core.preempt()
     assert remaining == 600
     core.settle()
-    assert core.acct.buckets["app"] == 400
+    assert core.buckets["app"] == 400
 
 
 def test_preempt_cancels_completion_callback(sim):
@@ -105,7 +105,7 @@ def test_chained_segments_account_fully(sim):
     chain(5)
     sim.run()
     core.settle()
-    assert core.acct.buckets["app"] == 500
+    assert core.buckets["app"] == 500
 
 
 class _SwitchEveryRunCore(Core):
@@ -145,7 +145,7 @@ def _drive(core_cls):
     sim.after(1200, lambda: core.run("app:b", 300))
     sim.run()
     core.settle()
-    return core.acct.buckets, dict(tracer.spans), sim.events_fired
+    return core.buckets, dict(tracer.spans), sim.events_fired
 
 
 def test_back_to_back_runs_account_like_explicit_switches():
@@ -174,8 +174,8 @@ def test_total_accounting_aggregates(sim, costs):
     machine.cores[1].run("kernel", 50)
     sim.run()
     total = machine.total_accounting()
-    assert total.buckets["app"] == 100
-    assert total.buckets["kernel"] == 50
+    assert total["app"] == 100
+    assert total["kernel"] == 50
 
 
 def test_core_pkru_starts_locked_down(sim):

@@ -1,4 +1,4 @@
-"""Tests for userspace interrupts: delivery, deferral, UITT routing."""
+"""Tests for userspace interrupts: delivery, coalescing, UITT routing."""
 
 import pytest
 
@@ -14,14 +14,8 @@ def _wire(uintr, sender=0, receiver=1, vector=2):
     seen = []
     uintr.register_handler(receiver, lambda vec: seen.append(
         (vec, uintr.sim.now)))
-    uintr.on_user_resume(receiver)
     index = uintr.register_sender(sender, receiver, vector)
     return seen, index
-
-
-def _suspend(uintr, receiver=1):
-    """The receiver leaves user mode: notifications are suppressed."""
-    uintr.upid_of(receiver).suppressed = True
 
 
 def test_delivery_to_running_receiver(uintr, sim, costs):
@@ -34,45 +28,28 @@ def test_delivery_to_running_receiver(uintr, sim, costs):
     assert when == costs.uintr_send_ns + costs.uintr_deliver_ns
 
 
-def test_delivery_deferred_while_suppressed(uintr, sim):
-    seen, index = _wire(uintr)
-    _suspend(uintr)
-    uintr.senduipi(0, index)
-    sim.run()
-    assert seen == []
-    assert uintr.deferred == 1
-
-
-def test_deferred_vector_delivered_on_resume(uintr, sim):
-    seen, index = _wire(uintr)
-    _suspend(uintr)
-    uintr.senduipi(0, index)
-    sim.run()
-    uintr.on_user_resume(1)
-    sim.run()
-    assert [v for v, _ in seen] == [2]
-
-
-def test_multiple_vectors_coalesce_in_upid(uintr, sim):
+def test_multiple_vectors_coalesce_in_upid(uintr, sim, costs):
     seen = []
-    uintr.register_handler(1, lambda vec: seen.append(vec))
-    _suspend(uintr)
+    uintr.register_handler(1, lambda vec: seen.append((vec, sim.now)))
     i3 = uintr.register_sender(0, 1, 3)
     i7 = uintr.register_sender(0, 1, 7)
+    # Both posts land before the first notification fires: it drains
+    # both vectors, and the second notification finds the PIR empty.
     uintr.senduipi(0, i3)
     uintr.senduipi(0, i7)
-    uintr.on_user_resume(1)
+    assert uintr.upid_of(1).pending == (1 << 3) | (1 << 7)
     sim.run()
-    assert sorted(seen) == [3, 7]
+    when = costs.uintr_send_ns + costs.uintr_deliver_ns
+    assert seen == [(3, when), (7, when)]
+    assert uintr.delivered == 2
 
 
 def test_duplicate_vector_posts_once(uintr, sim):
     seen, index = _wire(uintr)
-    _suspend(uintr)
     uintr.senduipi(0, index)
     uintr.senduipi(0, index)
-    uintr.on_user_resume(1)
     sim.run()
+    assert uintr.sent == 2
     assert len(seen) == 1  # the PIR is a bitmap
 
 
@@ -105,15 +82,12 @@ def test_counters(uintr, sim):
     sim.run()
     assert uintr.sent == 1
     assert uintr.delivered == 1
-    assert uintr.deferred == 0
 
 
 def test_two_receivers_routed_independently(uintr, sim):
     seen_a, seen_b = [], []
     uintr.register_handler(1, lambda v: seen_a.append(v))
     uintr.register_handler(2, lambda v: seen_b.append(v))
-    uintr.on_user_resume(1)
-    uintr.on_user_resume(2)
     ia = uintr.register_sender(0, 1, 5)
     ib = uintr.register_sender(0, 2, 6)
     uintr.senduipi(0, ia)
@@ -123,25 +97,11 @@ def test_two_receivers_routed_independently(uintr, sim):
     assert seen_b == [6]
 
 
-def test_suspend_between_post_and_delivery_defers(uintr, sim):
-    seen, index = _wire(uintr)
-    uintr.senduipi(0, index)
-    # Suppress before the delivery event fires.
-    _suspend(uintr)
-    sim.run()
-    assert seen == []
-    uintr.on_user_resume(1)
-    sim.run()
-    assert len(seen) == 1
-
-
 def test_pending_vectors_peeks_without_draining(uintr, sim):
     seen, index = _wire(uintr)
-    _suspend(uintr)
     uintr.senduipi(0, index)
-    # The vector waits in the PIR bitmap until resume drains it.
+    # The vector waits in the PIR bitmap until its delivery drains it.
     assert uintr.upid_of(1).pending == 1 << 2
-    uintr.on_user_resume(1)
     sim.run()
     assert uintr.upid_of(1).pending == 0
     assert [v for v, _ in seen] == [2]
@@ -183,19 +143,3 @@ def test_injected_delay_shifts_delivery(uintr, sim, costs):
     assert uintr.delayed == 1
     _, when = seen[0]
     assert when == costs.uintr_send_ns + costs.uintr_deliver_ns + 5_000
-
-
-def test_inject_hook_not_consulted_while_suppressed(uintr, sim):
-    seen, index = _wire(uintr)
-    calls = []
-    uintr.inject = lambda s, r, v: calls.append((s, r, v))
-    _suspend(uintr)
-    uintr.senduipi(0, index)
-    sim.run()
-    # Suppression defers before the wire is ever touched, so there is
-    # no in-flight notification for the hook to drop or delay.
-    assert calls == []
-    assert uintr.deferred == 1
-    uintr.on_user_resume(1)
-    sim.run()
-    assert len(seen) == 1

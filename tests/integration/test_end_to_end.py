@@ -61,7 +61,7 @@ def test_vessel_randomized_invariants(workers, n_lapps, seed):
         in_flight = sum(1 for cs in system._cores.values()
                         if cs.request is not None
                         and cs.request.app is app)
-        assert app.offered.value == (app.completed.value + len(app.queue)
+        assert app.offered == (app.completed + len(app.queue)
                                      + in_flight)
 
     # 3. Latency >= 0 and app work <= offered work.
@@ -95,7 +95,7 @@ def test_caladan_randomized_invariants(workers, seed):
     app = apps[0]
     in_flight = sum(1 for cs in system._cores.values()
                     if cs.request is not None)
-    assert app.offered.value == (app.completed.value + len(app.queue)
+    assert app.offered == (app.completed + len(app.queue)
                                  + in_flight)
 
 
@@ -103,7 +103,7 @@ def test_same_seed_is_deterministic():
     results = []
     for _ in range(2):
         _, _, system, apps, batch = _run(VesselSystem, 3, 2, 0.4, seed=99)
-        results.append((apps[0].completed.value, apps[1].completed.value,
+        results.append((apps[0].completed, apps[1].completed,
                         batch.useful_ns,
                         tuple(sorted(apps[0].latency.samples))))
     assert results[0] == results[1]
@@ -147,4 +147,4 @@ def test_batch_yield_when_latency_app_saturates():
     report = system.report()
     # ~95% load: linpack must be squeezed to almost nothing
     assert batch.useful_ns < 0.2 * report.elapsed_ns * 2
-    assert apps[0].completed.value > 0
+    assert apps[0].completed > 0

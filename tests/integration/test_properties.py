@@ -111,14 +111,14 @@ def test_cfs_conserves_time_and_work(task_specs, cores):
     sim.run(until=100 * MS)
     total = machine.total_accounting()
     # Conservation: app + kernel + idle == wall time on every core.
-    assert sum(total.buckets.values()) == 100 * MS * cores
+    assert sum(total.values()) == 100 * MS * cores
     for task, offered in tasks:
         # Work is never manufactured; finished tasks ran exactly offered.
         assert task.executed <= offered
         if not task.chunks and task.executed == offered:
             pass  # fully drained
     executed = sum(t.executed for t, _ in tasks)
-    assert executed <= total.buckets.get("app", 0) + 1
+    assert executed <= total.get("app", 0) + 1
 
 
 # ----------------------------------------------------------------------

@@ -217,5 +217,5 @@ def test_context_switches_cost_kernel_time(sim, costs):
         cfs.wake(thread)
     sim.run(until=100 * MS)
     machine.cores[0].settle()
-    assert machine.cores[0].acct.buckets.get("kernel", 0) > 0
+    assert machine.cores[0].buckets.get("kernel", 0) > 0
     assert cfs.context_switches > 0

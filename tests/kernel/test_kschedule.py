@@ -29,8 +29,8 @@ def test_pipeline_accounting_split(sim, costs):
     sim.run()
     core.settle()
     # One phase (userspace save) is runtime; the rest kernel.
-    assert core.acct.buckets["runtime"] == costs.caladan_user_save_ns
-    assert core.acct.buckets["kernel"] == 5300 - costs.caladan_user_save_ns
+    assert core.buckets["runtime"] == costs.caladan_user_save_ns
+    assert core.buckets["kernel"] == 5300 - costs.caladan_user_save_ns
 
 
 def test_phase_order_matches_figure3(costs):

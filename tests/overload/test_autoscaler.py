@@ -49,7 +49,7 @@ def test_harvests_under_tight_slo():
     assert snap["harvests"] == policy.harvests
     assert snap["total_cores"] == 4
     # The system keeps serving throughout.
-    assert app.completed.value > 0
+    assert app.completed > 0
 
 
 def test_be_core_cap_gauge_registered_through_the_system():
@@ -89,7 +89,7 @@ def test_be_cap_enforced_on_idle_cores():
     sim, system, app = build(policy, rate=0.2)
     sim.run(until=1 * MS)
     assert sum(1 for cs in system._cores.values() if cs.kind == "B") == 0
-    assert app.completed.value > 0  # latency traffic unaffected
+    assert app.completed > 0  # latency traffic unaffected
 
 
 def test_windows_follow_app_lifecycle():
@@ -139,7 +139,7 @@ def test_deterministic_under_seed():
         policy = SloAutoscalePolicy(slo_p99_us=2.0, min_samples=16)
         sim, system, app = build(policy, rate=1.5, seed=23)
         sim.run(until=5 * MS)
-        return (app.completed.value, policy.harvests, policy.returns,
+        return (app.completed, policy.harvests, policy.returns,
                 policy.be_allowed, sim.events_fired)
 
     assert once() == once()

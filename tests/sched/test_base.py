@@ -111,7 +111,7 @@ def test_begin_measurement_resets(sim, machine, rngs):
     system.worker_cores[0].run("app:memcached", 50)
     sim.run()
     system.begin_measurement()
-    assert app.completed.value == 0
+    assert app.completed == 0
     report = system.report()
     assert report.buckets in ({}, {"idle": 0})
 

@@ -9,14 +9,15 @@ random scripts mixing segment runs, preemptions, wedges, timer arming,
 cancels, re-arms and cancel storms that trigger ``_compact`` replay on
 both; the firing order ``(time, seq, callback)``, ``events_fired``,
 ``pending()``, heap length, accounting buckets and tracer spans must be
-equal throughout.
+equal throughout.  Only the reference ``Core``'s bucket container has
+changed since: a plain ``buckets`` dict, as on the live ``Core``.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import pytest
 
@@ -25,7 +26,6 @@ from repro.hardware.machine import CoreMode
 from repro.hardware.mpk import PkruRegister
 from repro.sim.engine import SimulationError
 from repro.sim.engine import Simulator as NewSimulator
-from repro.sim.stats import BusyAccounter
 from repro.sim.trace import Tracer
 
 _COMPACT_THRESHOLD = 64
@@ -265,7 +265,7 @@ class Core:
         self.id = core_id
         self.pkru = PkruRegister(PkruRegister.ALL_DENIED_EXCEPT_0)
         self.mode = CoreMode.IDLE
-        self.acct = BusyAccounter()
+        self.buckets: Dict[str, int] = {}
         self._category = "idle"
         self._since = sim.now
         self._segment_event: Optional[Event] = None
@@ -282,13 +282,11 @@ class Core:
     # Accounting
     # ------------------------------------------------------------------
     def _switch_category(self, category: str) -> None:
-        # Fires on every segment start/stop of every core; the bucket
-        # update is inlined (acct.charge's negative check is redundant
-        # here because ``elapsed > 0`` already guards it).
+        # Fires on every segment start/stop of every core.
         now = self.sim.now
         elapsed = now - self._since
         if elapsed > 0:
-            buckets = self.acct.buckets
+            buckets = self.buckets
             previous = self._category
             buckets[previous] = buckets.get(previous, 0) + elapsed
             if self.tracer is not None:
@@ -297,7 +295,7 @@ class Core:
         self._since = now
 
     def settle(self) -> None:
-        """Flush accrued time in the current category into the accounter."""
+        """Flush accrued time in the current category into the buckets."""
         self._switch_category(self._category)
 
     @property
@@ -510,7 +508,7 @@ class _Player:
         for core in self.cores:
             core.settle()
         return (self.fired, self.checkpoints,
-                [dict(core.acct.buckets) for core in self.cores],
+                [dict(core.buckets) for core in self.cores],
                 dict(self.tracer.spans), self.sim.events_fired)
 
 

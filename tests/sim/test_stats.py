@@ -1,4 +1,4 @@
-"""Tests for measurement primitives."""
+"""Tests for the latency recorder and its exact summary."""
 
 import math
 import random
@@ -9,13 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.sim.stats import (
-    RUN_SAMPLES,
-    BusyAccounter,
-    Counter,
-    LatencyRecorder,
-    summarize_ns,
-)
+from repro.sim.stats import RUN_SAMPLES, LatencyRecorder, summarize_ns
 
 
 # ----------------------------------------------------------------------
@@ -216,40 +210,3 @@ def test_summary_makes_one_full_size_copy():
     _growth, peak = _traced_bytes(lambda: summarize_ns(samples))
     # one float64 copy is 8 bytes a sample; a second would double it
     assert peak <= 1.25 * 8 * n
-
-
-# ----------------------------------------------------------------------
-# Counter
-# ----------------------------------------------------------------------
-def test_counter_accumulates():
-    counter = Counter()
-    counter.add()
-    counter.add(4)
-    assert counter.value == 5
-
-
-def test_counter_rejects_negative():
-    with pytest.raises(ValueError):
-        Counter().add(-1)
-
-
-# ----------------------------------------------------------------------
-# BusyAccounter
-# ----------------------------------------------------------------------
-def test_busy_accounter_charges_and_fractions():
-    acct = BusyAccounter()
-    acct.charge("app", 750)
-    acct.charge("kernel", 250)
-    assert acct.total() == 1000
-    assert acct.buckets == {"app": 750, "kernel": 250}
-
-
-def test_busy_accounter_rejects_negative():
-    with pytest.raises(ValueError):
-        BusyAccounter().charge("x", -1)
-
-
-def test_busy_accounter_cores_equivalent():
-    acct = BusyAccounter()
-    acct.charge("app", 2_000_000)
-    assert acct.cores_equivalent("app", 1_000_000) == pytest.approx(2.0)

@@ -90,7 +90,7 @@ def test_tracer_agrees_with_accounting(sim, costs):
     sim.run(until=1000)
     machine.settle_all()
     total_app = sum(e - s for s, e, c in tracer.spans[0] if c == "app:x")
-    assert total_app == core.acct.buckets["app:x"]
+    assert total_app == core.buckets["app:x"]
 
 
 def test_spans_between_bisects_correct_window(sim):

@@ -127,6 +127,6 @@ def test_end_service_runs_once_per_completed_request(name):
     OpenLoopSource(sim, app, system.submit, 0.5, sampler,
                    rngs.stream("arrivals/mc"))
     sim.run(until=3 * MS)
-    assert app.completed.value > 100
-    assert len(ended) == app.completed.value
+    assert app.completed > 100
+    assert len(ended) == app.completed
     assert len({id(request) for request in ended}) == len(ended)

@@ -47,11 +47,11 @@ def test_remove_app_mid_run_keeps_system_alive():
     sim.run(until=5 * MS)
     removed = system.remove_app("mc0")
     assert not removed.queue
-    before_mc1 = apps[1].completed.value
+    before_mc1 = apps[1].completed
     sim.run(until=12 * MS)
     # The survivor keeps making progress; the dead app does not.
-    assert apps[1].completed.value > before_mc1
-    assert apps[0].completed.value <= before_mc1 + len(apps[0].queue) + 1
+    assert apps[1].completed > before_mc1
+    assert apps[0].completed <= before_mc1 + len(apps[0].queue) + 1
     assert not apps[0].queue
 
 
@@ -91,9 +91,9 @@ def test_crash_uproc_kills_exactly_one_uproc():
     assert uprocs["mc1"].alive
     assert uprocs["linpack"].alive
     # System continues scheduling the survivors.
-    before = apps[1].completed.value
+    before = apps[1].completed
     sim.run(until=12 * MS)
-    assert apps[1].completed.value > before
+    assert apps[1].completed > before
     assert batch.useful_ns > 0
 
 

@@ -52,7 +52,7 @@ def test_preemption_bounds_memcached_tail():
     assert summarize_ns(mc.latency.samples)["p999_us"] < 80
     assert system.preemptions > 0
     # Silo still completes (preempted requests resume).
-    assert db.completed.value > 0
+    assert db.completed > 0
 
 
 def test_without_preemption_tail_is_unbounded():
@@ -74,5 +74,5 @@ def test_short_requests_never_preempted():
     system, mc, db = build(l_preempt_quantum_ns=20_000)
     # A ~1 us memcached request can never hit the 20 us quantum, so the
     # preemption count is bounded by silo's (resumable) long requests.
-    assert system.preemptions < 4 * (db.completed.value + len(db.queue) + 1) \
-        + mc.completed.value * 0.01 + 50
+    assert system.preemptions < 4 * (db.completed + len(db.queue) + 1) \
+        + mc.completed * 0.01 + 50

@@ -86,7 +86,7 @@ def test_overridden_hooks_are_bound_and_called_per_request():
     system, hog, meek = _two_app_run(policy)
     assert system._pick_request == policy.pick_request
     assert system._on_request_done == policy.on_request_done
-    completed = hog.completed.value + meek.completed.value
+    completed = hog.completed + meek.completed
     assert completed > 1_000
     # Every completion reached the hook; every pick before it went
     # through the policy, plus the picks that found the queue empty.
@@ -125,7 +125,7 @@ def test_instance_level_override_is_honoured():
     system, hog, meek = _two_app_run(policy, until_ms=2)
     assert system._pick_request is pick
     assert sum(1 for r in picked if r is not None) \
-        >= hog.completed.value + meek.completed.value > 0
+        >= hog.completed + meek.completed > 0
 
 
 def test_sjf_still_reorders_requests():
@@ -173,6 +173,6 @@ def test_autoscale_policy_still_receives_request_completions(monkeypatch):
     OpenLoopSource(sim, app, system.submit, 0.5, lambda: 1000,
                    rngs.stream("arrivals"))
     sim.run(until=2 * MS)
-    assert app.completed.value > 100
-    assert len(seen) == app.completed.value
+    assert app.completed > 100
+    assert len(seen) == app.completed
     assert len(policy._windows[app.name]) == min(policy.window, len(seen))

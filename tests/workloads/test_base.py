@@ -43,17 +43,17 @@ def test_complete_records_latency(sim, machine, rngs):
     request = Request(app, 100, 50)
     sim.run(until=400)
     system.end_service(request)
-    assert app.completed.value == 1
+    assert app.completed == 1
     assert app.latency.samples == array("q", [300])
 
 
 def test_reset_measurements_preserves_queue():
     app = make_app()
     app.queue.append(Request(app, 0, 10))
-    app.completed.add(1)
+    app.completed += 1
     app.latency.record(100)
     app.reset_measurements()
-    assert app.completed.value == 0
+    assert app.completed == 0
     assert app.latency.count == 0
     assert len(app.queue) == 1  # in-flight state kept
 

@@ -97,7 +97,7 @@ def test_membench_core_busy_during_stall(sim, costs):
     sim.run(until=5_000)
     assert machine.cores[0].busy
     machine.cores[0].settle()
-    assert machine.cores[0].acct.buckets["app:membench"] == 5_000
+    assert machine.cores[0].buckets["app:membench"] == 5_000
 
 
 def test_membench_preempt_resume_conserves_work(sim, costs):
